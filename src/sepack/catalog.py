@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -42,8 +42,6 @@ class CatalogEntry:
     factors: tuple | None = None
     seed: np.ndarray | None = None
     period: float | None = None
-    factors_inferred: bool = False
-    notes: str = ""
 
     @property
     def constructible(self) -> bool:
@@ -67,8 +65,6 @@ def _parse_entry(raw: dict) -> CatalogEntry:
         factors=tuple(cons["factors"]) if "factors" in cons else None,
         seed=seed,
         period=period,
-        factors_inferred=raw.get("factors_inferred", False),
-        notes=raw.get("notes", ""),
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .core import DEFAULT_TOL, Packing, Tolerance, interior_indices, validate_packing
@@ -110,16 +111,30 @@ def is_k_regular(g: ContactGraph, p: Packing, k: int) -> RegularityVerdict:
 
 
 def contains_triangle(g: ContactGraph) -> tuple | None:
-    """Return a vertex triple forming a triangle, or None.
+    """Return the lexicographically first triangle (i < j < k), or None.
 
-    Edge-centric search: for each edge, intersect the endpoint neighbor
-    lists.  Any simplex in the contact graph contains a triangle, so this
-    is the complete obstruction test for total separability.
+    With U the sparse upper-triangular adjacency (U[i, j] = 1 for an edge
+    i < j), (U @ U)[i, k] counts the paths i < j < k and multiplying by U
+    keeps those closed by the edge i-k, so the product has a nonzero in
+    row i exactly when i is the least vertex of some triangle.  The
+    witness is extracted from the first such row only: its smallest j
+    with an upper neighbor k shared with i, and the smallest such k.  Any
+    simplex in the contact graph contains a triangle, so this is the
+    complete obstruction test for total separability.
     """
-    adj = g.adjacency_sets()
-    for i, j in g.edges:
-        common = adj[int(i)] & adj[int(j)]
-        if common:
-            k = min(common)
-            return tuple(sorted((int(i), int(j), k)))
-    return None
+    n = g.vertex_count
+    if g.edge_count < 3:
+        return None
+    rows, cols = g.edges[:, 0], g.edges[:, 1]
+    upper = sparse.csr_array((np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, n))
+    closed = (upper @ upper).multiply(upper).tocsr()
+    closed.eliminate_zeros()
+    if closed.nnz == 0:
+        return None
+    i = int(np.flatnonzero(np.diff(closed.indptr))[0])
+    above_i = upper.indices[upper.indptr[i] : upper.indptr[i + 1]]
+    for j in np.sort(above_i):
+        common = np.intersect1d(above_i, upper.indices[upper.indptr[j] : upper.indptr[j + 1]])
+        if len(common):
+            break
+    return (i, int(j), int(common[0]))

@@ -161,9 +161,6 @@ class Packing:
     def n_spheres(self) -> int:
         return self.centers.shape[0]
 
-    def with_label(self, label: str) -> "Packing":
-        return Packing(self.centers, self.window, self.radius, label)
-
 
 @dataclass(frozen=True)
 class ValidationResult:

@@ -65,7 +65,6 @@ class DiagonalConstruction:
     depth: int
     packing: Packing
     cube_lattice: np.ndarray  # (n_cubes, d) int lattice coordinates
-    cube_generation: np.ndarray  # (n_cubes,) int
     cube_index: np.ndarray  # (n_spheres,) int
     corner_sign: np.ndarray  # (n_spheres, d) int in {-1, +1}
     saturated: np.ndarray  # (n_spheres,) bool
@@ -134,9 +133,8 @@ def diagonal_construction(
     signs = np.array(list(itertools.product((-1, 1), repeat=d)), dtype=int)
     cube_set = {tuple([0] * d)}
     cubes = [tuple([0] * d)]
-    generations = [0]
     frontier = [tuple([0] * d)]
-    for gen in range(1, depth + 1):
+    for _ in range(depth):
         new_frontier = []
         for cube in frontier:
             for s in signs:
@@ -145,12 +143,10 @@ def diagonal_construction(
                     continue  # parent position or a sibling's duplicate spawn
                 cube_set.add(cand)
                 cubes.append(cand)
-                generations.append(gen)
                 new_frontier.append(cand)
         frontier = new_frontier
 
     lattice = np.array(cubes, dtype=int).reshape(-1, d)
-    gen_arr = np.array(generations, dtype=int)
     step = 2.0 + 2.0 / math.sqrt(d)
 
     # one sphere per (cube, corner); cubes never share vertices
@@ -176,7 +172,7 @@ def diagonal_construction(
     if not np.array_equal(packing.centers, centers):
         raise AssertionError("canonical order mismatch in diagonal construction")
     return DiagonalConstruction(
-        d, depth, packing, lattice, gen_arr, cube_idx, corner, saturated
+        d, depth, packing, lattice, cube_idx, corner, saturated
     )
 
 

@@ -65,5 +65,10 @@ class PackingVersionError(SepackError):
     """Packing file has an unsupported format version."""
 
 
+class InconsistentVerdictError(SepackError):
+    """Two checks of one packing contradict each other (a triangle in the
+    contact graph, yet no separability violation)."""
+
+
 class DegenerateSeedWarning(UserWarning):
     """Orbit seed is fixed by part of the point group; orbit collapsed."""

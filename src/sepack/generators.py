@@ -414,12 +414,12 @@ def check_entry_invariants(
     separable, interior degree equal to the catalog regularity."""
     from .contact import build_contact_graph, contains_triangle, is_k_regular
     from .core import validate_packing
-    from .separability import certify_total_separability
+    from .separability import WINDOW_CERTIFIED, _report
 
     verdict = validate_packing(p, tol)
     graph = build_contact_graph(p, tol)
     triangle = contains_triangle(graph)
-    sep = certify_total_separability(p, tol)
+    sep = _report(p, tol, False, WINDOW_CERTIFIED, graph=graph)
     reg = is_k_regular(graph, p, entry.regularity)
     return EntryCheck(
         entry_id=entry.id,

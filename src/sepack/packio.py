@@ -17,8 +17,8 @@ import numpy as np
 
 from .contact import build_contact_graph, contains_triangle
 from .core import DEFAULT_TOL, Packing, Tolerance, Window, interior_indices
-from .errors import PackingParseError, PackingVersionError
-from .separability import certify_total_separability
+from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError
+from .separability import VIOLATION_FOUND, WINDOW_CERTIFIED, _report
 
 FORMAT_VERSION = 1
 
@@ -77,11 +77,9 @@ def load_packing(path) -> Packing:
         return decode_packing(fh.read())
 
 
-def _degree_histogram(degrees, indices) -> dict:
-    hist = {}
-    for i in indices:
-        hist[int(degrees[i])] = hist.get(int(degrees[i]), 0) + 1
-    return {str(k): v for k, v in sorted(hist.items())}
+def _degree_histogram(degrees) -> dict:
+    values, counts = np.unique(degrees, return_counts=True)
+    return {str(k): v for k, v in zip(values.tolist(), counts.tolist())}
 
 
 def build_verify_report(
@@ -89,21 +87,23 @@ def build_verify_report(
 ) -> dict:
     """All verification facts about one packing, as a JSON-ready dict.
 
-    Consistency holds by construction: a triangle in the contact graph
-    forces a separability violation.
+    The contact graph is built once and shared by the triangle test and
+    the certifier.  A triangle in the contact graph forces a separability
+    violation; a report that says otherwise raises
+    InconsistentVerdictError.
     """
     start = time.perf_counter()
     graph = build_contact_graph(p, tol)
     degrees = graph.degrees
-    interior = set(int(i) for i in interior_indices(p))
-    boundary = [i for i in range(p.n_spheres) if i not in interior]
+    interior = np.zeros(p.n_spheres, dtype=bool)
+    interior[interior_indices(p)] = True
     triangle = contains_triangle(graph)
-    sep = certify_total_separability(p, tol, full_audit=full_audit)
+    sep = _report(p, tol, full_audit, WINDOW_CERTIFIED, graph=graph)
 
-    interior_degrees = sorted({int(degrees[i]) for i in interior})
+    interior_degrees = np.unique(degrees[interior]).tolist()
     regularity = {
         "status": "inconclusive"
-        if not interior
+        if not interior.any()
         else ("regular" if len(interior_degrees) == 1 else "irregular"),
         "k": interior_degrees[0] if len(interior_degrees) == 1 else None,
     }
@@ -114,8 +114,8 @@ def build_verify_report(
         "sphere_count": p.n_spheres,
         "contact_count": graph.edge_count,
         "degree_histogram": {
-            "interior": _degree_histogram(degrees, sorted(interior)),
-            "boundary": _degree_histogram(degrees, boundary),
+            "interior": _degree_histogram(degrees[interior]),
+            "boundary": _degree_histogram(degrees[~interior]),
         },
         "regularity": regularity,
         "triangle": list(triangle) if triangle else None,
@@ -131,7 +131,11 @@ def build_verify_report(
         },
         "timing_seconds": round(time.perf_counter() - start, 6),
     }
-    assert not (triangle and sep.status != "ViolationFound")
+    if triangle and sep.status != VIOLATION_FOUND:
+        raise InconsistentVerdictError(
+            f"triangle {list(triangle)} in the contact graph but separability "
+            f"status {sep.status}"
+        )
     return report
 
 

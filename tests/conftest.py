@@ -53,6 +53,41 @@ def brute_force_clean_edges(centers, radius=1.0, tol=1e-9):
     return clean, len(edges)
 
 
+def brute_force_witnesses(centers, full_audit, radius=1.0, tol=1e-9):
+    """(clean, witnesses) by testing every sphere against every tangent
+    plane, one plane at a time, with no grouping of the planes.
+
+    Witnesses are ((i, j), s) pairs ordered by edge, then by sphere; without
+    full audit each dirty edge keeps only its lowest-index offender.
+    """
+    centers = np.asarray(centers, dtype=float)
+    clean = 0
+    witnesses = []
+    for i, j in sorted(brute_force_edges(centers, radius, tol)):
+        u = centers[j] - centers[i]
+        u = u / np.linalg.norm(u)
+        b = float(u @ ((centers[i] + centers[j]) / 2.0))
+        offenders = np.flatnonzero(np.abs(centers @ u - b) < radius - tol).tolist()
+        if not offenders:
+            clean += 1
+        witnesses.extend(((i, j), s) for s in offenders[: None if full_audit else 1])
+    return clean, witnesses
+
+
+def brute_force_first_triangle(n, edges):
+    """Lexicographically smallest triangle (i < j < k) of a graph on n
+    vertices, or None, by a triple loop over vertex triples."""
+    adjacent = {(int(a), int(b)) for a, b in edges} | {(int(b), int(a)) for a, b in edges}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in adjacent:
+                continue
+            for k in range(j + 1, n):
+                if (i, k) in adjacent and (j, k) in adjacent:
+                    return (i, j, k)
+    return None
+
+
 def diagonal_plane_clearance(d):
     """Closed-form clearance of the depth-1 diagonal construction's
     diagonal tangent planes, without the certifier.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sepack import (
+    ContactGraph,
     Packing,
     Window,
     build_contact_graph,
@@ -15,7 +16,12 @@ from sepack import (
 )
 from sepack.errors import InvalidPackingError
 
-from conftest import brute_force_edges
+from conftest import (
+    brute_force_edges,
+    brute_force_first_triangle,
+    random_rotation,
+    transformed,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -102,3 +108,47 @@ class TestContainsTriangle:
         for name in ("P1", "P3", "K6", "K9"):
             p = generate_named(name, 10)
             assert contains_triangle(build_contact_graph(p)) is None, name
+
+
+def assert_first_triangle_matches_oracle(g):
+    expected = brute_force_first_triangle(g.vertex_count, g.edges)
+    assert contains_triangle(g) == expected
+    return expected
+
+
+class TestContainsTriangleAgainstOracle:
+    """The sparse-product triangle search against a triple loop."""
+
+    def test_triangular_lattice(self):
+        g = build_contact_graph(generate_triangular(10))
+        assert assert_first_triangle_matches_oracle(g) is not None
+
+    def test_triangle_free_catalog_windows(self):
+        for name, l in [("P1", 6), ("P3", 6), ("K6", 6), ("K9", 6), ("J1", 3), ("J16", 3), ("O1", 2)]:
+            g = build_contact_graph(generate_named(name, l))
+            assert g.edge_count > 0
+            assert assert_first_triangle_matches_oracle(g) is None, name
+
+    def test_thinned_triangular_packings_away_from_vertex_0(self, rng):
+        # random subsets of a rotated triangular window with every
+        # neighbour of vertex 0 removed, so no triangle contains vertex 0
+        found = 0
+        for _ in range(12):
+            p = generate_triangular(7)
+            q = transformed(p, random_rotation(2, rng), rng.uniform(-5, 5, 2))
+            centers = q.centers[rng.random(q.n_spheres) < 0.7]
+            near_first = np.linalg.norm(centers - centers[0], axis=1) < 2.5
+            near_first[0] = False
+            g = build_contact_graph(Packing(centers[~near_first]))
+            triangle = assert_first_triangle_matches_oracle(g)
+            if triangle is not None:
+                assert 0 not in triangle
+                found += 1
+        assert found >= 6
+
+    def test_random_graphs(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(3, 40))
+            pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+            keep = rng.random(len(pairs)) < rng.uniform(0.02, 0.2)
+            assert_first_triangle_matches_oracle(ContactGraph(n, pairs[keep]))

@@ -13,7 +13,12 @@ from sepack import (
     load_packing,
     save_packing,
 )
-from sepack.errors import PackingParseError, PackingVersionError
+from sepack.errors import (
+    InconsistentVerdictError,
+    PackingParseError,
+    PackingVersionError,
+    SepackError,
+)
 
 
 class TestRoundTrip:
@@ -94,6 +99,17 @@ class TestVerifyReport:
         report = build_verify_report(generate_triangular(6))
         assert report["triangle"] is not None
         assert report["separability"]["status"] == "ViolationFound"
+
+    def test_triangle_without_violation_is_a_typed_error(self, monkeypatch):
+        from sepack import generate_triangular, separability
+
+        # a broken certifier that calls every edge clean
+        monkeypatch.setattr(
+            separability, "_edge_cleanliness", lambda p, g, tol, full_audit: (g.edge_count, [])
+        )
+        with pytest.raises(InconsistentVerdictError, match="triangle") as info:
+            build_verify_report(generate_triangular(6))
+        assert isinstance(info.value, SepackError)
 
     def test_deterministic_apart_from_timing(self):
         p = generate_named("P3", 6)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from sepack import (
     Packing,
     build_contact_graph,
     certify_total_separability,
+    constructible_ids,
     contains_triangle,
+    diagonal_construction,
     generate_named,
     generate_triangular,
+    load_catalog,
     plane_hits_interior,
     sep_measure_sequence,
     separability_measure,
@@ -19,7 +23,12 @@ from sepack import (
 from sepack.errors import NotAContactError
 from sepack.separability import NO_EDGES, VIOLATION_FOUND, WINDOW_CERTIFIED
 
-from conftest import brute_force_clean_edges, random_rotation, transformed
+from conftest import (
+    brute_force_clean_edges,
+    brute_force_witnesses,
+    random_rotation,
+    transformed,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -189,3 +198,83 @@ class TestSepMeasureSequence:
     def test_requires_increasing_windows(self):
         with pytest.raises(ValueError):
             sep_measure_sequence("P1", [10, 6])
+
+
+# small half-widths at which every constructible entry has contacts
+ORACLE_WINDOWS = {2: 8, 3: 4, 4: 3}
+ORACLE_WIDER = {"O9": 4, "O18": 4, "O20": 4, "O45": 4, "O66": 4, "O78": 4, "O103": 6}
+ORACLE_CASES = constructible_ids() + ["TRI", "diagonal-2", "diagonal-3", "diagonal-4"]
+
+
+@lru_cache(maxsize=None)
+def oracle_packing(case):
+    if case.startswith("diagonal-"):
+        return diagonal_construction(int(case.split("-")[1]), 1).packing
+    if case == "TRI":
+        return generate_triangular(6)
+    dimension = load_catalog()[case].dimension
+    return generate_named(case, ORACLE_WIDER.get(case, ORACLE_WINDOWS[dimension]))
+
+
+def assert_matches_oracle(p):
+    clean, brief = brute_force_witnesses(p.centers, full_audit=False)
+    _, full = brute_force_witnesses(p.centers, full_audit=True)
+    report = certify_total_separability(p)
+    audit = certify_total_separability(p, full_audit=True)
+    assert report.clean_edges == audit.clean_edges == clean
+    assert list(report.violations) == brief
+    assert list(audit.violations) == full
+
+
+class TestCertifierAgainstOracle:
+    """The direction-grouped certifier against one-plane-at-a-time brute force."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_catalog_windows(self, case):
+        p = oracle_packing(case)
+        assert build_contact_graph(p).edge_count > 0
+        assert_matches_oracle(p)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_rotated_and_translated_windows(self, case):
+        p = oracle_packing(case)
+        rng = np.random.default_rng(ORACLE_CASES.index(case))
+        q = transformed(p, random_rotation(p.dimension, rng), rng.uniform(-20, 20, p.dimension))
+        assert build_contact_graph(q).edge_count == build_contact_graph(p).edge_count
+        assert_matches_oracle(q)
+
+    @pytest.mark.parametrize("case", ["TRI", "diagonal-4"])
+    def test_candidates_rechecked_in_small_chunks(self, case, monkeypatch):
+        from sepack import separability
+
+        monkeypatch.setattr(separability, "_CANDIDATE_BUDGET", 7)
+        assert_matches_oracle(oracle_packing(case))
+
+    def test_nearly_parallel_planes_in_one_group(self):
+        # contacts A-B (normal e1) and C-D (normal tilted by 1e-8) round to
+        # one direction key.  E is dirty for C-D only and F for A-B only,
+        # and each lies outside the other plane's slab when projected on
+        # the other normal, so a grouped test without slack misses them.
+        theta = 1e-8
+        tilt = np.array([math.cos(theta), math.sin(theta)])
+        a, b = np.array([0.0, 0.0]), np.array([2.0, 0.0])
+        c = np.array([100.0, 10.0])
+        d = c + 2.0 * tilt
+        e = np.array([102.0000006, -100.0])
+        f = np.array([0.0000006, -100.0])
+        p = Packing([a, b, c, d, e, f])
+        reach = 1.0 - 1e-9
+        offset_cd = float(tilt @ (c + tilt))
+        assert abs(e[0] - offset_cd) > reach and abs(tilt @ e - offset_cd) < reach
+        assert abs(tilt @ f - 1.0) > reach and abs(f[0] - 1.0) < reach
+
+        assert_matches_oracle(p)
+        report = certify_total_separability(p, full_audit=True)
+
+        def at(x):
+            return int(np.flatnonzero(np.all(p.centers == x, axis=1))[0])
+
+        assert report.total_edges == 2 and report.clean_edges == 0
+        assert sorted(report.violations) == sorted(
+            [((at(a), at(b)), at(f)), (tuple(sorted((at(c), at(d)))), at(e))]
+        )
