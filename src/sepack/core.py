@@ -15,6 +15,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateInputError,
+    InvalidPackingError,
     MalformedInputError,
     UndefinedDistanceError,
 )
@@ -183,18 +184,45 @@ def validate_packing(p: Packing, tol: Tolerance = DEFAULT_TOL) -> ValidationResu
     if p.n_spheres < 2:
         return ValidationResult(True)
     threshold = 2.0 * p.radius - tol.overlap
-    tree = cKDTree(p.centers)
-    pairs = tree.query_pairs(r=threshold, output_type="ndarray")
-    if len(pairs) == 0:
-        return ValidationResult(True)
+    return _first_overlap(*_pairs_within(p, threshold), threshold)
+
+
+def valid_pairs_within(p: Packing, reach: float, tol: Tolerance = DEFAULT_TOL):
+    """Pairs (i, j) of centres at distance <= reach, with their distances,
+    from the one KD-tree query that also validates the packing.
+
+    reach must be at least 2*radius - tol.overlap, so the query holds every
+    overlapping pair; the lexicographically first of them raises
+    InvalidPackingError, with the verdict validate_packing would return.
+    """
+    if p.n_spheres < 2:
+        return np.zeros((0, 2), dtype=np.intp), np.zeros(0)
+    threshold = 2.0 * p.radius - tol.overlap
+    if reach < threshold:
+        raise ValueError(f"reach {reach} is below the overlap threshold {threshold}")
+    pairs, dists = _pairs_within(p, reach)
+    verdict = _first_overlap(pairs, dists, threshold)
+    if not verdict:
+        raise InvalidPackingError(
+            f"packing is invalid: pair {verdict.pair} at distance {verdict.distance}",
+            verdict,
+        )
+    return pairs, dists
+
+
+def _pairs_within(p: Packing, reach: float):
+    pairs = cKDTree(p.centers).query_pairs(r=reach, output_type="ndarray")
     dists = np.linalg.norm(p.centers[pairs[:, 0]] - p.centers[pairs[:, 1]], axis=1)
+    return pairs, dists
+
+
+def _first_overlap(pairs: np.ndarray, dists: np.ndarray, threshold: float) -> ValidationResult:
     bad = dists < threshold
     if not np.any(bad):
         return ValidationResult(True)
     pairs = np.sort(pairs[bad], axis=1)
     dists = dists[bad]
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    first = order[0]
+    first = np.lexsort((pairs[:, 1], pairs[:, 0]))[0]
     return ValidationResult(False, (int(pairs[first, 0]), int(pairs[first, 1])), float(dists[first]))
 
 

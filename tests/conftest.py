@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sepack import Packing
+from sepack.contact_numbers import _add, _unit_steps
 
 
 def brute_force_edges(centers, radius=1.0, tol=1e-9):
@@ -86,6 +87,48 @@ def brute_force_first_triangle(n, edges):
                 if (i, k) in adjacent and (j, k) in adjacent:
                     return (i, j, k)
     return None
+
+
+def brute_force_polyforms(n, d=2):
+    """All fixed (translation-distinct) polyominoes/polycubes of n cells.
+
+    Returns {canonical cell tuple: shared-face count}.  Canonical form is
+    the translate whose cellwise minimum is the origin, as a sorted
+    tuple.  Plain growth-and-dedup: simple enough to trust as an oracle.
+    """
+    seed = (tuple([0] * d),)
+    shapes = {seed: 0}
+    for _ in range(n - 1):
+        grown = {}
+        for shape, shared in shapes.items():
+            cellset = set(shape)
+            for cell in shape:
+                for step in _unit_steps(d):
+                    new = _add(cell, step)
+                    if new in cellset:
+                        continue
+                    gained = sum(
+                        1 for s in _unit_steps(d) if _add(new, s) in cellset
+                    )
+                    cells = list(shape) + [new]
+                    mins = [min(c[i] for c in cells) for i in range(d)]
+                    canon = tuple(
+                        sorted(tuple(a - m for a, m in zip(c, mins)) for c in cells)
+                    )
+                    if canon not in grown:
+                        grown[canon] = shared + gained
+        shapes = grown
+    return shapes
+
+
+def brute_force_cd_upper_bound(n, d):
+    """floor(d(n - n^((d-1)/d))) by scanning t = d*n - m upward to the
+    least t with t^d >= d^d * n^(d-1)."""
+    power = d**d * n ** (d - 1)
+    t = 1
+    while t**d < power:
+        t += 1
+    return d * n - t
 
 
 def diagonal_plane_clearance(d):

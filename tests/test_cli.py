@@ -83,6 +83,18 @@ class TestOtherCommands:
         assert run("contact-opt", "--n", "50", "--d", "2", "--oracle", "--out", str(pack)) == 2
         assert "limit" in capsys.readouterr().err
 
+    def test_oracle_limit_leaves_no_file(self, tmp_path, capsys):
+        pack = tmp_path / "c.json"
+        assert run("contact-opt", "--n", "11", "--d", "2", "--oracle", "--out", str(pack)) == 2
+        assert "limit" in capsys.readouterr().err
+        assert not pack.exists()
+
+    def test_formulas_at_huge_n(self, capsys):
+        n = 10**400
+        assert run("formulas", "--n", str(n), "--d", "3") == 0
+        m = int(capsys.readouterr().out.split("=")[-1])
+        assert (3 * n - m - 1) ** 3 < 27 * n**2 <= (3 * n - m) ** 3
+
     def test_construct_diagonal(self, tmp_path, capsys):
         pack = tmp_path / "d.json"
         assert run("construct-diagonal", "--d", "2", "--depth", "1", "--out", str(pack)) == 0

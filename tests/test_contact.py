@@ -13,7 +13,9 @@ from sepack import (
     generate_named,
     generate_triangular,
     is_k_regular,
+    validate_packing,
 )
+from sepack import core
 from sepack.errors import InvalidPackingError
 
 from conftest import (
@@ -59,6 +61,58 @@ class TestBuildContactGraph:
             g = build_contact_graph(p)
             got = {(int(i), int(j)) for i, j in g.edges}
             assert got == brute_force_edges(p.centers), name
+
+
+class TestOverlapVerdictFromContactQuery:
+    """build_contact_graph rejects an invalid packing from its own pair
+    query, with the verdict of the separate validate_packing check."""
+
+    def test_matches_validate_packing_on_random_overlaps(self, rng):
+        for trial in range(40):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(2, 40))
+            base = Packing(rng.uniform(-6.0, 6.0, size=(n, d)))
+            p = transformed(base, random_rotation(d, rng), rng.uniform(-1e3, 1e3, size=d))
+            verdict = validate_packing(p)
+            c = p.centers
+            first = next(
+                ((i, j) for i in range(n) for j in range(i + 1, n)
+                 if np.linalg.norm(c[i] - c[j]) < 2.0 - 1e-9),
+                None,
+            )
+            assert verdict.pair == first, trial
+            if verdict:
+                build_contact_graph(p)
+                continue
+            with pytest.raises(InvalidPackingError) as caught:
+                build_contact_graph(p)
+            assert caught.value.verdict == verdict, trial
+            assert str(caught.value) == (
+                f"packing is invalid: pair {verdict.pair} at distance {verdict.distance}"
+            )
+
+    def test_one_overlap_in_a_catalog_window(self, rng):
+        p = generate_named("K6", 8)
+        centers = p.centers.copy()
+        centers[5] = centers[4] + 0.5 * (centers[6] - centers[4])
+        for _ in range(3):
+            q = transformed(Packing(centers), random_rotation(2, rng), rng.uniform(-50, 50, size=2))
+            with pytest.raises(InvalidPackingError) as caught:
+                build_contact_graph(q)
+            assert caught.value.verdict == validate_packing(q)
+
+    def test_one_kdtree_per_graph(self, monkeypatch):
+        p = generate_named("P3", 8)
+        builds = []
+        tree_class = core.cKDTree
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return tree_class(*args, **kwargs)
+
+        monkeypatch.setattr(core, "cKDTree", counting)
+        build_contact_graph(p)
+        assert len(builds) == 1
 
 
 class TestIsKRegular:

@@ -17,8 +17,14 @@ from sepack import (
     polyomino_oracle,
     quasi_square_packing,
 )
-from sepack.contact_numbers import enumerate_fixed_polyforms
+from sepack.contact_numbers import _floor_root, enumerate_fixed_polyforms
 from sepack.errors import EnumerationLimitError
+
+from conftest import brute_force_cd_upper_bound, brute_force_polyforms
+
+# fixed polyominoes (OEIS A001168) and fixed polycubes (A001931), n = 1, 2, ...
+A001168 = [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
+A001931 = [1, 3, 15, 86, 534, 3481, 23502, 162913]
 
 
 class TestC2Formula:
@@ -73,6 +79,27 @@ class TestCdUpperBound:
             cd_upper_bound(0, 3)
         with pytest.raises(ValueError):
             cd_upper_bound(5, 1)
+
+    def test_matches_scan_up_to_400(self):
+        for d in (2, 3, 4):
+            for n in range(1, 401):
+                assert cd_upper_bound(n, d) == brute_force_cd_upper_bound(n, d), (n, d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_defining_inequalities_at_huge_n(self, d):
+        # m is the largest integer with d^d n^(d-1) <= (d n - m)^d
+        n = 10**30 + 7
+        m = cd_upper_bound(n, d)
+        power = d**d * n ** (d - 1)
+        assert (d * n - m - 1) ** d < power <= (d * n - m) ** d
+
+    def test_floor_root_is_exact(self):
+        for d in (2, 3, 4, 7):
+            for k in [1, 2, 3, 10, 99, 10**20 + 3]:
+                for n in (k**d - 1, k**d, k**d + 1):
+                    r = _floor_root(n, d)
+                    assert r**d <= n < (r + 1) ** d, (n, d)
+        assert _floor_root(0, 3) == 0
 
 
 class TestQuasiSquarePacking:
@@ -180,6 +207,37 @@ class TestPolyominoOracle:
             polyomino_oracle(9, 3)
         with pytest.raises(EnumerationLimitError):
             polyomino_oracle(2, 4)
+
+
+class TestRedelmeierEnumeration:
+    @pytest.mark.parametrize(
+        "n,d",
+        [(n, 2) for n in range(1, 9)] + [(n, 3) for n in range(1, 7)] + [(n, 4) for n in range(1, 5)],
+    )
+    def test_shared_counts_match_growth_and_dedup(self, n, d):
+        got = sorted(enumerate_fixed_polyforms(n, d))
+        assert got == sorted(brute_force_polyforms(n, d).values())
+
+    def test_complete_polyomino_counts(self):
+        assert [len(enumerate_fixed_polyforms(n, 2)) for n in range(1, 11)] == A001168
+
+    def test_complete_polycube_counts(self):
+        assert [len(enumerate_fixed_polyforms(n, 3)) for n in range(1, 9)] == A001931
+
+    def test_planar_oracle_is_harary_harborth(self):
+        # extremal animals: 2n - ceil(2 sqrt(n)) shared edges at most
+        for n in range(1, 11):
+            root = math.isqrt(4 * n)
+            ceil_2_sqrt_n = root if root * root == 4 * n else root + 1
+            assert polyomino_oracle(n, 2) == 2 * n - ceil_2_sqrt_n, n
+
+    def test_polycube_oracle_within_bound(self):
+        for n in range(1, 9):
+            assert polyomino_oracle(n, 3) <= cd_upper_bound(n, 3), n
+
+    def test_rejects_empty_polyform(self):
+        with pytest.raises(ValueError):
+            enumerate_fixed_polyforms(0, 2)
 
 
 class TestPolycubeOracleAtCube:
