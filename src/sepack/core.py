@@ -197,11 +197,8 @@ def valid_pairs_within(p: Packing, reach: float, tol: Tolerance = DEFAULT_TOL):
     """
     if p.n_spheres < 2:
         return np.zeros((0, 2), dtype=np.intp), np.zeros(0)
-    threshold = 2.0 * p.radius - tol.overlap
-    if reach < threshold:
-        raise ValueError(f"reach {reach} is below the overlap threshold {threshold}")
     pairs, dists = _pairs_within(p, reach)
-    verdict = _first_overlap(pairs, dists, threshold)
+    verdict = _first_overlap(pairs, dists, 2.0 * p.radius - tol.overlap)
     if not verdict:
         raise InvalidPackingError(
             f"packing is invalid: pair {verdict.pair} at distance {verdict.distance}",
