@@ -27,9 +27,8 @@ from .contact_numbers import (
     quasi_square_packing,
 )
 from .core import (
-    DEFAULT_TOL,
+    TOL,
     Packing,
-    Tolerance,
     ValidationResult,
     Window,
     interior_indices,
@@ -80,7 +79,6 @@ __all__ = [
     "BoxSpec",
     "CatalogEntry",
     "ContactGraph",
-    "DEFAULT_TOL",
     "DiagonalConstruction",
     "EntryCheck",
     "OrbitSpec",
@@ -89,8 +87,8 @@ __all__ = [
     "RegularityVerdict",
     "SepSequenceReport",
     "SeparabilityReport",
+    "TOL",
     "TangentContact",
-    "Tolerance",
     "ValidationResult",
     "Window",
     "box_packing",

@@ -11,7 +11,6 @@ import sys
 from fractions import Fraction
 
 from . import catalog, contact_numbers, diagonal, generators, packio, svgfig
-from .core import DEFAULT_TOL
 from .errors import SepackError
 from .separability import separability_measure, sep_measure_sequence
 
@@ -58,7 +57,7 @@ def _cmd_contact_opt(args) -> int:
 
 def _cmd_verify(args) -> int:
     p = packio.load_packing(args.file)
-    report = packio.build_verify_report(p, DEFAULT_TOL, full_audit=args.full_audit)
+    report = packio.build_verify_report(p, full_audit=args.full_audit)
     packio.write_report(report, args.report)
     sep = report["separability"]
     print(

@@ -1,7 +1,7 @@
 """Contact graphs: touching pairs, degrees, regularity, triangle detection.
 
 An edge joins spheres i and j when their center distance lies in the
-closed band [2 - tol, 2 + tol]; a symmetric band is used because the
+closed band [2 - TOL, 2 + TOL]; a symmetric band is used because the
 catalog coordinates involve sqrt(2)/sqrt(3) irrationals that cannot hit
 2 exactly in floating point.
 """
@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree  # noqa: F401  (perfbench/tracer.py counts tree builds through this name)
 
-from .core import DEFAULT_TOL, Packing, Tolerance, interior_indices, valid_pairs_within
+from .core import TOL, Packing, interior_indices, valid_pairs_within
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,12 +49,12 @@ class ContactGraph:
         return adj
 
 
-def build_contact_graph(p: Packing, tol: Tolerance = DEFAULT_TOL) -> ContactGraph:
+def build_contact_graph(p: Packing) -> ContactGraph:
     """Find all touching pairs of a valid packing; one KD-tree query both
     validates the packing and finds the contacts."""
     r = 2.0 * p.radius
-    pairs, dists = valid_pairs_within(p, r + tol.contact, tol)
-    return ContactGraph(p.n_spheres, pairs[dists >= r - tol.contact])
+    pairs, dists = valid_pairs_within(p, r + TOL)
+    return ContactGraph(p.n_spheres, pairs[dists >= r - TOL])
 
 
 def contact_count(g: ContactGraph) -> int:

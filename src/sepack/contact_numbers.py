@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Packing, Window
+from .core import TOL, Packing, Window
 from .errors import EnumerationLimitError
 
 # exhaustive enumeration limits: the largest cases are the 36,446 fixed
@@ -149,7 +149,7 @@ class Polyomino:
         centers = 2.0 * cells + 1.0
         lo = 2.0 * cells.min(axis=0)
         hi = 2.0 * (cells.max(axis=0) + 1.0)
-        return Packing(centers, Window(lo - 1e-9, hi + 1e-9, 0.0), 1.0, label)
+        return Packing(centers, Window(lo - TOL, hi + TOL, 0.0), 1.0, label)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Fundamental packing model: centers, windows, tolerances, validity checks.
+"""Fundamental packing model: centers, windows, tolerance, validity checks.
 
 All packings are unit-sphere packings normalized so that touching spheres
 have center distance exactly 2.  Centers are kept in canonical
@@ -21,29 +21,11 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Floating-point slack for contact detection, overlap and plane tests.
-
-    All three must be strictly positive and below 1e-3; the geometry here
-    is exact in the reals and the tolerances only absorb rounding of the
-    sqrt(2)/sqrt(3) coordinates used by the catalog constructions.
-    """
-
-    contact: float = 1e-9
-    overlap: float = 1e-9
-    plane: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("contact", "overlap", "plane"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1e-3):
-                raise ValueError(
-                    f"tolerance {name}={value!r} must lie strictly in (0, 1e-3)"
-                )
-
-
-DEFAULT_TOL = Tolerance()
+# Float slack for contact detection, the overlap check and the plane
+# tests.  The geometry is exact in the reals; this only absorbs the
+# rounding of the sqrt(2)/sqrt(3) coordinates of the catalog
+# constructions, which cannot hit distance 2 exactly in floating point.
+TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,6 +46,8 @@ class Window:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
             raise MalformedInputError("window bounds must be d-vectors of equal length")
+        if not np.all(np.isfinite(np.concatenate([lower, upper, [self.margin]]))):
+            raise MalformedInputError("window bounds and margin must be finite")
         if not np.all(lower < upper):
             raise MalformedInputError("window requires lower < upper componentwise")
         if self.margin < 0:
@@ -83,12 +67,10 @@ class Window:
     def dimension(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, points: np.ndarray, slack: float = 1e-9) -> np.ndarray:
-        """Boolean mask of points inside the closed box (with tiny slack)."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask of points inside the closed box, widened by TOL."""
         points = np.atleast_2d(points)
-        return np.all(
-            (points >= self.lower - slack) & (points <= self.upper + slack), axis=1
-        )
+        return np.all((points >= self.lower - TOL) & (points <= self.upper + TOL), axis=1)
 
     def interior_mask(self, points: np.ndarray) -> np.ndarray:
         """Mask of points at distance >= margin from every face."""
@@ -175,30 +157,30 @@ class ValidationResult:
         return self.ok
 
 
-def validate_packing(p: Packing, tol: Tolerance = DEFAULT_TOL) -> ValidationResult:
-    """Check the packing condition: every pair at distance >= 2*radius - tol.
+def validate_packing(p: Packing) -> ValidationResult:
+    """Check the packing condition: every pair at distance >= 2*radius - TOL.
 
     Returns OK, or the lexicographically first violating pair with its
     distance.  Runs in near-linear time via a fixed-radius pair query.
     """
     if p.n_spheres < 2:
         return ValidationResult(True)
-    threshold = 2.0 * p.radius - tol.overlap
+    threshold = 2.0 * p.radius - TOL
     return _first_overlap(*_pairs_within(p, threshold), threshold)
 
 
-def valid_pairs_within(p: Packing, reach: float, tol: Tolerance = DEFAULT_TOL):
+def valid_pairs_within(p: Packing, reach: float):
     """Pairs (i, j) of centres at distance <= reach, with their distances,
     from the one KD-tree query that also validates the packing.
 
-    reach must be at least 2*radius - tol.overlap, so the query holds every
+    reach must be at least 2*radius - TOL, so the query holds every
     overlapping pair; the lexicographically first of them raises
     InvalidPackingError, with the verdict validate_packing would return.
     """
     if p.n_spheres < 2:
         return np.zeros((0, 2), dtype=np.intp), np.zeros(0)
     pairs, dists = _pairs_within(p, reach)
-    verdict = _first_overlap(pairs, dists, 2.0 * p.radius - tol.overlap)
+    verdict = _first_overlap(pairs, dists, 2.0 * p.radius - TOL)
     if not verdict:
         raise InvalidPackingError(
             f"packing is invalid: pair {verdict.pair} at distance {verdict.distance}",

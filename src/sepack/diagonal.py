@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import build_contact_graph
-from .core import DEFAULT_TOL, Packing, Tolerance, Window, interior_indices
+from .core import TOL, Packing, Window, interior_indices
 from .errors import SizeLimitError, UnsupportedDimensionError
 
 DEFAULT_SPHERE_BUDGET = 200_000
@@ -108,10 +108,7 @@ def is_cube_spawned(position, depth: int) -> bool:
 
 
 def diagonal_construction(
-    d: int,
-    depth: int,
-    tol: Tolerance = DEFAULT_TOL,
-    sphere_budget: int = DEFAULT_SPHERE_BUDGET,
+    d: int, depth: int, sphere_budget: int = DEFAULT_SPHERE_BUDGET
 ) -> DiagonalConstruction:
     """Run the construction to the given spawning depth.
 
@@ -166,7 +163,7 @@ def diagonal_construction(
     corner = corner[order]
     saturated = saturated[order]
 
-    pad = 1.0 + tol.contact
+    pad = 1.0 + TOL
     window = Window(centers.min(axis=0) - pad, centers.max(axis=0) + pad, 0.0)
     packing = Packing(centers, window, 1.0, f"diagonal d={d} depth={depth}")
     if not np.array_equal(packing.centers, centers):
@@ -187,9 +184,7 @@ class SaturationVerdict:
     degree: int | None = None
 
 
-def interior_regularity_check(
-    result: DiagonalConstruction, tol: Tolerance = DEFAULT_TOL
-) -> SaturationVerdict:
+def interior_regularity_check(result: DiagonalConstruction) -> SaturationVerdict:
     """Every saturated sphere must touch exactly d+1 others.
 
     Saturation replaces window margins here because finite depths leave a
@@ -199,7 +194,7 @@ def interior_regularity_check(
     sat = result.saturated_indices()
     if len(sat) == 0:
         return SaturationVerdict("inconclusive", d + 1, 0)
-    graph = build_contact_graph(result.packing, tol)
+    graph = build_contact_graph(result.packing)
     deg = graph.degrees[sat]
     off = np.flatnonzero(deg != d + 1)
     if len(off) == 0:

@@ -30,14 +30,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .catalog import CATALOG_ONLY, CatalogEntry, constructible_ids, load_catalog
-from .core import (
-    DEFAULT_TOL,
-    Packing,
-    Tolerance,
-    Window,
-    min_pairwise_distance,
-    rescale_to_contact,
-)
+from .core import TOL, Packing, Window, min_pairwise_distance, rescale_to_contact
 from .errors import (
     DegenerateSeedWarning,
     MalformedInputError,
@@ -54,12 +47,12 @@ SQRT3 = math.sqrt(3.0)
 TRIANGULAR_ID = "TRI"
 
 
-def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    """Merge points closer than tol (union-find over near pairs)."""
+def _dedup(points: np.ndarray) -> np.ndarray:
+    """Merge points closer than TOL / 2 (union-find over near pairs)."""
     points = np.unique(points, axis=0)  # bit-identical duplicates first
     if len(points) < 2:
         return points
-    pairs = cKDTree(points).query_pairs(r=tol, output_type="ndarray")
+    pairs = cKDTree(points).query_pairs(r=TOL / 2, output_type="ndarray")
     if len(pairs) == 0:
         return points
     parent = np.arange(len(points))
@@ -93,12 +86,7 @@ def _lattice_translates(basis: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np
 
 
 def _tile(
-    basis: np.ndarray,
-    centering: np.ndarray,
-    motif: np.ndarray,
-    window: Window,
-    tol: Tolerance,
-    label: str,
+    basis: np.ndarray, centering: np.ndarray, motif: np.ndarray, window: Window, label: str
 ) -> Packing:
     """Tile motif over lattice, normalize to contact distance 2, crop."""
     basis = np.asarray(basis, dtype=float)
@@ -111,7 +99,7 @@ def _tile(
     probe = (
         probe_shifts[:, None, None, :] + centering[None, :, None, :] + motif[None, None, :, :]
     ).reshape(-1, d)
-    probe = _dedup(probe, tol.contact / 2)
+    probe = _dedup(probe)
     tree = cKDTree(probe)
     dists, _ = tree.query(probe, k=2)
     raw_contact = float(dists[:, 1].min())
@@ -125,7 +113,7 @@ def _tile(
         translates[:, None, None, :] + centering[None, :, None, :] + motif[None, None, :, :]
     ).reshape(-1, d)
     inside = np.all((points >= lo - pad) & (points <= hi + pad), axis=1)
-    points = _dedup(points[inside], tol.contact / 2)
+    points = _dedup(points[inside])
 
     raw = Packing(points, Window(lo - pad, hi + pad, 0.0), 1.0, label)
     normalized = rescale_to_contact(raw)
@@ -235,9 +223,7 @@ class OrbitSpec:
         object.__setattr__(self, "centering", np.atleast_2d(np.asarray(centering, float)))
 
 
-def orbit_generate(
-    spec: OrbitSpec, window: Window, tol: Tolerance = DEFAULT_TOL, label: str = ""
-) -> Packing:
+def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     """Generate {g . seed + t} over the window, normalized to contact 2.
 
     The caller is responsible for validating regularity/separability of
@@ -252,28 +238,26 @@ def orbit_generate(
             DegenerateSeedWarning,
             stacklevel=2,
         )
-    return _tile(spec.lattice, spec.centering, orbit, window, tol, label)
+    return _tile(spec.lattice, spec.centering, orbit, window, label)
 
 
 # ---------------------------------------------------------------------------
 # products and the apeirogon
 
-def generate_apeirogon(window, margin: float = 3.0, tol: Tolerance = DEFAULT_TOL) -> Packing:
+def generate_apeirogon(window, margin: float = 3.0) -> Packing:
     """Evenly spaced centers on a line: the 1-dimensional tiling.
 
     Centers sit on the even integers inside the window; interior spheres
     touch exactly 2 neighbors.
     """
     window = _as_window(window, 1, margin)
-    k0 = math.ceil((window.lower[0] - 1e-9) / 2.0)
-    k1 = math.floor((window.upper[0] + 1e-9) / 2.0)
+    k0 = math.ceil((window.lower[0] - TOL) / 2.0)
+    k1 = math.floor((window.upper[0] + TOL) / 2.0)
     centers = 2.0 * np.arange(k0, k1 + 1, dtype=float)[:, None]
     return Packing(centers, window, 1.0, "A")
 
 
-def product_packing(
-    p: Packing, q: Packing, tol: Tolerance = DEFAULT_TOL, label: str = ""
-) -> Packing:
+def product_packing(p: Packing, q: Packing, label: str = "") -> Packing:
     """Cartesian product packing in R^(a+b).
 
     Contacts occur exactly when one coordinate block matches and the
@@ -285,7 +269,7 @@ def product_packing(
             raise NormalizationRequiredError("product factors must have radius 1")
         if factor.n_spheres >= 2:
             delta = min_pairwise_distance(factor)
-            if abs(delta - 2.0) > tol.contact:
+            if abs(delta - 2.0) > TOL:
                 raise NormalizationRequiredError(
                     f"product factor has contact distance {delta}, expected 2"
                 )
@@ -322,16 +306,14 @@ def _block_window(window: Window, start: int, dim: int, margin: float) -> Window
     )
 
 
-def generate_triangular(window, margin: float = 3.0, tol: Tolerance = DEFAULT_TOL) -> Packing:
+def generate_triangular(window, margin: float = 3.0) -> Packing:
     """Triangular-lattice window: the reference inseparable packing."""
     window = _as_window(window, 2, margin)
     basis, centering, motif = _motif_triangular(2)
-    return _tile(basis, centering, motif, window, tol, TRIANGULAR_ID)
+    return _tile(basis, centering, motif, window, TRIANGULAR_ID)
 
 
-def generate_named(
-    name: str, window, margin: float = 3.0, tol: Tolerance = DEFAULT_TOL
-) -> Packing:
+def generate_named(name: str, window, margin: float = 3.0) -> Packing:
     """Build a normalized window of a named packing.
 
     ``name`` is a catalog id (P1, K6, J16, O39, ...), "A" for the
@@ -339,9 +321,9 @@ def generate_named(
     ``window`` is a half-width L (giving [-L, L]^d) or an explicit Window.
     """
     if name == TRIANGULAR_ID:
-        return generate_triangular(window, margin, tol)
+        return generate_triangular(window, margin)
     if name == "A":
-        return generate_apeirogon(window, margin, tol)
+        return generate_apeirogon(window, margin)
     entries = load_catalog()
     if name not in entries:
         valid = ", ".join(list(entries) + [TRIANGULAR_ID, "A"])
@@ -357,25 +339,23 @@ def generate_named(
         )
     if entry.kind == "motif":
         basis, centering, motif = _MOTIFS[entry.motif_name](entry.dimension)
-        return _tile(basis, centering, motif, window, tol, entry.id)
+        return _tile(basis, centering, motif, window, entry.id)
     if entry.kind == "orbit":
         spec = OrbitSpec(
             entry.dimension,
             entry.seed,
             entry.period * np.eye(entry.dimension),
         )
-        return orbit_generate(spec, window, tol, entry.id)
+        return orbit_generate(spec, window, entry.id)
     if entry.kind == "product":
         left_id, right_id = entry.factors
         left_dim = 1 if left_id == "A" else load_catalog()[left_id].dimension
         right_dim = entry.dimension - left_dim
-        left = generate_named(
-            left_id, _block_window(window, 0, left_dim, margin), margin, tol
-        )
+        left = generate_named(left_id, _block_window(window, 0, left_dim, margin), margin)
         right = generate_named(
-            right_id, _block_window(window, left_dim, right_dim, margin), margin, tol
+            right_id, _block_window(window, left_dim, right_dim, margin), margin
         )
-        return product_packing(left, right, tol, entry.id)
+        return product_packing(left, right, entry.id)
     raise UnsupportedConstructionError(f"unknown construction kind {entry.kind!r}")
 
 
@@ -388,7 +368,6 @@ class EntryCheck:
 
     entry_id: str
     n_spheres: int
-    valid: bool
     min_distance: float
     triangle: tuple | None
     separability_status: str
@@ -398,33 +377,28 @@ class EntryCheck:
     @property
     def ok(self) -> bool:
         return (
-            self.valid
-            and abs(self.min_distance - 2.0) <= 1e-9
+            abs(self.min_distance - 2.0) <= TOL
             and self.triangle is None
             and self.separability_status == "WindowCertified"
             and self.regularity_status == "regular"
         )
 
 
-def check_entry_invariants(
-    p: Packing, entry: CatalogEntry, tol: Tolerance = DEFAULT_TOL
-) -> EntryCheck:
+def check_entry_invariants(p: Packing, entry: CatalogEntry) -> EntryCheck:
     """Run the acceptance-style invariant suite on a generated window:
-    no overlap, contact distance 2, triangle-free, window-certified
-    separable, interior degree equal to the catalog regularity."""
+    contact distance 2, triangle-free, window-certified separable,
+    interior degree equal to the catalog regularity.  An overlapping
+    window raises InvalidPackingError from the contact-graph build."""
     from .contact import build_contact_graph, contains_triangle, is_k_regular
-    from .core import validate_packing
     from .separability import WINDOW_CERTIFIED, _report
 
-    verdict = validate_packing(p, tol)
-    graph = build_contact_graph(p, tol)
+    graph = build_contact_graph(p)
     triangle = contains_triangle(graph)
-    sep = _report(p, tol, False, WINDOW_CERTIFIED, graph=graph)
+    sep = _report(p, False, WINDOW_CERTIFIED, graph=graph)
     reg = is_k_regular(graph, p, entry.regularity)
     return EntryCheck(
         entry_id=entry.id,
         n_spheres=p.n_spheres,
-        valid=bool(verdict),
         min_distance=min_pairwise_distance(p) if p.n_spheres >= 2 else float("nan"),
         triangle=triangle,
         separability_status=sep.status,

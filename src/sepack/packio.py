@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .contact import build_contact_graph, contains_triangle
-from .core import DEFAULT_TOL, Packing, Tolerance, Window, interior_indices
+from .core import Packing, Window, interior_indices
 from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError
 from .separability import VIOLATION_FOUND, WINDOW_CERTIFIED, _report
 
@@ -82,9 +82,7 @@ def _degree_histogram(degrees) -> dict:
     return {str(k): v for k, v in zip(values.tolist(), counts.tolist())}
 
 
-def build_verify_report(
-    p: Packing, tol: Tolerance = DEFAULT_TOL, full_audit: bool = False
-) -> dict:
+def build_verify_report(p: Packing, full_audit: bool = False) -> dict:
     """All verification facts about one packing, as a JSON-ready dict.
 
     The contact graph is built once and shared by the triangle test and
@@ -93,12 +91,12 @@ def build_verify_report(
     InconsistentVerdictError.
     """
     start = time.perf_counter()
-    graph = build_contact_graph(p, tol)
+    graph = build_contact_graph(p)
     degrees = graph.degrees
     interior = np.zeros(p.n_spheres, dtype=bool)
     interior[interior_indices(p)] = True
     triangle = contains_triangle(graph)
-    sep = _report(p, tol, full_audit, WINDOW_CERTIFIED, graph=graph)
+    sep = _report(p, full_audit, WINDOW_CERTIFIED, graph=graph)
 
     interior_degrees = np.unique(degrees[interior]).tolist()
     regularity = {

@@ -11,11 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .contact import build_contact_graph
-from .core import DEFAULT_TOL, Packing, Tolerance
+from .core import Packing
 from .errors import UnsupportedDimensionError
 
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 _TANGENT_HALF_LENGTH = 2.0
+# pixels per packing unit
+_SCALE = 24.0
 
 
 def _fmt(x: float) -> str:
@@ -23,13 +25,7 @@ def _fmt(x: float) -> str:
     return "-0.000000" if out == "-0.000000" else out
 
 
-def render_svg(
-    p: Packing,
-    show_edges: bool = False,
-    show_tangents: bool = False,
-    scale: float = 24.0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> str:
+def render_svg(p: Packing, show_edges: bool = False, show_tangents: bool = False) -> str:
     """Render a 2-D packing; raises for other dimensions (no projections)."""
     if p.dimension != 2:
         raise UnsupportedDimensionError(
@@ -37,14 +33,14 @@ def render_svg(
         )
     lo, hi = p.window.lower, p.window.upper
     pad = p.radius + 0.5
-    width = (hi[0] - lo[0] + 2 * pad) * scale
-    height = (hi[1] - lo[1] + 2 * pad) * scale
+    width = (hi[0] - lo[0] + 2 * pad) * _SCALE
+    height = (hi[1] - lo[1] + 2 * pad) * _SCALE
 
     def to_px(pt):
         # y grows upward in the packing, downward in svg
         return (
-            (pt[0] - lo[0] + pad) * scale,
-            (hi[1] + pad - pt[1]) * scale,
+            (pt[0] - lo[0] + pad) * _SCALE,
+            (hi[1] + pad - pt[1]) * _SCALE,
         )
 
     lines = [
@@ -56,7 +52,7 @@ def render_svg(
 
     graph = None
     if (show_edges or show_tangents) and p.n_spheres >= 2:
-        graph = build_contact_graph(p, tol)
+        graph = build_contact_graph(p)
 
     if graph is not None and show_edges:
         lines.append('<g stroke="#1f77b4" stroke-width="1.5" fill="none">\n')
@@ -73,7 +69,7 @@ def render_svg(
     for center in p.centers:
         cx, cy = to_px(center)
         lines.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(p.radius * scale)}"/>\n'
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(p.radius * _SCALE)}"/>\n'
         )
     lines.append("</g>\n")
 

@@ -131,7 +131,7 @@ def test_criterion_4_catalog_regularity():
         if check.regularity_status == "inconclusive" and eid in REGULARITY_WINDOWS:
             # nominal window checks minus regularity, then the full suite at
             # the smallest window with a nonempty interior
-            if not (check.valid and abs(check.min_distance - 2) <= 1e-9
+            if not (abs(check.min_distance - 2) <= 1e-9
                     and check.triangle is None
                     and check.separability_status == "WindowCertified"):
                 failures.append(f"{eid}: nominal-window checks failed: {check}")

@@ -49,6 +49,13 @@ class TestGenVerifyPipeline:
         err = capsys.readouterr().err
         assert "catalog-only" in err
 
+    @pytest.mark.parametrize("name", ["P1", "A", "TRI"])
+    def test_infinite_window_exits_2_without_file(self, tmp_path, capsys, name):
+        pack = tmp_path / "x.json"
+        assert run("gen", "--name", name, "--window", "inf", "--out", str(pack)) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not pack.exists()
+
 
 class TestOtherCommands:
     def test_measure(self, tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from sepack import (
     Packing,
-    Tolerance,
     Window,
     interior_indices,
     min_pairwise_distance,
@@ -24,17 +23,6 @@ from conftest import brute_force_min_distance, random_rotation, transformed
 SQRT2 = math.sqrt(2.0)
 
 
-class TestTolerance:
-    def test_defaults(self):
-        tol = Tolerance()
-        assert tol.contact == tol.overlap == tol.plane == 1e-9
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1e-3, 0.5])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            Tolerance(contact=bad)
-
-
 class TestWindow:
     def test_cube(self):
         w = Window.cube(12, 2, margin=3)
@@ -48,6 +36,20 @@ class TestWindow:
     def test_rejects_negative_margin(self):
         with pytest.raises(MalformedInputError):
             Window([0.0], [1.0], margin=-1)
+
+    @pytest.mark.parametrize(
+        "lower, upper, margin",
+        [
+            ([-np.inf], [1.0], 0.0),
+            ([0.0], [np.inf], 0.0),
+            ([0.0, np.nan], [1.0, 1.0], 0.0),
+            ([0.0], [1.0], np.inf),
+            ([0.0], [1.0], np.nan),
+        ],
+    )
+    def test_rejects_nonfinite(self, lower, upper, margin):
+        with pytest.raises(MalformedInputError, match="finite"):
+            Window(lower, upper, margin)
 
     def test_interior_mask(self):
         w = Window([0.0, 0.0], [10.0, 10.0], margin=3)

@@ -25,6 +25,7 @@ from sepack import (
 )
 from sepack.errors import (
     DegenerateSeedWarning,
+    InvalidPackingError,
     MalformedInputError,
     NormalizationRequiredError,
     UnknownCatalogIdError,
@@ -126,6 +127,16 @@ class TestGenerateNamed:
         p = generate_named(name, l)
         check = check_entry_invariants(p, entry)
         assert check.ok, check
+
+    def test_invariant_suite_rejects_overlap(self):
+        # a sphere centred on a contact point of the K6 window overlaps two
+        p = generate_named("K6", 8)
+        g = build_contact_graph(p)
+        i, j = g.edges[0]
+        midpoint = (p.centers[i] + p.centers[j]) / 2.0
+        bad = Packing(np.vstack([p.centers, midpoint]), p.window, 1.0, "K6")
+        with pytest.raises(InvalidPackingError):
+            check_entry_invariants(bad, load_catalog()["K6"])
 
     def test_window_object_accepted(self):
         w = Window([-8.0, -8.0], [8.0, 8.0], margin=3.0)

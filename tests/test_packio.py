@@ -105,7 +105,7 @@ class TestVerifyReport:
 
         # a broken certifier that calls every edge clean
         monkeypatch.setattr(
-            separability, "_edge_cleanliness", lambda p, g, tol, full_audit: (g.edge_count, [])
+            separability, "_edge_cleanliness", lambda p, g, full_audit: (g.edge_count, [])
         )
         with pytest.raises(InconsistentVerdictError, match="triangle") as info:
             build_verify_report(generate_triangular(6))

@@ -4,6 +4,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepack import (
     Packing,
@@ -278,3 +280,27 @@ class TestCertifierAgainstOracle:
         assert sorted(report.violations) == sorted(
             [((at(a), at(b)), at(f)), (tuple(sorted((at(c), at(d)))), at(e))]
         )
+
+
+RIGID_MOTION_CASES = ["P1", "K6", "K9", "J16", "O1", "TRI", "diagonal-3"]
+
+
+def full_audit_summary(p):
+    report = certify_total_separability(p, full_audit=True)
+    return (report.status, report.clean_edges, report.total_edges, report.sep,
+            len(report.violations))
+
+
+@given(
+    case=st.sampled_from(RIGID_MOTION_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.lists(st.floats(-1e5, 1e5), min_size=4, max_size=4),
+)
+@settings(derandomize=True, deadline=None)
+def test_full_audit_invariant_under_rigid_motions(case, seed, shift):
+    """The supported range of the separability module docstring: a rotation
+    plus a translation with |t|_inf <= 1e5 leaves the full audit unchanged."""
+    p = oracle_packing(case)
+    rotation = random_rotation(p.dimension, np.random.default_rng(seed))
+    q = transformed(p, rotation, np.array(shift[: p.dimension]))
+    assert full_audit_summary(q) == full_audit_summary(p)
