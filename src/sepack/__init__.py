@@ -33,7 +33,6 @@ from .core import (
     Window,
     interior_indices,
     min_pairwise_distance,
-    rescale_to_contact,
     validate_packing,
 )
 from .diagonal import (
@@ -123,7 +122,6 @@ __all__ = [
     "profile_complete_indices",
     "quasi_square_packing",
     "render_svg",
-    "rescale_to_contact",
     "save_packing",
     "sep_measure_sequence",
     "separability_measure",

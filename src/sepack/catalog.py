@@ -1,8 +1,8 @@
 """Catalog of named packings: ids, regularities, construction recipes.
 
-The data file stores irrational constants as coefficient quadruples
-[a, b, c, d] meaning a + b*sqrt(2) + c*sqrt(3) + d*sqrt(6); everything in
-the catalog lives in that ring.
+The data file stores numbers that are not plain integers as coefficient
+quadruples [a, b, c, d] meaning a + b*sqrt(2) + c*sqrt(3) + d*sqrt(6);
+everything in the catalog lives in that ring.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ CATALOG_ONLY = "catalog-only"
 
 
 def coeff_value(quad) -> float:
-    """Evaluate a coefficient quadruple [a, b, c, d]."""
+    """Evaluate a plain integer or a coefficient quadruple [a, b, c, d]."""
+    if isinstance(quad, int):
+        return float(quad)
     return float(sum(c * b for c, b in zip(quad, _BASIS)))
 
 
-def coeff_vector(quads) -> np.ndarray:
-    return np.array([coeff_value(q) for q in quads], dtype=float)
+def _ring_matrix(rows) -> np.ndarray:
+    return np.array([[coeff_value(x) for x in row] for row in rows], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -36,12 +38,12 @@ class CatalogEntry:
     id: str
     dimension: int
     regularity: int
-    kind: str  # "motif" | "product" | "orbit" | "catalog-only"
+    kind: str  # "orbit" | "product" | "catalog-only"
     display_name: str
-    motif_name: str | None = None
-    factors: tuple | None = None
-    seed: np.ndarray | None = None
-    period: float | None = None
+    factors: tuple | None = None  # product: the two factor ids
+    seeds: np.ndarray | None = None  # orbit: (k, d) seed points
+    lattice: np.ndarray | None = None  # orbit: (d, d) period * basis, rows are translations
+    centering: np.ndarray | None = None  # orbit: (m, d) offsets, origin included
 
     @property
     def constructible(self) -> bool:
@@ -50,21 +52,23 @@ class CatalogEntry:
 
 def _parse_entry(raw: dict) -> CatalogEntry:
     cons = raw["construction"]
-    kind = cons["kind"]
-    seed = coeff_vector(cons["seed"]) if "seed" in cons else None
-    period = coeff_value(cons["period"]) if "period" in cons else None
-    if seed is not None:
-        seed.setflags(write=False)
+    orbit = {}
+    if cons["kind"] == "orbit":
+        orbit = {
+            "seeds": _ring_matrix(cons["seeds"]),
+            "lattice": coeff_value(cons["period"]) * _ring_matrix(cons["basis"]),
+            "centering": _ring_matrix(cons["centering"]),
+        }
+        for array in orbit.values():
+            array.setflags(write=False)
     return CatalogEntry(
         id=raw["id"],
         dimension=raw["dimension"],
         regularity=raw["regularity"],
-        kind=kind,
+        kind=cons["kind"],
         display_name=raw.get("display_name", raw["id"]),
-        motif_name=cons.get("name"),
         factors=tuple(cons["factors"]) if "factors" in cons else None,
-        seed=seed,
-        period=period,
+        **orbit,
     )
 
 

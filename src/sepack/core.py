@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (
-    DegenerateInputError,
-    InvalidPackingError,
-    MalformedInputError,
-    UndefinedDistanceError,
-)
+from .errors import InvalidPackingError, MalformedInputError, UndefinedDistanceError
 
 
 # Float slack for contact detection, the overlap check and the plane
@@ -80,9 +75,6 @@ class Window:
             & (self.upper - points >= self.margin - 1e-12),
             axis=1,
         )
-
-    def scaled(self, factor: float) -> "Window":
-        return Window(self.lower * factor, self.upper * factor, self.margin * factor)
 
 
 def _canonical_order(centers: np.ndarray) -> np.ndarray:
@@ -212,19 +204,6 @@ def min_pairwise_distance(p: Packing) -> float:
     tree = cKDTree(p.centers)
     dists, _ = tree.query(p.centers, k=2)
     return float(dists[:, 1].min())
-
-
-def rescale_to_contact(p: Packing) -> Packing:
-    """Scale the packing so its minimum pairwise distance is exactly 2.
-
-    Idempotent up to the contact tolerance.  The window scales along with
-    the centers so that interior semantics are preserved.
-    """
-    delta = min_pairwise_distance(p)
-    if delta == 0.0:
-        raise DegenerateInputError("duplicate centers: cannot rescale to contact")
-    factor = 2.0 / delta
-    return Packing(p.centers * factor, p.window.scaled(factor), 1.0, p.label)
 
 
 def interior_indices(p: Packing) -> np.ndarray:

@@ -49,7 +49,8 @@ from .contact import build_contact_graph
 from .core import TOL, Packing, Window, interior_indices
 from .errors import SizeLimitError, UnsupportedDimensionError
 
-DEFAULT_SPHERE_BUDGET = 200_000
+# most spheres a construction may hold; checked before any allocation
+SPHERE_BUDGET = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,14 +82,6 @@ class DiagonalConstruction:
         return np.flatnonzero(self.saturated)
 
 
-def cube_count_formula(d: int, depth: int) -> int:
-    """Merge-free spawn bound 1 + 2^d * sum_{j<depth} (2^d - 1)^j.
-
-    The actual growth closes up, so this is an upper bound, exact only
-    for depth <= 1; see cube_count_exact."""
-    return 1 + (2**d) * sum((2**d - 1) ** j for j in range(depth))
-
-
 def cube_count_exact(d: int, depth: int) -> int:
     """Number of distinct cubes after closure: all-even vectors plus
     all-odd vectors in the L-infinity ball of radius depth."""
@@ -107,9 +100,7 @@ def is_cube_spawned(position, depth: int) -> bool:
     return max(abs(c) for c in position) <= depth
 
 
-def diagonal_construction(
-    d: int, depth: int, sphere_budget: int = DEFAULT_SPHERE_BUDGET
-) -> DiagonalConstruction:
+def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
     """Run the construction to the given spawning depth.
 
     Depth 0 is the single root cube (2^d spheres); depth 1 adds one cube
@@ -121,10 +112,10 @@ def diagonal_construction(
         raise UnsupportedDimensionError(f"diagonal construction needs d >= 2, got {d}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if cube_count_exact(d, depth) * (2**d) > sphere_budget:
+    if cube_count_exact(d, depth) * (2**d) > SPHERE_BUDGET:
         raise SizeLimitError(
             f"depth {depth} in d={d} needs {cube_count_exact(d, depth) * 2**d} "
-            f"spheres, over the budget of {sphere_budget}"
+            f"spheres, over the budget of {SPHERE_BUDGET}"
         )
 
     signs = np.array(list(itertools.product((-1, 1), repeat=d)), dtype=int)

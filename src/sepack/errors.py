@@ -21,10 +21,6 @@ class UndefinedDistanceError(SepackError):
     """Pairwise distance requested on fewer than two centers."""
 
 
-class DegenerateInputError(SepackError):
-    """Duplicate centers make the requested operation meaningless."""
-
-
 class NotAContactError(SepackError):
     """The given pair of spheres is not touching."""
 
@@ -68,7 +64,3 @@ class PackingVersionError(SepackError):
 class InconsistentVerdictError(SepackError):
     """Two checks of one packing contradict each other (a triangle in the
     contact graph, yet no separability violation)."""
-
-
-class DegenerateSeedWarning(UserWarning):
-    """Orbit seed is fixed by part of the point group; orbit collapsed."""

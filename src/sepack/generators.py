@@ -1,21 +1,19 @@
 """Window generators for the catalogued packings.
 
-Three construction routes cover the whole catalog:
+Two construction routes cover the whole catalog:
 
-* motif: an explicit point motif repeated over a translation lattice
-  (square/cubic lattices, hexagon vertices, the truncated-square diamond,
-  the truncated-trihexagonal dodecagon, the bitruncated-cubic permutation
-  motif);
+* orbit spec: the union of the signed-permutation orbits of one or more
+  seed points, repeated at each centering offset of a translation
+  lattice.  Every non-product catalog entry is one, stored in the
+  catalog as ring coefficients; so are the apeirogon and the triangular
+  reference lattice TRI.
 * product: Cartesian products of lower-dimensional entries and the
   apeirogon, whose contact graph is the graph Cartesian product of the
-  factors;
-* orbit: the image of a seed point under the signed-permutation group
-  plus a cubic translation lattice, for the honeycombs that are neither
-  lattices-with-motif nor products.
+  factors.
 
-Generation always happens in raw coordinates on a window padded by one
-lattice period, is deduplicated, rescaled so touching spheres sit at
-distance exactly 2, and finally cropped to the requested window, so no
+An orbit spec is generated in one pass: raw coordinates on the window
+padded by one lattice period, deduplicated, scaled so the closest pair
+sits at distance exactly 2, and cropped to the requested window, so no
 boundary motif point is ever missed.
 """
 
@@ -23,161 +21,75 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .catalog import CATALOG_ONLY, CatalogEntry, constructible_ids, load_catalog
-from .core import TOL, Packing, Window, min_pairwise_distance, rescale_to_contact
+from .catalog import CATALOG_ONLY, CatalogEntry, load_catalog
+from .core import TOL, Packing, Window, min_pairwise_distance
 from .errors import (
-    DegenerateSeedWarning,
     MalformedInputError,
     NormalizationRequiredError,
+    SizeLimitError,
     UnknownCatalogIdError,
     UnsupportedConstructionError,
 )
 
-SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
 # non-catalog reference family: the triangular lattice is the canonical
 # inseparable packing (every contact's tangent line meets a third circle)
 TRIANGULAR_ID = "TRI"
 
+# Most raw points an orbit window may tile before its crop, and most
+# spheres a product may hold.  Checked before anything that size is
+# allocated; O103 at L = 9 tiles 921,984 raw points and P1 at L = 1000
+# tiles 1,010,025.
+POINT_BUDGET = 2_000_000
 
-def _dedup(points: np.ndarray) -> np.ndarray:
-    """Merge points closer than TOL / 2 (union-find over near pairs)."""
+
+def _dedup(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Merge points closer than TOL / 2, each connected chain of such near
+    pairs keeping its lowest point; return them and their closest distance."""
     points = np.unique(points, axis=0)  # bit-identical duplicates first
-    if len(points) < 2:
-        return points
-    pairs = cKDTree(points).query_pairs(r=TOL / 2, output_type="ndarray")
-    if len(pairs) == 0:
-        return points
-    parent = np.arange(len(points))
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    keep = np.array([find(i) == i for i in range(len(points))])
-    return points[keep]
+    tree = cKDTree(points)
+    closest = float(tree.query(points, k=2)[0][:, 1].min())
+    if closest > TOL / 2:
+        return points, closest
+    pairs = tree.query_pairs(r=TOL / 2, output_type="ndarray")
+    if len(pairs) == 0:  # a distance within one rounding of TOL / 2 compares differently here
+        return points, closest
+    n = len(points)
+    near = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, labels = connected_components(near, directed=False)
+    _, lowest = np.unique(labels, return_index=True)
+    return _dedup(points[np.sort(lowest)])
 
 
-def _lattice_translates(basis: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integer lattice combinations covering the box [lo, hi]."""
-    d = basis.shape[0]
+def _lattice_translates(
+    basis: np.ndarray, lo: np.ndarray, hi: np.ndarray, points_per_translate: int
+) -> np.ndarray:
+    """Integer lattice combinations covering the box [lo, hi].
+
+    The number of raw points, points_per_translate per translate, is
+    counted in floats first and raises SizeLimitError over POINT_BUDGET.
+    """
     corners = np.array(list(itertools.product(*zip(lo, hi))))
     frac = corners @ np.linalg.inv(basis)
-    n0 = np.floor(frac.min(axis=0)).astype(int) - 1
-    n1 = np.ceil(frac.max(axis=0)).astype(int) + 1
-    grids = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(n0, n1)], indexing="ij")
+    n0 = np.floor(frac.min(axis=0)) - 1
+    n1 = np.ceil(frac.max(axis=0)) + 1
+    count = math.prod(float(n) for n in n1 - n0 + 1) * points_per_translate
+    if not count <= POINT_BUDGET:
+        raise SizeLimitError(
+            f"the window needs {count:.3g} raw points, over the budget of {POINT_BUDGET}"
+        )
+    ranges = [np.arange(a, b + 1) for a, b in zip(n0.astype(int), n1.astype(int))]
+    grids = np.meshgrid(*ranges, indexing="ij")
     coeffs = np.stack([g.ravel() for g in grids], axis=1)
     return coeffs @ basis
-
-
-def _tile(
-    basis: np.ndarray, centering: np.ndarray, motif: np.ndarray, window: Window, label: str
-) -> Packing:
-    """Tile motif over lattice, normalize to contact distance 2, crop."""
-    basis = np.asarray(basis, dtype=float)
-    centering = np.atleast_2d(np.asarray(centering, dtype=float))
-    motif = np.atleast_2d(np.asarray(motif, dtype=float))
-    d = basis.shape[0]
-
-    # probe the raw contact distance from one cell plus its neighbors
-    probe_shifts = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ basis
-    probe = (
-        probe_shifts[:, None, None, :] + centering[None, :, None, :] + motif[None, None, :, :]
-    ).reshape(-1, d)
-    probe = _dedup(probe)
-    tree = cKDTree(probe)
-    dists, _ = tree.query(probe, k=2)
-    raw_contact = float(dists[:, 1].min())
-    scale = 2.0 / raw_contact
-
-    pad = float(np.linalg.norm(basis, axis=1).max())
-    lo = window.lower / scale - pad
-    hi = window.upper / scale + pad
-    translates = _lattice_translates(basis, lo, hi)
-    points = (
-        translates[:, None, None, :] + centering[None, :, None, :] + motif[None, None, :, :]
-    ).reshape(-1, d)
-    inside = np.all((points >= lo - pad) & (points <= hi + pad), axis=1)
-    points = _dedup(points[inside])
-
-    raw = Packing(points, Window(lo - pad, hi + pad, 0.0), 1.0, label)
-    normalized = rescale_to_contact(raw)
-    keep = window.contains(normalized.centers)
-    return Packing(normalized.centers[keep], window, 1.0, label)
-
-
-# ---------------------------------------------------------------------------
-# motif recipes (raw coordinates; the engine normalizes)
-
-def _motif_square_lattice(d: int):
-    return 2.0 * np.eye(d), np.zeros((1, d)), np.zeros((1, d))
-
-
-def _motif_hexagon_vertices(d: int):
-    # honeycomb vertex set: two-point motif on a triangular Bravais lattice,
-    # edge length 2
-    basis = np.array([[3.0, SQRT3], [3.0, -SQRT3]])
-    motif = np.array([[0.0, 0.0], [2.0, 0.0]])
-    return basis, np.zeros((1, 2)), motif
-
-
-def _motif_truncated_square(d: int):
-    # diamond of circumradius sqrt(2) (edge 2) per node; period 2+2*sqrt(2)
-    # leaves a gap of exactly 2 between neighboring diamonds
-    t = 2.0 + 2.0 * SQRT2
-    motif = np.array([[SQRT2, 0.0], [-SQRT2, 0.0], [0.0, SQRT2], [0.0, -SQRT2]])
-    return t * np.eye(2), np.zeros((1, 2)), motif
-
-
-def _motif_truncated_trihexagonal(d: int):
-    # dodecagon of edge 2 (circumradius sqrt(6)+sqrt(2)) per node of a
-    # triangular lattice of period 6+2*sqrt(3); vertices at 15 deg + k*30 deg
-    # are sign/coordinate images of (2+sqrt3, 1) and (1+sqrt3, 1+sqrt3)
-    t = 6.0 + 2.0 * SQRT3
-    basis = np.array([[t, 0.0], [t / 2.0, t * SQRT3 / 2.0]])
-    a, b = 2.0 + SQRT3, 1.0 + SQRT3
-    motif = []
-    for x, y in [(a, 1.0), (b, b), (1.0, a)]:
-        motif.extend([(sx * x, sy * y) for sx in (1, -1) for sy in (1, -1)])
-    return basis, np.zeros((1, 2)), np.array(sorted(set(motif)))
-
-
-def _motif_bitruncated_cubic(d: int):
-    # all signed permutations of (0, 1, 2) on the body-centered lattice
-    # 4Z^3 + {(0,0,0), (2,2,2)}; raw contact distance sqrt(2)
-    basis = 4.0 * np.eye(3)
-    centering = np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
-    return basis, centering, signed_permutation_orbit(np.array([0.0, 1.0, 2.0]))
-
-
-def _motif_triangular(d: int):
-    basis = np.array([[2.0, 0.0], [1.0, SQRT3]])
-    return basis, np.zeros((1, 2)), np.zeros((1, 2))
-
-
-_MOTIFS = {
-    "square_lattice": _motif_square_lattice,
-    "hexagon_vertices": _motif_hexagon_vertices,
-    "truncated_square": _motif_truncated_square,
-    "truncated_trihexagonal": _motif_truncated_trihexagonal,
-    "bitruncated_cubic": _motif_bitruncated_cubic,
-    "triangular": _motif_triangular,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -197,48 +109,74 @@ def signed_permutation_orbit(seed: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OrbitSpec:
-    """Seed + signed-permutation point group + translation lattice."""
+    """Seeds + signed-permutation point group + centred translation lattice.
 
-    dimension: int
-    seed: np.ndarray
+    The motif is the union of the seeds' orbits; it sits at every
+    centering offset of every lattice vector.  A seed fixed by part of
+    the group, such as the origin, has a smaller orbit.
+    """
+
+    seeds: np.ndarray  # (k, d) seed points; one d-vector is read as k = 1
     lattice: np.ndarray  # (d, d) basis, rows are translation vectors
-    centering: np.ndarray = None  # optional extra offsets, origin included
+    centering: np.ndarray = None  # (m, d) offsets, origin included; default the origin
 
     def __post_init__(self):
-        seed = np.asarray(self.seed, dtype=float)
+        seeds = np.atleast_2d(np.asarray(self.seeds, dtype=float))
+        d = seeds.shape[1]
         lattice = np.asarray(self.lattice, dtype=float)
-        if seed.shape != (self.dimension,):
-            raise MalformedInputError("orbit seed must be a d-vector")
-        if not np.any(seed != 0.0):
-            raise MalformedInputError("orbit seed must be nonzero")
-        if lattice.shape != (self.dimension, self.dimension) or abs(
-            np.linalg.det(lattice)
-        ) < 1e-12:
+        centering = np.zeros((1, d)) if self.centering is None else self.centering
+        centering = np.atleast_2d(np.asarray(centering, dtype=float))
+        if seeds.ndim != 2 or seeds.size == 0 or centering.ndim != 2 or centering.shape[1] != d:
+            raise MalformedInputError("orbit seeds and centering must be lists of d-vectors")
+        if lattice.shape != (d, d) or abs(np.linalg.det(lattice)) < 1e-12:
             raise MalformedInputError("lattice basis must be d independent d-vectors")
-        centering = self.centering
-        if centering is None:
-            centering = np.zeros((1, self.dimension))
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "centering", np.atleast_2d(np.asarray(centering, float)))
+        object.__setattr__(self, "centering", centering)
+
+    @property
+    def dimension(self) -> int:
+        return self.seeds.shape[1]
+
+    def motif(self) -> np.ndarray:
+        """Union of the seeds' signed-permutation orbits."""
+        return np.unique(np.vstack([signed_permutation_orbit(s) for s in self.seeds]), axis=0)
 
 
 def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
-    """Generate {g . seed + t} over the window, normalized to contact 2.
+    """Generate {g . seed + c + t} over the window, normalized to contact 2.
 
     The caller is responsible for validating regularity/separability of
-    the result; a collapsed orbit (seed fixed by reflections) only warns.
+    the result.  Raises SizeLimitError when the padded window holds more
+    than POINT_BUDGET raw points.
     """
-    orbit = signed_permutation_orbit(spec.seed)
-    full_order = 2**spec.dimension * math.factorial(spec.dimension)
-    if len(orbit) < full_order:
-        warnings.warn(
-            f"orbit of seed {spec.seed.tolist()} collapsed to {len(orbit)} "
-            f"of {full_order} group images",
-            DegenerateSeedWarning,
-            stacklevel=2,
-        )
-    return _tile(spec.lattice, spec.centering, orbit, window, label)
+    lattice, centering, motif = spec.lattice, spec.centering, spec.motif()
+    d = spec.dimension
+
+    def points_at(translates):
+        return (
+            translates[:, None, None, :] + centering[None, :, None, :] + motif[None, None, :, :]
+        ).reshape(-1, d)
+
+    # the raw contact distance of one cell plus its neighbors sizes the window
+    probe = points_at(np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice)
+    scale = 2.0 / _dedup(probe)[1]
+
+    pad = float(np.linalg.norm(lattice, axis=1).max())
+    lo = window.lower / scale - pad
+    hi = window.upper / scale + pad
+    points = points_at(_lattice_translates(lattice, lo, hi, len(centering) * len(motif)))
+    inside = np.all((points >= lo - pad) & (points <= hi + pad), axis=1)
+    points, closest = _dedup(points[inside])
+
+    # the scale of the final window comes from all its raw points, not the probe
+    centers = points * (2.0 / closest)
+    return Packing(centers[window.contains(centers)], window, 1.0, label)
+
+
+# the triangular lattice and the apeirogon, as orbits of the origin
+TRIANGULAR = OrbitSpec([0.0, 0.0], [[2.0, 0.0], [1.0, SQRT3]])
+APEIROGON = OrbitSpec([0.0], [[2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +188,7 @@ def generate_apeirogon(window, margin: float = 3.0) -> Packing:
     Centers sit on the even integers inside the window; interior spheres
     touch exactly 2 neighbors.
     """
-    window = _as_window(window, 1, margin)
-    k0 = math.ceil((window.lower[0] - TOL) / 2.0)
-    k1 = math.floor((window.upper[0] + TOL) / 2.0)
-    centers = 2.0 * np.arange(k0, k1 + 1, dtype=float)[:, None]
-    return Packing(centers, window, 1.0, "A")
+    return orbit_generate(APEIROGON, _as_window(window, 1, margin), "A")
 
 
 def product_packing(p: Packing, q: Packing, label: str = "") -> Packing:
@@ -274,6 +208,10 @@ def product_packing(p: Packing, q: Packing, label: str = "") -> Packing:
                     f"product factor has contact distance {delta}, expected 2"
                 )
     a, b = p.n_spheres, q.n_spheres
+    if a * b > POINT_BUDGET:
+        raise SizeLimitError(
+            f"the product needs {a} x {b} spheres, over the budget of {POINT_BUDGET}"
+        )
     centers = np.hstack(
         [np.repeat(p.centers, b, axis=0), np.tile(q.centers, (a, 1))]
     )
@@ -308,9 +246,7 @@ def _block_window(window: Window, start: int, dim: int, margin: float) -> Window
 
 def generate_triangular(window, margin: float = 3.0) -> Packing:
     """Triangular-lattice window: the reference inseparable packing."""
-    window = _as_window(window, 2, margin)
-    basis, centering, motif = _motif_triangular(2)
-    return _tile(basis, centering, motif, window, TRIANGULAR_ID)
+    return orbit_generate(TRIANGULAR, _as_window(window, 2, margin), TRIANGULAR_ID)
 
 
 def generate_named(name: str, window, margin: float = 3.0) -> Packing:
@@ -337,15 +273,8 @@ def generate_named(name: str, window, margin: float = 3.0) -> Packing:
             f"({entry.regularity}) is recorded, but it has no product structure "
             f"and no validated orbit seed, so vertex generation is unavailable"
         )
-    if entry.kind == "motif":
-        basis, centering, motif = _MOTIFS[entry.motif_name](entry.dimension)
-        return _tile(basis, centering, motif, window, entry.id)
     if entry.kind == "orbit":
-        spec = OrbitSpec(
-            entry.dimension,
-            entry.seed,
-            entry.period * np.eye(entry.dimension),
-        )
+        spec = OrbitSpec(entry.seeds, entry.lattice, entry.centering)
         return orbit_generate(spec, window, entry.id)
     if entry.kind == "product":
         left_id, right_id = entry.factors

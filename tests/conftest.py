@@ -4,8 +4,10 @@ The oracles are deliberately naive O(n^2)/O(n*m) loops, independent of
 the library's accelerated paths.
 """
 
+import contextlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +166,19 @@ def deepest_witness_clearance(p: Packing, violations):
         midpoint = (centers[i] + centers[j]) / 2.0
         best = min(best, abs(float((centers[s] - midpoint) @ normal)))
     return best
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Yield a list that receives the peak bytes tracemalloc saw in the
+    block, numpy buffers included."""
+    peak = []
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
 
 
 def random_rotation(d, rng):

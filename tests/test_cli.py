@@ -6,6 +6,8 @@ import pytest
 
 from sepack.cli import main
 
+from conftest import traced_peak
+
 
 def run(*argv):
     return main(list(argv))
@@ -54,6 +56,15 @@ class TestGenVerifyPipeline:
         pack = tmp_path / "x.json"
         assert run("gen", "--name", name, "--window", "inf", "--out", str(pack)) == 2
         assert "finite" in capsys.readouterr().err
+        assert not pack.exists()
+
+    @pytest.mark.parametrize("window", ["1e9", "1e300"])
+    def test_huge_window_exits_2_without_file(self, tmp_path, capsys, window):
+        pack = tmp_path / "x.json"
+        with traced_peak() as peak:
+            assert run("gen", "--name", "P1", "--window", window, "--out", str(pack)) == 2
+        assert peak[0] < 1_000_000
+        assert "budget" in capsys.readouterr().err
         assert not pack.exists()
 
 

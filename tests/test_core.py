@@ -8,14 +8,9 @@ from sepack import (
     Window,
     interior_indices,
     min_pairwise_distance,
-    rescale_to_contact,
     validate_packing,
 )
-from sepack.errors import (
-    DegenerateInputError,
-    MalformedInputError,
-    UndefinedDistanceError,
-)
+from sepack.errors import MalformedInputError, UndefinedDistanceError
 from sepack.generators import signed_permutation_orbit
 
 from conftest import brute_force_min_distance, random_rotation, transformed
@@ -130,29 +125,6 @@ class TestMinPairwiseDistance:
         assert min_pairwise_distance(Packing(pts)) == pytest.approx(
             brute_force_min_distance(pts), abs=1e-12
         )
-
-
-class TestRescaleToContact:
-    def test_unit_grid_scales_to_two(self):
-        p = Packing([[float(i), float(j)] for i in range(3) for j in range(3)])
-        q = rescale_to_contact(p)
-        assert min_pairwise_distance(q) == pytest.approx(2.0, abs=1e-12)
-        assert q.radius == 1.0
-
-    def test_bitruncated_motif_scales_by_sqrt2(self):
-        motif = signed_permutation_orbit(np.array([0.0, 1.0, 2.0]))
-        q = rescale_to_contact(Packing(motif))
-        assert np.allclose(q.centers, Packing(motif * SQRT2).centers, atol=1e-12)
-        assert min_pairwise_distance(q) == pytest.approx(2.0, abs=1e-12)
-
-    def test_idempotent(self):
-        p = Packing([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-        q = rescale_to_contact(rescale_to_contact(p))
-        assert np.allclose(q.centers, rescale_to_contact(p).centers, atol=1e-12)
-
-    def test_duplicate_centers_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            rescale_to_contact(Packing([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestInteriorIndices:

@@ -16,13 +16,14 @@ from sepack import (
     profile_complete_indices,
     separability_measure,
 )
-from sepack.diagonal import cube_count_exact, cube_count_formula, is_cube_spawned
+from sepack.diagonal import SPHERE_BUDGET, cube_count_exact, is_cube_spawned
 from sepack.errors import SizeLimitError, UnsupportedDimensionError
 
 from conftest import (
     deepest_witness_clearance,
     diagonal_plane_clearance,
     random_rotation,
+    traced_peak,
     transformed,
 )
 
@@ -43,18 +44,20 @@ class TestGrowth:
         for d, t in [(2, 3), (3, 2), (4, 2)]:
             result = diagonal_construction(d, t)
             assert result.n_cubes == cube_count_exact(d, t)
-            assert result.n_cubes <= cube_count_formula(d, t)
             for cube in map(tuple, result.cube_lattice):
                 assert is_cube_spawned(cube, t)
             assert result.packing.n_spheres == 2**d * result.n_cubes
 
     def test_merge_free_bound_exact_at_depth_one(self):
         for d in (2, 3, 4):
-            assert cube_count_exact(d, 1) == cube_count_formula(d, 1) == 1 + 2**d
+            assert cube_count_exact(d, 1) == 1 + 2**d
 
     def test_budget_enforced(self):
-        with pytest.raises(SizeLimitError):
-            diagonal_construction(4, 3, sphere_budget=1000)
+        # 16,561 cubes of 16 spheres: rejected before anything is allocated
+        assert cube_count_exact(4, 9) * 16 == 264_976 > SPHERE_BUDGET
+        with traced_peak() as peak, pytest.raises(SizeLimitError):
+            diagonal_construction(4, 9)
+        assert peak[0] < 1_000_000
 
     def test_rejects_d1(self):
         with pytest.raises(UnsupportedDimensionError):

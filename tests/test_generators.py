@@ -1,5 +1,5 @@
+import hashlib
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from sepack import (
     Window,
     build_contact_graph,
     check_entry_invariants,
+    constructible_ids,
     contact_count,
     generate_apeirogon,
     generate_named,
@@ -24,15 +25,18 @@ from sepack import (
     validate_packing,
 )
 from sepack.errors import (
-    DegenerateSeedWarning,
     InvalidPackingError,
     MalformedInputError,
     NormalizationRequiredError,
+    SizeLimitError,
     UnknownCatalogIdError,
     UnsupportedConstructionError,
 )
+from sepack.core import TOL
+from sepack.generators import POINT_BUDGET, _dedup
+from sepack.packio import encode_packing
 
-from conftest import brute_force_edges
+from conftest import brute_force_edges, traced_peak
 
 SQRT2 = math.sqrt(2.0)
 
@@ -184,17 +188,22 @@ class TestProductPacking:
         with pytest.raises(NormalizationRequiredError):
             product_packing(bad, generate_apeirogon(4))
 
+    def test_size_checked_before_allocation(self):
+        p = generate_named("P1", 40)  # 1,681 spheres; 1,681^2 > POINT_BUDGET
+        assert p.n_spheres**2 > POINT_BUDGET
+        with traced_peak() as peak, pytest.raises(SizeLimitError):
+            product_packing(p, p)
+        assert peak[0] < 1_000_000
+
 
 class TestOrbitGeneration:
     def test_orbit_of_seed_012_matches_bitruncated_motif(self):
         spec = OrbitSpec(
-            3,
             np.array([0.0, 1.0, 2.0]),
             4.0 * np.eye(3),
             np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]),
         )
-        with pytest.warns(DegenerateSeedWarning):
-            orb = orbit_generate(spec, Window.cube(8, 3))
+        orb = orbit_generate(spec, Window.cube(8, 3))
         motif = generate_named("J16", 8)
         assert orb.n_spheres == motif.n_spheres
         assert np.allclose(orb.centers, motif.centers, atol=1e-9)
@@ -208,10 +217,8 @@ class TestOrbitGeneration:
     def test_axis_seed_lands_on_square_grid(self):
         # orbit of (1,0) over 4Z^2: disjoint 2x2 blocks whose points all lie
         # on one 45-degree-rotated square grid of spacing 2
-        spec = OrbitSpec(2, np.array([1.0, 0.0]), 4.0 * np.eye(2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateSeedWarning)
-            p = orbit_generate(spec, Window.cube(10, 2))
+        spec = OrbitSpec(np.array([1.0, 0.0]), 4.0 * np.eye(2))
+        p = orbit_generate(spec, Window.cube(10, 2))
         assert min_pairwise_distance(p) == pytest.approx(2.0, abs=1e-9)
         rot = np.array([[1.0, 1.0], [-1.0, 1.0]]) / SQRT2
         uv = p.centers @ rot.T
@@ -221,23 +228,73 @@ class TestOrbitGeneration:
     def test_axis_seed_on_2z2_is_p1_congruent(self):
         # with the denser lattice 2Z^2 the same orbit closes into the full
         # rotated square grid: 4-regular, matching P1's invariants
-        spec = OrbitSpec(2, np.array([1.0, 0.0]), 2.0 * np.eye(2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateSeedWarning)
-            p = orbit_generate(spec, Window.cube(10, 2))
+        spec = OrbitSpec(np.array([1.0, 0.0]), 2.0 * np.eye(2))
+        p = orbit_generate(spec, Window.cube(10, 2))
         g = build_contact_graph(p)
         assert is_k_regular(g, p, 4).is_regular
 
     def test_j20_candidate_accepted_by_suite(self):
         entry = load_catalog()["J20"]
-        spec = OrbitSpec(3, entry.seed, entry.period * np.eye(3))
+        spec = OrbitSpec(entry.seeds, entry.lattice, entry.centering)
         p = orbit_generate(spec, Window.cube(7, 3), label="J20")
         assert check_entry_invariants(p, entry).ok
 
-    def test_rejects_zero_seed(self):
-        with pytest.raises(MalformedInputError):
-            OrbitSpec(2, np.zeros(2), np.eye(2))
-
     def test_rejects_singular_lattice(self):
         with pytest.raises(MalformedInputError):
-            OrbitSpec(2, np.array([1.0, 0.0]), np.array([[1.0, 0.0], [2.0, 0.0]]))
+            OrbitSpec(np.array([1.0, 0.0]), np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+
+class TestDedup:
+    def test_chain_of_near_points_keeps_the_lowest(self):
+        # each point within TOL/2 of the next, the ends further apart
+        step = 0.3 * TOL
+        chain = np.array([[5.0, 2.0 * step], [5.0, 0.0], [5.0, step]])
+        far = np.array([[7.0, 0.0]])
+        kept, closest = _dedup(np.vstack([chain, far]))
+        assert np.array_equal(kept, np.array([[5.0, 0.0], [7.0, 0.0]]))
+        assert closest == 2.0
+
+
+# sha256 of encode_packing(generate_named(name, L)) at L = 4, recorded before
+# the motif recipes became orbit specs; O103 at its smallest nonempty
+# integer half-width, 6
+PINNED_PACKINGS = {
+    "P1": "d50ec48b1dc20047965475bb29497610195bd5b475decb27155081dffe3f1a4e",
+    "P3": "5530b6f5b4c7dd89ffe4e74360132af1b0fc09b94da3e571aeaac144bc50cfdb",
+    "K6": "2345caad5dd0b425c46037d64390bc6f8c89215e9f30ef68f5e222b6fbcad391",
+    "K9": "5c13658bbad512566a97ef7ef68ca1b956764dbe68a83821cba95e029555bd49",
+    "J1": "a056d5e93d826fc941ce79846f7370b521590d0750782ae8f6f2483323499214",
+    "J3": "7b49b30218b2a864351b7642b643e3192714c8ad56bc080c158039e6924db7ce",
+    "J6": "e73c2298362bfb77c8976b2a16b48f5ab9ca314b1fee7ecc45054a23c696556a",
+    "J9": "460a72aa3ccf1f401b8bd396b96480921666cbf6753864d1cfb3ed9ae0ac7736",
+    "J16": "913dd7c543d21ecf7d821899644755b4bd18f69aa7f3d2f41ead78771ceb7cb0",
+    "J18": "47f83521f954d152b82e98da8ef73f615a7335c4578ae881b551be0c7e4d8fe5",
+    "J20": "77d2a96d9a0bea17a4e761e5ceb38ddba405631f2204f4ee6fbf1543780b8de1",
+    "O1": "835b3680658c4861ffccaf15f0605d10935c716532def562ed5ec6db90337ad7",
+    "O3": "317720140d575fa8cfc41cecf12f7e3b5cdf86bddee3477e4dcdfc15b2404815",
+    "O6": "7bc4cf6213c637fc6488f3c2abce6d3b1a010aee7f948012d767ca38053ea427",
+    "O9": "d727e2d06bb6cd173fdb8c0cc248e5767927e836939968e3fa876ea9186f5c49",
+    "O16": "12ef2e671050487a7407dc86e97180d221e05a3e6bc5941c388ba1b9cb55f62e",
+    "O18": "84047444b630640b999b66f589a3fdcab105e0b6da75754a28a8212c9c1d65e0",
+    "O20": "15e30c160969814779e231662694a6baff23a10efe923befd95bed7534b632da",
+    "O39": "e460c8485dd83b3ff1d3539afb534e3d71d641af782bf1de635c12fbe8fbf398",
+    "O42": "3cff11ec8bc531443c86ef6c0b45580d750a8cd9622fb099e04b37e6a30c8c42",
+    "O45": "50a394eab91e71961095c70120a3e9f715661dd2fbdf606f416cd9fb568a72bf",
+    "O63": "bbac3342ac087d95dbd089141f2753adf1878dabf345dbf60037b6a0799415e8",
+    "O66": "a7ddfeb162bcedcf9c155b4d7e8afd86ff8ad16950867a2dd310ba6453d4b9d7",
+    "O78": "98d676cfce2d1b1520394dd0894435b591a86ccda420ed888757f7de6907ef8a",
+    "O103": "7bcc5fd9486dc6389e16bcbdd98d1e01635b2f845605095f100f7d454b81361e",
+    "TRI": "287a6dc90cce328c793eeed4a079137d9285902ad31d516652534a13d58d1dae",
+    "A": "75a2aa0ceaa95539ad903d6441d93afcd3494334839eb99371264d12be2a6bcd",
+}
+
+
+def test_pinned_ids_cover_every_generated_name():
+    assert set(PINNED_PACKINGS) == set(constructible_ids()) | {"TRI", "A"}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PACKINGS))
+def test_packing_file_is_byte_identical(name):
+    packing = generate_named(name, 6 if name == "O103" else 4)
+    assert packing.n_spheres > 0
+    assert hashlib.sha256(encode_packing(packing)).hexdigest() == PINNED_PACKINGS[name]
