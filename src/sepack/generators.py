@@ -207,6 +207,16 @@ def product_packing(p: Packing, q: Packing, label: str = "") -> Packing:
                 raise NormalizationRequiredError(
                     f"product factor has contact distance {delta}, expected 2"
                 )
+    return _cartesian(p, q, label or f"{p.label or 'P'}x{q.label or 'Q'}")
+
+
+def _cartesian(p: Packing, q: Packing, label: str) -> Packing:
+    """The product of two factors already normalized to contact 2.
+
+    Generated factors are normalized by construction, and a cropped
+    factor window may hold no contact to measure, so nothing is checked
+    here but the size.
+    """
     a, b = p.n_spheres, q.n_spheres
     if a * b > POINT_BUDGET:
         raise SizeLimitError(
@@ -220,8 +230,6 @@ def product_packing(p: Packing, q: Packing, label: str = "") -> Packing:
         np.concatenate([p.window.upper, q.window.upper]),
         max(p.window.margin, q.window.margin),
     )
-    if not label:
-        label = f"{p.label or 'P'}x{q.label or 'Q'}"
     return Packing(centers, window, 1.0, label)
 
 
@@ -284,7 +292,7 @@ def generate_named(name: str, window, margin: float = 3.0) -> Packing:
         right = generate_named(
             right_id, _block_window(window, left_dim, right_dim, margin), margin
         )
-        return product_packing(left, right, entry.id)
+        return _cartesian(left, right, entry.id)
     raise UnsupportedConstructionError(f"unknown construction kind {entry.kind!r}")
 
 

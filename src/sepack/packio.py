@@ -5,6 +5,20 @@ shortest round-trip decimals, so decode(encode(p)) reproduces the center
 array bit for bit.  Reports are separate documents with stable field
 names; the timing field is informational and excluded from any
 determinism comparison.
+
+Both documents are the text of ``json.dumps(doc, indent=1,
+sort_keys=True)`` plus a newline, but neither runs its bulk list (a
+packing's ``centers``, a report's ``separability.violations``) through
+the encoder, whose indented mode costs one Python call per token.  The
+small rest of the document, with a placeholder in the bulk list's place,
+goes through ``json.dumps`` and is split at the placeholder; the bulk
+rows are written in chunks between the halves, each row from one fixed
+template at the indentation ``json.dumps`` gives that depth.  The bytes
+match ``json.dumps`` because the rows hold only what the templates spell
+the same way: a center row is Python floats, written with ``repr`` (the
+encoder's ``float.__repr__``; coordinates are finite), and a witness row
+is three Python ints, written with ``%d``.  An empty bulk list is written
+as ``[]``, as the encoder does.
 """
 
 from __future__ import annotations
@@ -22,6 +36,52 @@ from .separability import VIOLATION_FOUND, WINDOW_CERTIFIED, _report
 
 FORMAT_VERSION = 1
 
+# stands in for the bulk list in the json.dumps text of the rest of a document
+_BULK = "<bulk rows>"
+# bulk rows joined per write
+_CHUNK_ROWS = 4096
+
+
+def _json_pieces(doc: dict, path: tuple, row_text):
+    """Yield ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"`` in pieces.
+
+    ``path`` is the key path of the bulk list in ``doc``; ``row_text``
+    encodes one of its elements at indentation ``len(path) + 1``.  The
+    placeholder is searched for together with its key, which occurs once
+    in the document; a string value cannot spell that pair, since every
+    quote inside an encoded string is escaped.
+    """
+    skeleton = dict(doc)
+    parent = skeleton
+    for key in path[:-1]:
+        parent[key] = dict(parent[key])
+        parent = parent[key]
+    rows, parent[path[-1]] = parent[path[-1]], _BULK
+    key = json.dumps(path[-1]) + ": "
+    text = json.dumps(skeleton, indent=1, sort_keys=True)
+    head, _, tail = text.partition(key + json.dumps(_BULK))
+    yield head + key
+    if not rows:
+        yield "[]"
+    else:
+        separator = "[\n"
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            yield separator + ",\n".join(map(row_text, rows[start : start + _CHUNK_ROWS]))
+            separator = ",\n"
+        yield "\n" + " " * len(path) + "]"
+    yield tail + "\n"
+
+
+def _center_row(row: list) -> str:
+    return "  [\n   " + ",\n   ".join(map(repr, row)) + "\n  ]"
+
+
+def _witness_row(witness: dict) -> str:
+    (i, j), sphere = witness["edge"], witness["sphere"]
+    return '   {\n    "edge": [\n     %d,\n     %d\n    ],\n    "sphere": %d\n   }' % (
+        i, j, sphere
+    )
+
 
 def encode_packing(p: Packing) -> bytes:
     doc = {
@@ -34,9 +94,10 @@ def encode_packing(p: Packing) -> bytes:
             "upper": p.window.upper.tolist(),
             "margin": p.window.margin,
         },
-        "centers": [list(row) for row in p.centers],
+        # Python floats: numpy 2 reprs a np.float64 as "np.float64(...)"
+        "centers": p.centers.tolist(),
     }
-    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")
+    return "".join(_json_pieces(doc, ("centers",), _center_row)).encode("utf-8")
 
 
 def decode_packing(data: bytes) -> Packing:
@@ -138,6 +199,6 @@ def build_verify_report(p: Packing, full_audit: bool = False) -> dict:
 
 
 def write_report(report: dict, path) -> None:
+    """Stream the report to ``path`` without building its whole text."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(_json_pieces(report, ("separability", "violations"), _witness_row))

@@ -6,6 +6,7 @@ the library's accelerated paths.
 
 import contextlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ import pytest
 
 from sepack import Packing
 from sepack.contact_numbers import _add, _unit_steps
+from sepack.packio import FORMAT_VERSION
 
 
 def brute_force_edges(centers, radius=1.0, tol=1e-9):
@@ -75,6 +77,30 @@ def brute_force_witnesses(centers, full_audit, radius=1.0, tol=1e-9):
             clean += 1
         witnesses.extend(((i, j), s) for s in offenders[: None if full_audit else 1])
     return clean, witnesses
+
+
+def oracle_encode_packing(p: Packing) -> bytes:
+    """A packing file through the standard JSON encoder, one call per token."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "dimension": p.dimension,
+        "radius": p.radius,
+        "label": p.label,
+        "window": {
+            "lower": p.window.lower.tolist(),
+            "upper": p.window.upper.tolist(),
+            "margin": p.window.margin,
+        },
+        "centers": [list(row) for row in p.centers],
+    }
+    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("utf-8")
+
+
+def oracle_write_report(report: dict, path) -> None:
+    """A verify report through the standard JSON encoder."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def brute_force_first_triangle(n, edges):

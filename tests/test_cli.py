@@ -41,6 +41,11 @@ class TestGenVerifyPipeline:
         assert report["separability"]["status"] == "ViolationFound"
         assert len(report["separability"]["violations"]) > 0
 
+    def test_product_whose_factor_windows_hold_no_contact(self, tmp_path):
+        pack = tmp_path / "j9.json"
+        assert run("gen", "--name", "J9", "--window", "3", "--out", str(pack)) == 0
+        assert json.loads(pack.read_text())["centers"]
+
     def test_unknown_id_exits_nonzero_and_lists_ids(self, capsys):
         assert run("gen", "--name", "Z9", "--window", "6", "--out", "x.json") == 2
         err = capsys.readouterr().err

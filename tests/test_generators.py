@@ -33,8 +33,9 @@ from sepack.errors import (
     UnsupportedConstructionError,
 )
 from sepack.core import TOL
+from sepack.diagonal import diagonal_construction
 from sepack.generators import POINT_BUDGET, _dedup
-from sepack.packio import encode_packing
+from sepack.packio import build_verify_report, encode_packing, write_report
 
 from conftest import brute_force_edges, traced_peak
 
@@ -188,6 +189,13 @@ class TestProductPacking:
         with pytest.raises(NormalizationRequiredError):
             product_packing(bad, generate_apeirogon(4))
 
+    @pytest.mark.parametrize("name", ["J9", "O9", "O45", "O66", "O78"])
+    def test_factor_windows_without_a_contact(self, name):
+        # at L = 3 a factor's cropped window holds no contact to measure
+        left, right = load_catalog()[name].factors
+        expected = generate_named(left, 3).n_spheres * generate_named(right, 3).n_spheres
+        assert generate_named(name, 3).n_spheres == expected
+
     def test_size_checked_before_allocation(self):
         p = generate_named("P1", 40)  # 1,681 spheres; 1,681^2 > POINT_BUDGET
         assert p.n_spheres**2 > POINT_BUDGET
@@ -298,3 +306,50 @@ def test_packing_file_is_byte_identical(name):
     packing = generate_named(name, 6 if name == "O103" else 4)
     assert packing.n_spheres > 0
     assert hashlib.sha256(encode_packing(packing)).hexdigest() == PINNED_PACKINGS[name]
+
+
+# sha256 of the written verify report with timing_seconds set to 0, recorded
+# with the standard JSON encoder before reports were streamed
+PINNED_REPORTS = {
+    "TRI-L40-audit": "f749cdb6bf361e96f505e593f6b805a809bb7cecc58195b927dd542375f701bc",
+    "diagonal-d3-depth4-audit": "a1ee562beee7628fcf46e82018ca3176c59c6ed01037418fe5b1789092dbd1c4",
+    "diagonal-d4-depth2-audit": "83a0fc3e2ba89bea4c46819f965db3e7b7fd25df075827af79cb9a2102d57085",
+    "P1-L12": "906cd0800e720e72ecfd569d5e4ea33a7c1ab070e3e983a4a518667d005acdac",
+}
+
+REPORT_INPUTS = {
+    "TRI-L40-audit": (lambda: generate_named("TRI", 40), True),
+    "diagonal-d3-depth4-audit": (lambda: diagonal_construction(3, 4).packing, True),
+    "diagonal-d4-depth2-audit": (lambda: diagonal_construction(4, 2).packing, True),
+    "P1-L12": (lambda: generate_named("P1", 12), False),
+}
+
+
+@pytest.fixture(scope="module")
+def untimed_report():
+    """Report by REPORT_INPUTS key with timing_seconds 0, built once per key."""
+    built = {}
+
+    def report(key):
+        if key not in built:
+            make, full_audit = REPORT_INPUTS[key]
+            built[key] = {**build_verify_report(make(), full_audit), "timing_seconds": 0}
+        return built[key]
+
+    return report
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_REPORTS))
+def test_report_file_is_byte_identical(key, untimed_report, tmp_path):
+    path = tmp_path / "report.json"
+    write_report(untimed_report(key), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_REPORTS[key]
+
+
+def test_report_is_streamed(untimed_report, tmp_path):
+    # 124,716 witnesses, an 8.8 MB file; the whole text in one string would
+    # allocate about that much
+    report = untimed_report("TRI-L40-audit")
+    with traced_peak() as peak:
+        write_report(report, tmp_path / "report.json")
+    assert peak[0] < 4_000_000

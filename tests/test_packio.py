@@ -2,23 +2,31 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepack import (
     Packing,
     Window,
     build_verify_report,
+    constructible_ids,
     decode_packing,
     encode_packing,
     generate_named,
+    generate_triangular,
     load_packing,
     save_packing,
 )
+from sepack.diagonal import diagonal_construction
 from sepack.errors import (
     InconsistentVerdictError,
     PackingParseError,
     PackingVersionError,
     SepackError,
 )
+from sepack.packio import _BULK, write_report
+
+from conftest import oracle_encode_packing, oracle_write_report
 
 
 class TestRoundTrip:
@@ -118,3 +126,75 @@ class TestVerifyReport:
         a.pop("timing_seconds")
         b.pop("timing_seconds")
         assert a == b
+
+
+def _named(name):
+    if name.startswith("diagonal-d"):
+        return diagonal_construction(int(name[-1]), 1).packing
+    return generate_named(name, 4)
+
+
+def _assert_report_matches_oracle(report, tmp_path):
+    write_report(report, tmp_path / "new.json")
+    oracle_write_report(report, tmp_path / "old.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+class TestWriterMatchesStandardEncoder:
+    """The streamed writer against json.dumps of the whole document."""
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(constructible_ids()) + ["TRI", "A", "diagonal-d2", "diagonal-d3", "diagonal-d4"],
+    )
+    def test_generated_packings_and_their_audits(self, name, tmp_path):
+        p = _named(name)
+        assert encode_packing(p) == oracle_encode_packing(p)
+        _assert_report_matches_oracle(build_verify_report(p, full_audit=True), tmp_path)
+
+    @pytest.mark.parametrize("centers", [np.zeros((0, 3)), [[1.5, -2.0, 0.25]]])
+    def test_zero_and_one_sphere(self, centers, tmp_path):
+        p = Packing(centers, Window.cube(4, 3))
+        assert encode_packing(p) == oracle_encode_packing(p)
+        report = build_verify_report(p)
+        assert report["separability"]["violations"] == []
+        _assert_report_matches_oracle(report, tmp_path)
+
+    def test_extreme_coordinates(self):
+        values = [-0.0, 5e-324, 1e-7, 1e16, 1.7976931348623157e308]
+        p = Packing(np.array([values, values[::-1]]), Window(np.full(5, -1.0), np.full(5, 1.0)))
+        assert encode_packing(p) == oracle_encode_packing(p)
+        assert np.array_equal(decode_packing(encode_packing(p)).centers, p.centers)
+
+    @given(
+        st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_arbitrary_finite_coordinates(self, rows):
+        p = Packing(np.array(rows, dtype=float).reshape(-1, 2), Window.cube(1, 2))
+        assert encode_packing(p) == oracle_encode_packing(p)
+
+    @pytest.mark.parametrize(
+        "label",
+        ['say "hi"', "nul\x00byte", "caf\u00e9 \u2200x \U0001f600", _BULK,
+         json.dumps(_BULK), '"centers": ' + json.dumps(_BULK),
+         '"violations": ' + json.dumps(_BULK), "\\"],
+    )
+    def test_awkward_labels(self, label, tmp_path):
+        p = Packing(generate_triangular(4).centers, None, 1.0, label)
+        assert encode_packing(p) == oracle_encode_packing(p)
+        assert decode_packing(encode_packing(p)).label == label
+        _assert_report_matches_oracle(build_verify_report(p, full_audit=True), tmp_path)
+
+    def test_certified_audit_and_inconclusive_reports(self, tmp_path):
+        certified = build_verify_report(generate_named("K6", 8), full_audit=True)
+        audit = build_verify_report(generate_triangular(6), full_audit=True)
+        inconclusive = build_verify_report(generate_named("P1", 2))
+        assert certified["separability"]["violations"] == []
+        assert audit["separability"]["status"] == "ViolationFound"
+        assert inconclusive["regularity"] == {"status": "inconclusive", "k": None}
+        for report in (certified, audit, inconclusive):
+            _assert_report_matches_oracle(report, tmp_path)
