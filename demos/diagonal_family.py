@@ -34,7 +34,7 @@ def main():
             f"  d={d} depth={depth}: {result.n_cubes:3d} cubes, "
             f"{result.packing.n_spheres:5d} spheres, min distance "
             f"{min_pairwise_distance(result.packing):.9f}, saturated degree "
-            f"{verdict.expected_degree} ({verdict.status}), sep = {report.sep}"
+            f"{verdict.k} ({verdict.status}), sep = {report.sep}"
         )
 
     print()

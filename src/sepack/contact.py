@@ -37,9 +37,7 @@ class ContactGraph:
 
     @property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.vertex_count, dtype=np.intp)
-        np.add.at(deg, self.edges.ravel(), 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.vertex_count)
 
     def adjacency_sets(self) -> list[set]:
         adj = [set() for _ in range(self.vertex_count)]
@@ -64,14 +62,15 @@ def contact_count(g: ContactGraph) -> int:
 
 @dataclass(frozen=True)
 class RegularityVerdict:
-    """Result of the interior k-regularity check.
+    """Result of a k-regularity check over a set of judged vertices.
 
-    ``status`` is "regular", "irregular", or "inconclusive" (empty
-    interior); inconclusive is deliberately distinct from irregular.
+    ``status`` is "regular", "irregular" (``vertex`` is the first judged
+    vertex whose ``degree`` is off), or "inconclusive" (nothing to judge),
+    which is deliberately distinct from irregular.
     """
 
     status: str
-    k: int
+    k: int | None
     vertex: int | None = None
     degree: int | None = None
 
@@ -80,21 +79,22 @@ class RegularityVerdict:
         return self.status == "regular"
 
 
-def is_k_regular(g: ContactGraph, p: Packing, k: int) -> RegularityVerdict:
-    """Check that every interior vertex has degree exactly k.
+def is_k_regular(g: ContactGraph, p: Packing, k: int | None = None, indices=None) -> RegularityVerdict:
+    """Check that every judged vertex has degree exactly k (by default the
+    degree of the first judged vertex).
 
-    Boundary vertices are ignored: the window truncates their neighbor
-    sets, so only spheres with all neighbors present are judged.
+    The judged vertices are ``indices``, by default the interior ones: the
+    window truncates the neighbor sets of boundary vertices.
     """
-    interior = interior_indices(p)
-    if len(interior) == 0:
+    judged = interior_indices(p) if indices is None else np.asarray(indices, dtype=np.intp)
+    if len(judged) == 0:
         return RegularityVerdict("inconclusive", k)
-    deg = g.degrees[interior]
+    deg = g.degrees[judged]
+    k = int(deg[0]) if k is None else k
     off = np.flatnonzero(deg != k)
     if len(off) == 0:
         return RegularityVerdict("regular", k)
-    first = off[0]
-    return RegularityVerdict("irregular", k, int(interior[first]), int(deg[first]))
+    return RegularityVerdict("irregular", k, int(judged[off[0]]), int(deg[off[0]]))
 
 
 def contains_triangle(g: ContactGraph) -> tuple | None:

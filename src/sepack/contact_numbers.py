@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import TOL, Packing, Window
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, SizeLimitError
+from .generators import POINT_BUDGET
 
 # exhaustive enumeration limits: the largest cases are the 36,446 fixed
 # polyominoes of n=10 and the 162,913 fixed polycubes of n=8, which
@@ -186,6 +187,12 @@ def choose_box(n: int, d: int) -> BoxSpec:
     return BoxSpec(d, best, n)
 
 
+def _check_size(n: int) -> None:
+    # a cell costs a Python tuple in a set: about 272 MB at n = 10**6, d = 3
+    if n > POINT_BUDGET:
+        raise SizeLimitError(f"{n} cells are over the budget of {POINT_BUDGET}")
+
+
 def quasi_square_packing(n: int) -> tuple[Polyomino, Packing]:
     """Quasi-square polyomino of n cells and its inscribed circle packing.
 
@@ -195,6 +202,7 @@ def quasi_square_packing(n: int) -> tuple[Polyomino, Packing]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_size(n)
     k = math.isqrt(n)
     widths = [k] if k * k == n else [k, k + 1]
     best = None
@@ -216,6 +224,7 @@ def box_packing(n: int, d: int) -> tuple[Polyomino, Packing]:
     count never exceeds cd_upper_bound(n, d) and attains it when n is a
     perfect d-th power.
     """
+    _check_size(n)
     spec = choose_box(n, d)
     cells = itertools.islice(
         itertools.product(*(range(s) for s in spec.sides)), n

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import build_contact_graph
+from .contact import RegularityVerdict, build_contact_graph, is_k_regular
 from .core import TOL, Packing, Window, interior_indices
 from .errors import SizeLimitError, UnsupportedDimensionError
 
@@ -57,17 +57,14 @@ SPHERE_BUDGET = 200_000
 class DiagonalConstruction:
     """Generated packing plus the cube bookkeeping needed for saturation.
 
-    ``cube_index`` / ``corner_sign`` identify, per sphere, the unique cube
-    it belongs to and its sign vector within that cube; ``saturated`` is
-    the mask of spheres whose diagonal partner cube has been spawned.
+    ``saturated`` is the mask of spheres whose diagonal partner cube has
+    been spawned.
     """
 
     dimension: int
     depth: int
     packing: Packing
     cube_lattice: np.ndarray  # (n_cubes, d) int lattice coordinates
-    cube_index: np.ndarray  # (n_spheres,) int
-    corner_sign: np.ndarray  # (n_spheres, d) int in {-1, +1}
     saturated: np.ndarray  # (n_spheres,) bool
 
     @property
@@ -150,8 +147,6 @@ def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
 
     order = np.lexsort(centers.T[::-1])
     centers = centers[order]
-    cube_idx = cube_idx[order]
-    corner = corner[order]
     saturated = saturated[order]
 
     pad = 1.0 + TOL
@@ -159,40 +154,17 @@ def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
     packing = Packing(centers, window, 1.0, f"diagonal d={d} depth={depth}")
     if not np.array_equal(packing.centers, centers):
         raise AssertionError("canonical order mismatch in diagonal construction")
-    return DiagonalConstruction(
-        d, depth, packing, lattice, cube_idx, corner, saturated
-    )
+    return DiagonalConstruction(d, depth, packing, lattice, saturated)
 
 
-@dataclass(frozen=True)
-class SaturationVerdict:
-    """Degree check over saturated spheres (full neighbor sets present)."""
-
-    status: str  # "regular" | "irregular" | "inconclusive"
-    expected_degree: int
-    saturated_count: int
-    vertex: int | None = None
-    degree: int | None = None
-
-
-def interior_regularity_check(result: DiagonalConstruction) -> SaturationVerdict:
+def interior_regularity_check(result: DiagonalConstruction) -> RegularityVerdict:
     """Every saturated sphere must touch exactly d+1 others.
 
     Saturation replaces window margins here because finite depths leave a
     ragged frontier rather than a box-shaped boundary.
     """
-    d = result.dimension
-    sat = result.saturated_indices()
-    if len(sat) == 0:
-        return SaturationVerdict("inconclusive", d + 1, 0)
     graph = build_contact_graph(result.packing)
-    deg = graph.degrees[sat]
-    off = np.flatnonzero(deg != d + 1)
-    if len(off) == 0:
-        return SaturationVerdict("regular", d + 1, len(sat))
-    return SaturationVerdict(
-        "irregular", d + 1, len(sat), int(sat[off[0]]), int(deg[off[0]])
-    )
+    return is_k_regular(graph, result.packing, result.dimension + 1, result.saturated_indices())
 
 
 def local_fingerprint(p: Packing, radius: float, indices=None) -> list:

@@ -29,10 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contact import build_contact_graph, contains_triangle
-from .core import Packing, Window, interior_indices
+from .contact import build_contact_graph, contains_triangle, is_k_regular
+from .core import Packing, Window
 from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError
-from .separability import VIOLATION_FOUND, WINDOW_CERTIFIED, _report
+from .separability import VIOLATION_FOUND, certify_total_separability
 
 FORMAT_VERSION = 1
 
@@ -146,26 +146,19 @@ def _degree_histogram(degrees) -> dict:
 def build_verify_report(p: Packing, full_audit: bool = False) -> dict:
     """All verification facts about one packing, as a JSON-ready dict.
 
-    The contact graph is built once and shared by the triangle test and
-    the certifier.  A triangle in the contact graph forces a separability
-    violation; a report that says otherwise raises
+    The contact graph is built once and shared by the regularity check,
+    the triangle test and the certifier.  A triangle in the contact graph
+    forces a separability violation; a report that says otherwise raises
     InconsistentVerdictError.
     """
     start = time.perf_counter()
     graph = build_contact_graph(p)
     degrees = graph.degrees
-    interior = np.zeros(p.n_spheres, dtype=bool)
-    interior[interior_indices(p)] = True
+    interior = p.window.interior_mask(p.centers)
+    regular = is_k_regular(graph, p)
     triangle = contains_triangle(graph)
-    sep = _report(p, full_audit, WINDOW_CERTIFIED, graph=graph)
+    sep = certify_total_separability(p, full_audit, graph=graph)
 
-    interior_degrees = np.unique(degrees[interior]).tolist()
-    regularity = {
-        "status": "inconclusive"
-        if not interior.any()
-        else ("regular" if len(interior_degrees) == 1 else "irregular"),
-        "k": interior_degrees[0] if len(interior_degrees) == 1 else None,
-    }
     report = {
         "format_version": FORMAT_VERSION,
         "label": p.label,
@@ -176,7 +169,7 @@ def build_verify_report(p: Packing, full_audit: bool = False) -> dict:
             "interior": _degree_histogram(degrees[interior]),
             "boundary": _degree_histogram(degrees[~interior]),
         },
-        "regularity": regularity,
+        "regularity": {"status": regular.status, "k": regular.k if regular.is_regular else None},
         "triangle": list(triangle) if triangle else None,
         "separability": {
             "status": sep.status,

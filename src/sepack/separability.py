@@ -29,7 +29,7 @@ TOL and verdicts drift: a J16 window rotated and shifted by 1e6 reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -204,15 +204,13 @@ def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[in
     return clean, list(zip(dirty.tolist(), sphere.tolist()))
 
 
-def _report(
-    p: Packing, full_audit: bool, empty_status: str, graph: ContactGraph | None = None
-) -> SeparabilityReport:
+def _report(p: Packing, full_audit: bool, graph: ContactGraph | None) -> SeparabilityReport:
     """The one certifier behind both public names; ``graph`` lets a caller
     that already built the contact graph of ``p`` pass it in."""
     g = build_contact_graph(p) if graph is None else graph
     total = g.edge_count
     if total == 0:
-        return SeparabilityReport(0, 0, Fraction(1), (), empty_status)
+        return SeparabilityReport(0, 0, Fraction(1), (), WINDOW_CERTIFIED)
     clean, violations = _edge_cleanliness(p, g, full_audit)
     sep = Fraction(clean, total)
     status = VIOLATION_FOUND if violations else WINDOW_CERTIFIED
@@ -223,10 +221,13 @@ def separability_measure(p: Packing, full_audit: bool = False) -> SeparabilityRe
     """sep(P) = fraction of contacts whose tangent hyperplane misses every
     sphere interior in the window.  Status NoEdges when there is nothing
     to measure."""
-    return _report(p, full_audit, NO_EDGES)
+    report = _report(p, full_audit, None)
+    return report if report.total_edges else replace(report, status=NO_EDGES)
 
 
-def certify_total_separability(p: Packing, full_audit: bool = False) -> SeparabilityReport:
+def certify_total_separability(
+    p: Packing, full_audit: bool = False, graph: ContactGraph | None = None
+) -> SeparabilityReport:
     """Window-scoped certification of total separability.
 
     WindowCertified means every edge is clean against every sphere in the
@@ -235,9 +236,9 @@ def certify_total_separability(p: Packing, full_audit: bool = False) -> Separabi
     tangent direction: one sorted projection of the centers per direction,
     a bisected slab per edge, and an exact recheck of the slab's spheres
     against the edge's own plane (see ``_edge_cleanliness`` for the slab
-    width).
+    width).  ``graph``, when given, must be the contact graph of ``p``.
     """
-    return _report(p, full_audit, WINDOW_CERTIFIED)
+    return _report(p, full_audit, graph)
 
 
 @dataclass(frozen=True)

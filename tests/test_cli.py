@@ -112,6 +112,15 @@ class TestOtherCommands:
         assert "limit" in capsys.readouterr().err
         assert not pack.exists()
 
+    @pytest.mark.parametrize("d", ["2", "3"])
+    def test_contact_opt_over_budget_exits_2_without_file(self, tmp_path, capsys, d):
+        pack = tmp_path / "x.json"
+        with traced_peak() as peak:
+            assert run("contact-opt", "--n", str(10**12), "--d", d, "--out", str(pack)) == 2
+        assert peak[0] < 1_000_000
+        assert "budget" in capsys.readouterr().err
+        assert not pack.exists()
+
     def test_formulas_at_huge_n(self, capsys):
         n = 10**400
         assert run("formulas", "--n", str(n), "--d", "3") == 0

@@ -6,6 +6,7 @@ import pytest
 from sepack import (
     ContactGraph,
     Packing,
+    RegularityVerdict,
     Window,
     build_contact_graph,
     contact_count,
@@ -140,6 +141,25 @@ class TestIsKRegular:
         verdict = is_k_regular(build_contact_graph(p), p, 1)
         assert verdict.status == "inconclusive"
         assert not verdict.is_regular
+
+    def test_explicit_indices_name_the_first_vertex_off(self):
+        # a path 0 - 1 - 2 - 3: degrees 1, 2, 2, 1
+        p = Packing([[2.0 * i, 0.0] for i in range(4)])
+        g = build_contact_graph(p)
+        assert is_k_regular(g, p, 2, [1, 2]) == RegularityVerdict("regular", 2)
+        assert is_k_regular(g, p, 2, [1, 3, 0]) == RegularityVerdict("irregular", 2, 3, 1)
+        assert is_k_regular(g, p, 1, [0, 2, 3]) == RegularityVerdict("irregular", 1, 2, 2)
+
+    def test_k_is_inferred_from_the_first_judged_vertex(self):
+        p = Packing([[2.0 * i, 0.0] for i in range(4)])
+        g = build_contact_graph(p)
+        assert is_k_regular(g, p, indices=[3, 0]) == RegularityVerdict("regular", 1)
+        assert is_k_regular(g, p, indices=[2, 1, 0]) == RegularityVerdict("irregular", 2, 0, 1)
+        assert is_k_regular(g, p, indices=[]) == RegularityVerdict("inconclusive", None)
+
+    def test_default_judges_the_interior_with_inferred_k(self):
+        p = generate_named("P1", 12)
+        assert is_k_regular(build_contact_graph(p), p) == RegularityVerdict("regular", 4)
 
 
 class TestContainsTriangle:

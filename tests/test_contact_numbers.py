@@ -18,7 +18,8 @@ from sepack import (
     quasi_square_packing,
 )
 from sepack.contact_numbers import _floor_root, enumerate_fixed_polyforms
-from sepack.errors import EnumerationLimitError
+from sepack.errors import EnumerationLimitError, SizeLimitError
+from sepack.generators import POINT_BUDGET
 
 from conftest import brute_force_cd_upper_bound, brute_force_polyforms
 
@@ -153,6 +154,14 @@ class TestBoxPacking:
         for n, d in [(12, 3), (37, 3), (20, 4)]:
             _, packing = box_packing(n, d)
             assert certify_total_separability(packing).status == "WindowCertified"
+
+
+class TestSizeLimit:
+    def test_constructions_refuse_more_cells_than_the_budget(self):
+        with pytest.raises(SizeLimitError):
+            quasi_square_packing(POINT_BUDGET + 1)
+        with pytest.raises(SizeLimitError):
+            box_packing(POINT_BUDGET + 1, 3)
 
 
 class TestFacetIdentity:

@@ -70,8 +70,7 @@ class TestRegularityAndValidity:
         result = diagonal_construction(d, t)
         verdict = interior_regularity_check(result)
         assert verdict.status == "regular"
-        assert verdict.expected_degree == d + 1
-        assert verdict.saturated_count > 0
+        assert verdict.k == d + 1
 
     def test_depth_zero_inconclusive(self):
         verdict = interior_regularity_check(diagonal_construction(3, 0))

@@ -32,6 +32,7 @@ from sepack.errors import (
     UnknownCatalogIdError,
     UnsupportedConstructionError,
 )
+from sepack import core
 from sepack.core import TOL
 from sepack.diagonal import diagonal_construction
 from sepack.generators import POINT_BUDGET, _dedup
@@ -132,6 +133,27 @@ class TestGenerateNamed:
         p = generate_named(name, l)
         check = check_entry_invariants(p, entry)
         assert check.ok, check
+
+    def test_invariant_suite_builds_one_kdtree(self, monkeypatch):
+        p = generate_named("K6", 8)
+        builds = []
+        tree_class = core.cKDTree
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return tree_class(*args, **kwargs)
+
+        monkeypatch.setattr(core, "cKDTree", counting)
+        check = check_entry_invariants(p, load_catalog()["K6"])
+        assert len(builds) == 1
+        assert check.ok
+        assert abs(check.min_distance - min_pairwise_distance(p)) <= 1e-12
+
+    def test_invariant_suite_without_contact(self):
+        p = Packing([[0.0, 0.0], [3.0, 0.0]])
+        check = check_entry_invariants(p, load_catalog()["K6"])
+        assert math.isnan(check.min_distance)
+        assert not check.ok
 
     def test_invariant_suite_rejects_overlap(self):
         # a sphere centred on a contact point of the K6 window overlaps two

@@ -14,6 +14,7 @@ from sepack import (
     encode_packing,
     generate_named,
     generate_triangular,
+    interior_indices,
     load_packing,
     save_packing,
 )
@@ -24,6 +25,7 @@ from sepack.errors import (
     PackingVersionError,
     SepackError,
 )
+from sepack import packio
 from sepack.packio import _BULK, write_report
 
 from conftest import oracle_encode_packing, oracle_write_report
@@ -126,6 +128,40 @@ class TestVerifyReport:
         a.pop("timing_seconds")
         b.pop("timing_seconds")
         assert a == b
+
+    def test_missing_interior_sphere_is_irregular(self):
+        p = generate_named("P1", 8)
+        gone = interior_indices(p)[len(interior_indices(p)) // 2]
+        holed = Packing(np.delete(p.centers, gone, axis=0), p.window, p.radius, p.label)
+        assert build_verify_report(p)["regularity"] == {"status": "regular", "k": 4}
+        assert build_verify_report(holed)["regularity"] == {"status": "irregular", "k": None}
+
+    def test_empty_interior_is_inconclusive(self):
+        report = build_verify_report(generate_named("P1", 2))
+        assert report["regularity"] == {"status": "inconclusive", "k": None}
+
+    def test_one_public_certifier_call_on_the_built_graph(self, monkeypatch):
+        # the benchmark tracer sees the certifier through these two names
+        built, certified = [], []
+        build, certify = packio.build_contact_graph, packio.certify_total_separability
+
+        def build_spy(p):
+            built.append(build(p))
+            return built[-1]
+
+        def certify_spy(*args, **kwargs):
+            certified.append((args, kwargs))
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(packio, "build_contact_graph", build_spy)
+        monkeypatch.setattr(packio, "certify_total_separability", certify_spy)
+        p = generate_named("K6", 8)
+        build_verify_report(p, full_audit=True)
+        assert len(built) == 1
+        assert len(certified) == 1
+        args, kwargs = certified[0]
+        assert args == (p, True)
+        assert kwargs == {"graph": built[0]}
 
 
 def _named(name):

@@ -22,6 +22,7 @@ from sepack import (
     separability_measure,
     tangent_hyperplane,
 )
+from sepack import separability
 from sepack.errors import NotAContactError
 from sepack.separability import NO_EDGES, VIOLATION_FOUND, WINDOW_CERTIFIED
 
@@ -170,6 +171,25 @@ class TestCertifyTotalSeparability:
         for pts in (THREE_TANGENT, MIXED_FOUR):
             report = certify_total_separability(Packing(pts))
             assert (report.sep == 1) == (report.status == WINDOW_CERTIFIED)
+
+    def test_given_graph_is_not_rebuilt(self, monkeypatch):
+        p = generate_triangular(6)
+        expected = certify_total_separability(p, full_audit=True)
+        graph = build_contact_graph(p)
+
+        def no_build(p):
+            raise AssertionError("contact graph rebuilt")
+
+        monkeypatch.setattr(separability, "build_contact_graph", no_build)
+        assert certify_total_separability(p, True, graph=graph) == expected
+
+    def test_measure_does_not_call_the_public_certifier(self, monkeypatch):
+        # so a traced measure records one certifier span, not two
+        def no_call(*args, **kwargs):
+            raise AssertionError("public certifier called")
+
+        monkeypatch.setattr(separability, "certify_total_separability", no_call)
+        assert separability_measure(Packing(MIXED_FOUR)).sep == Fraction(1, 4)
 
 
 class TestSepMeasureSequence:
