@@ -31,12 +31,7 @@ def main():
     print(f"{'n':>4s} {'d':>2s} {'bound':>6s} {'achieved':>9s} {'box':>10s}")
     for n, d in [(8, 3), (12, 3), (27, 3), (30, 3), (16, 4), (81, 4), (100, 4)]:
         omino, _ = box_packing(n, d)
-        sides = "x".join(
-            str(c)
-            for c in (
-                max(cell[i] for cell in omino.cells) + 1 for i in range(d)
-            )
-        )
+        sides = "x".join(map(str, (omino.cells.max(axis=0) + 1).tolist()))
         print(
             f"{n:4d} {d:2d} {cd_upper_bound(n, d):6d} {omino.shared_faces:9d} {sides:>10s}"
         )

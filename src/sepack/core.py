@@ -112,8 +112,8 @@ class Packing:
             )
         if not np.all(np.isfinite(centers)):
             raise MalformedInputError("centers must be finite")
-        if self.radius <= 0:
-            raise MalformedInputError("radius must be positive")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise MalformedInputError(f"radius must be finite and positive, got {self.radius}")
         centers = np.ascontiguousarray(centers[_canonical_order(centers)])
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)

@@ -16,7 +16,9 @@ growth closes up onto that lattice in every dimension (for d = 2 this is
 the truncated square tiling), and spawning back toward a parent merely
 reproduces an existing position and is dropped.  No two cubes ever share
 a vertex ((2 + 2/sqrt(d)) * k = 2 has no integer solution), so the
-sphere count is exactly 2^d per cube.
+sphere count is exactly 2^d per cube.  The construction is this closed
+form: diagonal_construction lists the equal-parity ball directly, and
+the spawning BFS survives only as the test oracle in tests/conftest.py.
 
 The packing is always (d+1)-regular at saturated spheres and free of
 overlaps, but the tangent-plane separability of the family is a plane
@@ -57,6 +59,7 @@ SPHERE_BUDGET = 200_000
 class DiagonalConstruction:
     """Generated packing plus the cube bookkeeping needed for saturation.
 
+    ``cube_lattice`` holds the cubes in lexicographic order, and
     ``saturated`` is the mask of spheres whose diagonal partner cube has
     been spawned.
     """
@@ -87,23 +90,31 @@ def cube_count_exact(d: int, depth: int) -> int:
     return even + odd
 
 
-def is_cube_spawned(position, depth: int) -> bool:
-    """Whether an integer lattice position holds a cube at the given depth:
-    all coordinates of equal parity and L-infinity norm <= depth."""
-    position = [int(c) for c in position]
-    parity = position[0] & 1
-    if any((c & 1) != parity for c in position):
-        return False
-    return max(abs(c) for c in position) <= depth
+def _equal_parity_ball(d: int, t: int) -> np.ndarray:
+    """Integer vectors with all coordinates of one parity and L-infinity
+    norm <= t, in lexicographic order."""
+    box = np.indices((2 * t + 1,) * d).reshape(d, -1).T - t
+    return box[np.all((box - box[:, :1]) % 2 == 0, axis=1)]
+
+
+def _cubes_and_corners(centers: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cube lattice vector k and corner sign s of each centre step * k + s.
+
+    |s_i| = 1 is below step / 2, so k is the nearest lattice vector.
+    """
+    cubes = np.rint(centers / step).astype(np.int64)
+    return cubes, np.rint(centers - step * cubes).astype(np.int64)
 
 
 def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
-    """Run the construction to the given spawning depth.
+    """Build the construction at the given spawning depth from its closed
+    form.
 
     Depth 0 is the single root cube (2^d spheres); depth 1 adds one cube
-    per root vertex (2^d + 4^d spheres in total); each later generation
-    spawns from every vertex of the previous generation's cubes except
-    those whose target position already holds a cube.
+    per root vertex (2^d + 4^d spheres in total).  At depth t the cubes
+    are the equal-parity integer vectors k with ||k||_inf <= t, and the
+    sphere at corner s of cube k is saturated iff ||k + s||_inf <= t,
+    since its diagonal partner is corner -s of cube k + s.
     """
     if d < 2:
         raise UnsupportedDimensionError(f"diagonal construction needs d >= 2, got {d}")
@@ -115,45 +126,17 @@ def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
             f"spheres, over the budget of {SPHERE_BUDGET}"
         )
 
-    signs = np.array(list(itertools.product((-1, 1), repeat=d)), dtype=int)
-    cube_set = {tuple([0] * d)}
-    cubes = [tuple([0] * d)]
-    frontier = [tuple([0] * d)]
-    for _ in range(depth):
-        new_frontier = []
-        for cube in frontier:
-            for s in signs:
-                cand = tuple(int(c) + int(si) for c, si in zip(cube, s))
-                if cand in cube_set:
-                    continue  # parent position or a sibling's duplicate spawn
-                cube_set.add(cand)
-                cubes.append(cand)
-                new_frontier.append(cand)
-        frontier = new_frontier
-
-    lattice = np.array(cubes, dtype=int).reshape(-1, d)
+    lattice = _equal_parity_ball(d, depth)
+    signs = np.array(list(itertools.product((-1, 1), repeat=d)), dtype=np.int64)
     step = 2.0 + 2.0 / math.sqrt(d)
-
     # one sphere per (cube, corner); cubes never share vertices
-    n_cubes = len(lattice)
-    cube_idx = np.repeat(np.arange(n_cubes), len(signs))
-    corner = np.tile(signs, (n_cubes, 1))
-    centers = step * lattice[cube_idx] + corner
-
-    # diagonal partner of (k, s) is vertex (k + s, -s); present iff cube
-    # k + s was spawned
-    partner_cube = lattice[cube_idx] + corner
-    saturated = np.array([tuple(row) in cube_set for row in partner_cube])
-
-    order = np.lexsort(centers.T[::-1])
-    centers = centers[order]
-    saturated = saturated[order]
+    centers = step * np.repeat(lattice, len(signs), axis=0) + np.tile(signs, (len(lattice), 1))
 
     pad = 1.0 + TOL
     window = Window(centers.min(axis=0) - pad, centers.max(axis=0) + pad, 0.0)
     packing = Packing(centers, window, 1.0, f"diagonal d={d} depth={depth}")
-    if not np.array_equal(packing.centers, centers):
-        raise AssertionError("canonical order mismatch in diagonal construction")
+    cubes, corners = _cubes_and_corners(packing.centers, step)
+    saturated = np.abs(cubes + corners).max(axis=1) <= depth
     return DiagonalConstruction(d, depth, packing, lattice, saturated)
 
 
@@ -194,27 +177,15 @@ def profile_complete_indices(result: DiagonalConstruction, radius: float) -> np.
     integer position; at depth t exactly those within L-infinity norm t
     exist.  A sphere is radius-complete when every same-parity position
     close enough to contribute a sphere within ``radius`` (centroid
-    within radius + sqrt(d)) is already spawned.
+    within radius + sqrt(d)) is already spawned.  The sphere at corner s
+    of cube k sees cube k + o at distance ||step * o - s||, and o is a
+    same-parity offset because k + o must be one.
     """
-    d = result.dimension
     step = result.step
-    reach = radius + math.sqrt(d)
-    sat = result.saturated_indices()
-    keep = []
-    for idx in sat:
-        x = result.packing.centers[idx]
-        lo = np.floor((x - reach) / step).astype(int)
-        hi = np.ceil((x + reach) / step).astype(int)
-        complete = True
-        for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            parity = m[0] & 1
-            if any((c & 1) != parity for c in m):
-                continue  # never a cube position
-            if np.linalg.norm(step * np.array(m) - x) > reach:
-                continue
-            if max(abs(c) for c in m) > result.depth:
-                complete = False
-                break
-        if complete:
-            keep.append(idx)
-    return np.array(keep, dtype=int)
+    reach = radius + math.sqrt(result.dimension)
+    cubes, corners = _cubes_and_corners(result.packing.centers, step)
+    complete = result.saturated.copy()
+    for offset in _equal_parity_ball(result.dimension, int((reach + 1.0) // step)):
+        near = np.linalg.norm(step * offset - corners, axis=1) <= reach
+        complete &= ~near | (np.abs(cubes + offset).max(axis=1) <= result.depth)
+    return np.flatnonzero(complete)

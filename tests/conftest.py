@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from sepack import Packing
-from sepack.contact_numbers import _add, _unit_steps
 from sepack.packio import FORMAT_VERSION
 
 
@@ -117,6 +116,41 @@ def brute_force_first_triangle(n, edges):
     return None
 
 
+def unit_steps(d):
+    """The 2d unit steps +e_1, -e_1, +e_2, -e_2, ... as tuples."""
+    return [tuple(sign * (i == axis) for i in range(d)) for axis in range(d) for sign in (1, -1)]
+
+
+def add_cells(cell, step):
+    return tuple(a + b for a, b in zip(cell, step))
+
+
+def brute_force_shared_faces(cells, d):
+    """Cells of a set of d-tuples whose cell + e_i is also a cell, summed
+    over the axes, by set lookup."""
+    cells = set(cells)
+    count = 0
+    for cell in cells:
+        for axis in range(d):
+            up = list(cell)
+            up[axis] += 1
+            if tuple(up) in cells:
+                count += 1
+    return count
+
+
+def brute_force_perimeter(cells, d):
+    """Free facets of a set of d-tuples: cell + step not a cell, over all
+    cells and the 2d unit steps."""
+    cells = set(cells)
+    count = 0
+    for cell in cells:
+        for step in unit_steps(d):
+            if add_cells(cell, step) not in cells:
+                count += 1
+    return count
+
+
 def brute_force_polyforms(n, d=2):
     """All fixed (translation-distinct) polyominoes/polycubes of n cells.
 
@@ -131,12 +165,12 @@ def brute_force_polyforms(n, d=2):
         for shape, shared in shapes.items():
             cellset = set(shape)
             for cell in shape:
-                for step in _unit_steps(d):
-                    new = _add(cell, step)
+                for step in unit_steps(d):
+                    new = add_cells(cell, step)
                     if new in cellset:
                         continue
                     gained = sum(
-                        1 for s in _unit_steps(d) if _add(new, s) in cellset
+                        1 for s in unit_steps(d) if add_cells(new, s) in cellset
                     )
                     cells = list(shape) + [new]
                     mins = [min(c[i] for c in cells) for i in range(d)]
@@ -157,6 +191,68 @@ def brute_force_cd_upper_bound(n, d):
     while t**d < power:
         t += 1
     return d * n - t
+
+
+def spawned_diagonal_cubes(d, depth):
+    """Cubes of the diagonal construction by spawning, {cube: generation}
+    in spawning order.
+
+    Generation 0 is the root cube 0; every vertex s of a cube k of the
+    last generation spawns the cube k + s unless that position already
+    holds a cube.  The cubes of the construction at depth t are those of
+    generation <= t.
+    """
+    signs = list(itertools.product((-1, 1), repeat=d))
+    cubes = {tuple([0] * d): 0}
+    frontier = list(cubes)
+    for generation in range(1, depth + 1):
+        new_frontier = []
+        for cube in frontier:
+            for s in signs:
+                cand = tuple(c + si for c, si in zip(cube, s))
+                if cand in cubes:
+                    continue  # parent position or a sibling's duplicate spawn
+                cubes[cand] = generation
+                new_frontier.append(cand)
+        frontier = new_frontier
+    return cubes
+
+
+def is_cube_spawned(position, depth: int) -> bool:
+    """Whether an integer lattice position holds a cube at the given depth:
+    all coordinates of equal parity and L-infinity norm <= depth."""
+    position = [int(c) for c in position]
+    parity = position[0] & 1
+    if any((c & 1) != parity for c in position):
+        return False
+    return max(abs(c) for c in position) <= depth
+
+
+def brute_force_profile_complete(result, radius):
+    """Saturated spheres of a diagonal construction whose radius-ball is
+    fully generated, by scanning every lattice position in the box around
+    each sphere."""
+    d = result.dimension
+    step = result.step
+    reach = radius + math.sqrt(d)
+    keep = []
+    for idx in result.saturated_indices():
+        x = result.packing.centers[idx]
+        lo = np.floor((x - reach) / step).astype(int)
+        hi = np.ceil((x + reach) / step).astype(int)
+        complete = True
+        for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            parity = m[0] & 1
+            if any((c & 1) != parity for c in m):
+                continue  # never a cube position
+            if np.linalg.norm(step * np.array(m) - x) > reach:
+                continue
+            if not is_cube_spawned(m, result.depth):
+                complete = False
+                break
+        if complete:
+            keep.append(idx)
+    return np.array(keep, dtype=int)
 
 
 def diagonal_plane_clearance(d):

@@ -72,6 +72,17 @@ class TestGenVerifyPipeline:
         assert "budget" in capsys.readouterr().err
         assert not pack.exists()
 
+    @pytest.mark.parametrize("radius", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_radius_exits_2_without_report(self, tmp_path, capsys, radius):
+        pack = tmp_path / "p.json"
+        rep = tmp_path / "r.json"
+        assert run("gen", "--name", "P1", "--window", "4", "--out", str(pack)) == 0
+        pack.write_text(pack.read_text().replace('"radius": 1.0', f'"radius": {radius}'))
+        assert run("verify", str(pack), "--report", str(rep)) == 2
+        assert run("measure", str(pack)) == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not rep.exists()
+
 
 class TestOtherCommands:
     def test_measure(self, tmp_path, capsys):

@@ -21,7 +21,12 @@ from sepack.contact_numbers import _floor_root, enumerate_fixed_polyforms
 from sepack.errors import EnumerationLimitError, SizeLimitError
 from sepack.generators import POINT_BUDGET
 
-from conftest import brute_force_cd_upper_bound, brute_force_polyforms
+from conftest import (
+    brute_force_cd_upper_bound,
+    brute_force_perimeter,
+    brute_force_polyforms,
+    brute_force_shared_faces,
+)
 
 # fixed polyominoes (OEIS A001168) and fixed polycubes (A001931), n = 1, 2, ...
 A001168 = [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
@@ -183,6 +188,52 @@ class TestFacetIdentity:
         for omino in ominoes:
             d, n = omino.dimension, omino.area
             assert 2 * d * n == omino.perimeter + 2 * omino.shared_faces
+
+
+class TestFacetCountsMatchSetLookup:
+    @staticmethod
+    def check(omino, cells):
+        d = omino.dimension
+        assert omino.cells.dtype == np.int64
+        assert omino.cells.tolist() == sorted(map(list, cells))
+        assert omino.area == len(cells)
+        assert omino.shared_faces == brute_force_shared_faces(cells, d)
+        assert omino.perimeter == brute_force_perimeter(cells, d)
+
+    def test_quasi_squares(self):
+        for n in range(1, 121):
+            omino, _ = quasi_square_packing(n)
+            self.check(omino, set(map(tuple, omino.cells.tolist())))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_boxes(self, d):
+        for n in range(1, 101):
+            omino, _ = box_packing(n, d)
+            cells = set(map(tuple, omino.cells.tolist()))
+            # the first n cells of the box in lexicographic order
+            sides = choose_box(n, d).sides
+            assert omino.cells.tolist() == [list(np.unravel_index(i, sides)) for i in range(n)]
+            self.check(omino, cells)
+
+    def test_random_blobs(self, rng):
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            # scattered cells with repeats, negative coordinates and gaps
+            rows = rng.integers(-4, 4, size=(int(rng.integers(1, 60)), d))
+            cells = set(map(tuple, rows.tolist()))
+            self.check(Polyomino(d, rows), cells)
+            self.check(Polyomino(d, frozenset(cells)), cells)
+
+    def test_empty_and_single_cell(self):
+        for d in (2, 3, 5):
+            for cells in (set(), {tuple(range(-1, d - 1))}):
+                self.check(Polyomino(d, frozenset(cells)), cells)
+        assert Polyomino(3, frozenset()).shared_faces == 0
+        assert Polyomino(3, frozenset({(5, -2, 7)})).perimeter == 6
+
+    def test_rejects_wrong_arity(self):
+        with pytest.raises(ValueError):
+            Polyomino(3, frozenset({(0, 0)}))
 
 
 class TestPolyominoOracle:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,13 +17,16 @@ from sepack import (
     profile_complete_indices,
     separability_measure,
 )
-from sepack.diagonal import SPHERE_BUDGET, cube_count_exact, is_cube_spawned
+from sepack.diagonal import SPHERE_BUDGET, cube_count_exact
 from sepack.errors import SizeLimitError, UnsupportedDimensionError
 
 from conftest import (
+    brute_force_profile_complete,
     deepest_witness_clearance,
     diagonal_plane_clearance,
+    is_cube_spawned,
     random_rotation,
+    spawned_diagonal_cubes,
     traced_peak,
     transformed,
 )
@@ -62,6 +66,49 @@ class TestGrowth:
     def test_rejects_d1(self):
         with pytest.raises(UnsupportedDimensionError):
             diagonal_construction(1, 1)
+
+
+class TestClosedFormMatchesSpawning:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_cubes_and_saturation_at_every_depth(self, d):
+        top = 0
+        while cube_count_exact(d, top + 1) * 2**d <= SPHERE_BUDGET:
+            top += 1
+        # spawn once to the deepest depth under the budget: the cubes at
+        # depth t are those of generation <= t, and a sphere is saturated
+        # at depth t when its partner cube's generation is <= t
+        spawned = spawned_diagonal_cubes(d, top)
+        cubes = np.array(list(spawned), dtype=np.int64)
+        generation = np.array(list(spawned.values()))
+        signs = np.array(list(itertools.product((-1, 1), repeat=d)))
+        sphere_cube = np.repeat(cubes, len(signs), axis=0)
+        corner = np.tile(signs, (len(cubes), 1))
+        sphere_generation = np.repeat(generation, len(signs))
+        partner_generation = np.array(
+            [spawned.get(tuple(k), top + 1) for k in (sphere_cube + corner).tolist()]
+        )
+        centers = (2.0 + 2.0 / math.sqrt(d)) * sphere_cube + corner
+        # filtering keeps lexicographic order, so sort once at the top depth
+        by_cube = np.lexsort(cubes.T[::-1])
+        by_center = np.lexsort(centers.T[::-1])
+        for t in range(top + 1):
+            result = diagonal_construction(d, t)
+            np.testing.assert_array_equal(
+                result.cube_lattice, cubes[by_cube[generation[by_cube] <= t]]
+            )
+            spheres = by_center[sphere_generation[by_center] <= t]
+            np.testing.assert_array_equal(result.packing.centers, centers[spheres])
+            np.testing.assert_array_equal(result.saturated, partner_generation[spheres] <= t)
+
+    @pytest.mark.parametrize("d,depths", [(2, (2, 4, 8)), (3, (2, 3)), (4, (2,))])
+    def test_profile_complete_indices_match_scan(self, d, depths):
+        for t in depths:
+            result = diagonal_construction(d, t)
+            for radius in (2.0, 4.0, 6.0, 8.0):
+                np.testing.assert_array_equal(
+                    profile_complete_indices(result, radius),
+                    brute_force_profile_complete(result, radius),
+                )
 
 
 class TestRegularityAndValidity:

@@ -21,6 +21,7 @@ from sepack import (
 from sepack.diagonal import diagonal_construction
 from sepack.errors import (
     InconsistentVerdictError,
+    MalformedInputError,
     PackingParseError,
     PackingVersionError,
     SepackError,
@@ -75,6 +76,15 @@ class TestDecodeErrors:
         del doc["window"]
         with pytest.raises(PackingParseError):
             decode_packing(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("radius", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_radius(self, radius):
+        # json.loads reads all three, as nan, inf and inf
+        data = encode_packing(generate_named("P1", 4)).replace(
+            b'"radius": 1.0', b'"radius": ' + radius.encode()
+        )
+        with pytest.raises(MalformedInputError, match="finite and positive"):
+            decode_packing(data)
 
     def test_hand_written_fixture(self):
         doc = {
