@@ -13,12 +13,13 @@ does not settle whether this recipe is the paper's family for d >= 3.
 """
 
 from sepack import (
+    build_contact_graph,
     certify_total_separability,
     diagonal_construction,
     generate_named,
     interior_regularity_check,
     local_fingerprint,
-    min_pairwise_distance,
+    min_contact_distance,
     profile_complete_indices,
     separability_measure,
 )
@@ -28,12 +29,14 @@ def main():
     print("growth and regularity:")
     for d, depth in [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1)]:
         result = diagonal_construction(d, depth)
-        verdict = interior_regularity_check(result)
-        report = separability_measure(result.packing)
+        # one contact graph serves the degree check, the closest pair and sep
+        graph = build_contact_graph(result.packing)
+        verdict = interior_regularity_check(result, graph)
+        report = certify_total_separability(result.packing, graph=graph)
         print(
             f"  d={d} depth={depth}: {result.n_cubes:3d} cubes, "
             f"{result.packing.n_spheres:5d} spheres, min distance "
-            f"{min_pairwise_distance(result.packing):.9f}, saturated degree "
+            f"{min_contact_distance(graph, result.packing):.9f}, saturated degree "
             f"{verdict.k} ({verdict.status}), sep = {report.sep}"
         )
 

@@ -15,6 +15,7 @@ from .contact import (
     contact_count,
     contains_triangle,
     is_k_regular,
+    min_contact_distance,
 )
 from .contact_numbers import (
     BoxSpec,
@@ -114,6 +115,7 @@ __all__ = [
     "load_catalog",
     "load_packing",
     "local_fingerprint",
+    "min_contact_distance",
     "min_pairwise_distance",
     "orbit_generate",
     "plane_hits_interior",

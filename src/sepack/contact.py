@@ -55,6 +55,17 @@ def build_contact_graph(p: Packing) -> ContactGraph:
     return ContactGraph(p.n_spheres, pairs[dists >= r - TOL])
 
 
+def min_contact_distance(g: ContactGraph, p: Packing) -> float:
+    """Least center distance over the contact edges, NaN without one.
+
+    build_contact_graph rejects overlapping pairs, so whenever p has a
+    contact this is its minimum pairwise distance, read from the pairs the
+    graph already holds.
+    """
+    lengths = np.linalg.norm(np.subtract(*p.centers[g.edges.T]), axis=1)
+    return float(lengths.min()) if len(lengths) else float("nan")
+
+
 def contact_count(g: ContactGraph) -> int:
     """Number of edges of the contact graph, C(P_n)."""
     return g.edge_count

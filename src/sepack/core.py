@@ -77,12 +77,22 @@ class Window:
         )
 
 
-def _canonical_order(centers: np.ndarray) -> np.ndarray:
-    # lexicographic by first coordinate, then second, ...; np.lexsort uses
-    # its last key as the primary one.
-    if len(centers) == 0:
-        return np.arange(0)
-    return np.lexsort(centers.T[::-1])
+def lex_less(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where x sorts strictly before y, comparing along the last axis first
+    coordinate first: the row order of np.lexsort(keys[::-1]) and np.unique."""
+    less = np.zeros(x.shape[:-1], dtype=bool)
+    for k in reversed(range(x.shape[-1])):
+        less = (x[..., k] < y[..., k]) | ((x[..., k] == y[..., k]) & less)
+    return less
+
+
+def _canonical(centers: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of centers in lexicographic order: by first
+    coordinate, then second, ...  Rows already in order (generated windows
+    are) skip the sort; the sort is stable, so the copy is the same."""
+    if np.any(lex_less(centers[1:], centers[:-1])):
+        return centers[np.lexsort(centers.T[::-1])]
+    return np.array(centers, order="C")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +124,7 @@ class Packing:
             raise MalformedInputError("centers must be finite")
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise MalformedInputError(f"radius must be finite and positive, got {self.radius}")
-        centers = np.ascontiguousarray(centers[_canonical_order(centers)])
+        centers = _canonical(centers)
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         if self.window is None:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import RegularityVerdict, build_contact_graph, is_k_regular
+from .contact import ContactGraph, RegularityVerdict, build_contact_graph, is_k_regular
 from .core import TOL, Packing, Window, interior_indices
 from .errors import SizeLimitError, UnsupportedDimensionError
 
@@ -140,13 +140,16 @@ def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
     return DiagonalConstruction(d, depth, packing, lattice, saturated)
 
 
-def interior_regularity_check(result: DiagonalConstruction) -> RegularityVerdict:
+def interior_regularity_check(
+    result: DiagonalConstruction, graph: ContactGraph | None = None
+) -> RegularityVerdict:
     """Every saturated sphere must touch exactly d+1 others.
 
     Saturation replaces window margins here because finite depths leave a
-    ragged frontier rather than a box-shaped boundary.
+    ragged frontier rather than a box-shaped boundary.  ``graph``, when
+    given, must be the contact graph of ``result.packing``.
     """
-    graph = build_contact_graph(result.packing)
+    graph = build_contact_graph(result.packing) if graph is None else graph
     return is_k_regular(graph, result.packing, result.dimension + 1, result.saturated_indices())
 
 

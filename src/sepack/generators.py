@@ -11,10 +11,13 @@ Two construction routes cover the whole catalog:
   apeirogon, whose contact graph is the graph Cartesian product of the
   factors.
 
-An orbit spec is generated in one pass: raw coordinates on the window
-padded by one lattice period, deduplicated, scaled so the closest pair
-sits at distance exactly 2, and cropped to the requested window, so no
-boundary motif point is ever missed.
+An orbit spec is generated in proportion to its window: only the
+lattice cells whose bounding ball meets the window are tiled, and their
+points near it are deduplicated, scaled so the closest pair sits at
+distance exactly 2, and cropped.  The scale is the closest pair of the
+window padded by one lattice period, to the last bit; a sweep of the
+contact pair types over that padded window's cells finds it without
+building the padded window's points.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .catalog import CATALOG_ONLY, CatalogEntry, load_catalog
-from .core import TOL, Packing, Window, min_pairwise_distance
+from .core import TOL, Packing, Window, lex_less, min_pairwise_distance
 from .errors import (
     MalformedInputError,
     NormalizationRequiredError,
@@ -44,19 +47,30 @@ SQRT3 = math.sqrt(3.0)
 # inseparable packing (every contact's tangent line meets a third circle)
 TRIANGULAR_ID = "TRI"
 
-# Most raw points an orbit window may tile before its crop, and most
-# spheres a product may hold.  Checked before anything that size is
-# allocated; O103 at L = 9 tiles 921,984 raw points and P1 at L = 1000
-# tiles 1,010,025.
+# Most raw points the padded window of an orbit spec may span (its lattice
+# cells times the points per cell), and most spheres a product may hold.
+# Checked before anything that size is allocated.  The contact sweep
+# visits every cell of the padded window, _SWEEP_CHUNK floats at a time;
+# only the cells that meet the window are tiled.  O103 at L = 9 spans
+# 921,984 raw points and deduplicates 1,536; P1 at L = 1000 spans 1,010,025.
 POINT_BUDGET = 2_000_000
+
+# most floats one step of the contact sweep holds in one array
+_SWEEP_CHUNK = 1 << 17
 
 
 def _dedup(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Merge points closer than TOL / 2, each connected chain of such near
-    pairs keeping its lowest point; return them and their closest distance."""
-    points = np.unique(points, axis=0)  # bit-identical duplicates first
+    pairs keeping its lowest point; return them, in lexicographic order,
+    and their closest distance."""
+    # equal rows first, as np.unique(axis=0) would but with a lexsort,
+    # ten times faster than its structured-row sort
+    points = points[np.lexsort(points.T[::-1])]
+    distinct = np.ones(len(points), dtype=bool)
+    distinct[1:] = np.any(points[1:] != points[:-1], axis=1)
+    points = points[distinct]
     tree = cKDTree(points)
-    closest = float(tree.query(points, k=2)[0][:, 1].min())
+    closest = float(tree.query(points, k=2)[0][:, 1].min(initial=np.inf))
     if closest > TOL / 2:
         return points, closest
     pairs = tree.query_pairs(r=TOL / 2, output_type="ndarray")
@@ -72,7 +86,9 @@ def _dedup(points: np.ndarray) -> tuple[np.ndarray, float]:
 def _lattice_translates(
     basis: np.ndarray, lo: np.ndarray, hi: np.ndarray, points_per_translate: int
 ) -> np.ndarray:
-    """Integer lattice combinations covering the box [lo, hi].
+    """Integer lattice combinations covering the box [lo, hi], as a grid:
+    entry [i_1, ..., i_d] is the translate of the i_k-th coefficient on
+    each axis k, so a fixed coefficient offset is a fixed index shift.
 
     The number of raw points, points_per_translate per translate, is
     counted in floats first and raises SizeLimitError over POINT_BUDGET.
@@ -89,7 +105,15 @@ def _lattice_translates(
     ranges = [np.arange(a, b + 1) for a, b in zip(n0.astype(int), n1.astype(int))]
     grids = np.meshgrid(*ranges, indexing="ij")
     coeffs = np.stack([g.ravel() for g in grids], axis=1)
-    return coeffs @ basis
+    return (coeffs @ basis).reshape(grids[0].shape + (len(basis),))
+
+
+def _slabs(dims: tuple, delta) -> tuple:
+    """Index slices of the grid cells idx and idx + delta, over every idx
+    for which both lie in a grid of shape dims."""
+    here = tuple(slice(min(n, max(0, -k)), max(0, n - max(0, k))) for k, n in zip(delta, dims))
+    there = tuple(slice(min(n, max(0, k)), max(0, n - max(0, -k))) for k, n in zip(delta, dims))
+    return here, there
 
 
 # ---------------------------------------------------------------------------
@@ -143,34 +167,210 @@ class OrbitSpec:
         return np.unique(np.vstack([signed_permutation_orbit(s) for s in self.seeds]), axis=0)
 
 
+def _cell_points(centering: np.ndarray, motif: np.ndarray):
+    """at(translates, kinds): coordinates (t + c) + m of the cell points
+    ``kinds`` at every translate t, shape translates.shape[:-1] +
+    (len(kinds), d).  Cell point p is centering offset p // len(motif) plus
+    motif point p % len(motif).  Every raw coordinate of an orbit window is
+    computed here, so the same point always has the same bits."""
+    every = np.arange(len(centering) * len(motif))
+
+    def at(translates: np.ndarray, kinds=every) -> np.ndarray:
+        offset, point = np.divmod(np.asarray(kinds), len(motif))
+        return (translates[..., None, :] + centering[offset]) + motif[point]
+
+    return at
+
+
+def _pair_types(at, lattice: np.ndarray, dims: tuple, contact: float) -> tuple:
+    """The near-duplicate pair types (within TOL / 2), listed both ways, and
+    the other pair types within the contact distance, listed one way.
+
+    A pair type is a row (a, b, delta): cell point a of one cell and cell
+    point b of the cell delta coefficients away; (b, a, -delta) is the
+    same type read the other way.  Every offset that a grid of shape dims
+    holds and that can bring two cell points within reach is looked at.
+    """
+    d = len(lattice)
+    own = at(np.zeros(d))
+    kinds = np.arange(len(own))
+    radii = (TOL / 2, contact * (1 + TOL))
+    span = 2 * np.linalg.norm(own, axis=1).max() + radii[1]
+    limit = np.minimum(span * np.linalg.norm(np.linalg.inv(lattice), axis=0), np.subtract(dims, 1))
+    axes = np.meshgrid(*[np.arange(-n, n + 1) for n in limit.astype(int)], indexing="ij")
+    offsets = np.stack([g.ravel() for g in axes], axis=1)
+    offsets = offsets[np.linalg.norm(offsets @ lattice, axis=1) <= span]
+    tree = cKDTree(at(offsets @ lattice).reshape(-1, d))
+    found = []
+    for r in radii:
+        hits = tree.query_ball_point(own, r)
+        j = np.concatenate(hits).astype(int)
+        rows = np.column_stack(
+            [np.repeat(kinds, [len(h) for h in hits]), j % len(kinds), offsets[j // len(kinds)]]
+        )
+        itself = (rows[:, 0] == rows[:, 1]) & ~rows[:, 2:].any(axis=1)
+        found.append(np.unique(rows[~itself], axis=0))
+    near, within = found
+    flipped = np.column_stack([within[:, 1], within[:, 0], -within[:, 2:]])
+    skip = set(map(tuple, near.tolist()))
+    one_way = lex_less(within, flipped) & [row not in skip for row in map(tuple, within.tolist())]
+    return near, within[one_way]
+
+
+def _component(kind: int, partners: dict, dims: tuple) -> tuple[list, list]:
+    """The near-duplicate chain component of cell point kind in cell 0:
+    its members (cell offset, cell point), kind itself first, and the
+    edges (u, v) between them, leaving out offsets no grid of shape dims
+    holds.  partners maps a cell point to its (cell point, offset) near
+    partners."""
+    own = ((0,) * len(dims), kind)
+    members, edges = [own], []
+    index = {own: 0}
+    for u, (offset, point) in enumerate(members):  # grows as it is read
+        for other, delta in partners[point]:
+            shifted = (tuple(x + y for x, y in zip(offset, delta)), other)
+            if any(abs(x) >= n for x, n in zip(shifted[0], dims)):
+                continue
+            if shifted not in index:
+                index[shifted] = len(members)
+                members.append(shifted)
+            edges.append((u, index[shifted]))
+    return members, edges
+
+
+def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> tuple[np.ndarray, int]:
+    """The raw points _dedup keeps, as a mask over (grid cell, cell point),
+    and the size of the largest near-duplicate component.
+
+    A raw point survives when it lies in the box [low, high] and no lower
+    point (lexicographic, ties to the lower (offset, cell point) label, as
+    one bit-identical copy stands for all) is reached from it by a chain of
+    near pairs inside the box; near holds the near pair types both ways.
+    """
+    dims, d = grid.shape[:-1], grid.shape[-1]
+    flat = grid.reshape(-1, d)
+    kinds = len(at(np.zeros(d)))
+    inside = np.empty((len(flat), kinds), dtype=bool)
+    step = max(1, _SWEEP_CHUNK // (kinds * d))
+    for first in range(0, len(flat), step):
+        x = at(flat[first : first + step])
+        inside[first : first + step] = np.all((x >= low) & (x <= high), axis=-1)
+    inside = inside.reshape(dims + (kinds,))
+    alive = inside.copy()
+    partners = {}
+    for a, b, *delta in near.tolist():
+        partners.setdefault(a, []).append((b, tuple(delta)))
+    largest = 1
+    for kind in partners:
+        members, edges = _component(kind, partners, dims)
+        largest = max(largest, len(members))
+        coords, present = [], []
+        for offset, point in members:
+            here, there = _slabs(dims, offset)
+            x = np.zeros(dims + (d,))
+            x[here] = at(grid[there], [point])[..., 0, :]
+            on = np.zeros(dims, dtype=bool)
+            on[here] = inside[there + (point,)]
+            coords.append(x)
+            present.append(on)
+        reached = [present[0]] + [np.zeros(dims, dtype=bool)] * (len(members) - 1)
+        for _ in members:
+            for u, v in edges:
+                reached[v] = reached[v] | (reached[u] & present[v])
+        for i, member in enumerate(members[1:], 1):
+            lower = lex_less(coords[i], coords[0])
+            if member < members[0]:
+                lower |= np.all(coords[i] == coords[0], axis=-1)
+            alive[..., kind] &= ~(reached[i] & lower)
+    return alive, largest
+
+
+def _contact_sweep(grid: np.ndarray, at, alive: np.ndarray, types: np.ndarray) -> float:
+    """Least distance of the pair types over every grid cell where both
+    ends are alive, in the float arithmetic of cKDTree's Euclidean kernel:
+    squared differences summed coordinate by coordinate, then sqrt.  Each
+    step holds about _SWEEP_CHUNK floats per array."""
+    dims, d = grid.shape[:-1], grid.shape[-1]
+    least = np.inf
+    for delta in np.unique(types[:, 2:], axis=0):
+        ends = types[np.all(types[:, 2:] == delta, axis=1), :2]
+        here, there = _slabs(dims, delta)
+        grid_a, grid_b, alive_a, alive_b = grid[here], grid[there], alive[here], alive[there]
+        rows = max(1, _SWEEP_CHUNK // (math.prod(grid_a.shape[1:-1]) * d))
+        for first in range(0, len(grid_a), rows):
+            block = slice(first, first + rows)
+            t_a, t_b = grid_a[block].reshape(-1, d), grid_b[block].reshape(-1, d)
+            on_a = alive_a[block].reshape(len(t_a), -1)
+            on_b = alive_b[block].reshape(len(t_b), -1)
+            step = max(1, _SWEEP_CHUNK // (len(t_a) * d))
+            for start in range(0, len(ends), step):
+                a, b = ends[start : start + step].T
+                diff = at(t_a, a) - at(t_b, b)
+                diff *= diff
+                squares = diff[..., 0].copy()
+                for k in range(1, d):
+                    squares += diff[..., k]
+                both = on_a[:, a] & on_b[:, b]
+                least = min(least, float(squares.min(where=both, initial=np.inf)))
+    return float(np.sqrt(least))  # sqrt is monotone: the root of the least square
+
+
+def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -> tuple:
+    """The scale of an orbit window and its raw points before the dedup:
+    those of the cells whose bounding ball meets the window, within reach
+    of it of every near-duplicate chain of a point inside it.
+
+    The scale is 2 over the closest pair of the deduplicated raw points of
+    the lattice cells covering the window padded by one lattice period (at
+    the probe's scale), inside the box padded once more.  Those points are
+    never built: the pair types within the probe's contact distance are
+    evaluated at every grid cell where both ends survive the dedup.
+    """
+    d = len(lattice)
+    own = at(np.zeros(d))
+    probe_scale = 2.0 / contact
+    pad = float(np.linalg.norm(lattice, axis=1).max())
+    lo = window.lower / probe_scale - pad
+    hi = window.upper / probe_scale + pad
+    grid = _lattice_translates(lattice, lo, hi, len(own))
+    near, contacts = _pair_types(at, lattice, grid.shape[:-1], contact)
+    alive, largest = _survivors(grid, at, lo - pad, hi + pad, near)
+    scale = 2.0 / _contact_sweep(grid, at, alive, contacts)
+
+    flat = grid.reshape(-1, d)
+    low, high = (window.lower - TOL) / scale, (window.upper + TOL) / scale
+    slack = TOL * (largest + np.abs([low, high]).max())
+    gap = np.zeros(len(flat))
+    for k in range(d):
+        gap += np.maximum(0.0, np.maximum(low[k] - flat[:, k], flat[:, k] - high[k])) ** 2
+    reach = np.linalg.norm(own, axis=1).max() + slack
+    raw = at(flat[gap <= reach**2]).reshape(-1, d)
+    return scale, raw[np.all((raw >= low - slack) & (raw <= high + slack), axis=1)]
+
+
 def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     """Generate {g . seed + c + t} over the window, normalized to contact 2.
 
-    The caller is responsible for validating regularity/separability of
-    the result.  Raises SizeLimitError when the padded window holds more
-    than POINT_BUDGET raw points.
-    """
-    lattice, centering, motif = spec.lattice, spec.centering, spec.motif()
-    d = spec.dimension
+    The probe (the cells within one lattice step of the origin) sizes a
+    padded window, and a sweep of the pair types at the probe's contact
+    distance over that window's lattice cells gives the scale, to the
+    last bit of the closest pair among its deduplicated points (see
+    _scale_and_window).  Then only the cells whose bounding ball meets the
+    window are tiled; their points within reach of it are deduplicated,
+    scaled and cropped.
 
-    def points_at(translates):
-        return (
-            translates[:, None, None, :] + centering[None, :, None, :] + motif[None, None, :, :]
-        ).reshape(-1, d)
+    The caller is responsible for validating regularity/separability of
+    the result.  Raises SizeLimitError when the padded window's cells hold
+    more than POINT_BUDGET raw points.
+    """
+    lattice = spec.lattice
+    d = spec.dimension
+    at = _cell_points(spec.centering, spec.motif())
 
     # the raw contact distance of one cell plus its neighbors sizes the window
-    probe = points_at(np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice)
-    scale = 2.0 / _dedup(probe)[1]
-
-    pad = float(np.linalg.norm(lattice, axis=1).max())
-    lo = window.lower / scale - pad
-    hi = window.upper / scale + pad
-    points = points_at(_lattice_translates(lattice, lo, hi, len(centering) * len(motif)))
-    inside = np.all((points >= lo - pad) & (points <= hi + pad), axis=1)
-    points, closest = _dedup(points[inside])
-
-    # the scale of the final window comes from all its raw points, not the probe
-    centers = points * (2.0 / closest)
+    probe = at(np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice).reshape(-1, d)
+    scale, raw = _scale_and_window(lattice, at, window, _dedup(probe)[1])
+    centers = _dedup(raw)[0] * scale
     return Packing(centers[window.contains(centers)], window, 1.0, label)
 
 
@@ -327,15 +527,14 @@ def check_entry_invariants(p: Packing, entry: CatalogEntry) -> EntryCheck:
     one), triangle-free, window-certified separable, interior degree equal
     to the catalog regularity.  An overlapping window raises
     InvalidPackingError from the contact-graph build."""
-    from .contact import build_contact_graph, contains_triangle, is_k_regular
+    from .contact import build_contact_graph, contains_triangle, is_k_regular, min_contact_distance
     from .separability import certify_total_separability
 
     graph = build_contact_graph(p)
-    lengths = np.linalg.norm(np.subtract(*p.centers[graph.edges.T]), axis=1)
     return EntryCheck(
         entry_id=entry.id,
         n_spheres=p.n_spheres,
-        min_distance=float(lengths.min()) if len(lengths) else float("nan"),
+        min_distance=min_contact_distance(graph, p),
         triangle=contains_triangle(graph),
         separability_status=certify_total_separability(p, graph=graph).status,
         regularity_status=is_k_regular(graph, p, entry.regularity).status,

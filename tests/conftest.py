@@ -12,8 +12,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from sepack import Packing
+from sepack.core import TOL
+from sepack.errors import SizeLimitError
+from sepack.generators import POINT_BUDGET
 from sepack.packio import FORMAT_VERSION
 
 
@@ -76,6 +82,67 @@ def brute_force_witnesses(centers, full_audit, radius=1.0, tol=1e-9):
             clean += 1
         witnesses.extend(((i, j), s) for s in offenders[: None if full_audit else 1])
     return clean, witnesses
+
+
+def oracle_dedup(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Merge points closer than TOL / 2, each connected chain of such near
+    pairs keeping its lowest point; return them and their closest distance."""
+    points = np.unique(points, axis=0)  # bit-identical duplicates first
+    tree = cKDTree(points)
+    closest = float(tree.query(points, k=2)[0][:, 1].min())
+    if closest > TOL / 2:
+        return points, closest
+    pairs = tree.query_pairs(r=TOL / 2, output_type="ndarray")
+    if len(pairs) == 0:  # a distance within one rounding of TOL / 2 compares differently here
+        return points, closest
+    n = len(points)
+    near = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, labels = connected_components(near, directed=False)
+    _, lowest = np.unique(labels, return_index=True)
+    return oracle_dedup(points[np.sort(lowest)])
+
+
+def oracle_lattice_translates(basis, lo, hi, points_per_translate):
+    """Integer lattice combinations covering the box [lo, hi], one row each."""
+    corners = np.array(list(itertools.product(*zip(lo, hi))))
+    frac = corners @ np.linalg.inv(basis)
+    n0 = np.floor(frac.min(axis=0)) - 1
+    n1 = np.ceil(frac.max(axis=0)) + 1
+    count = math.prod(float(n) for n in n1 - n0 + 1) * points_per_translate
+    if not count <= POINT_BUDGET:
+        raise SizeLimitError(
+            f"the window needs {count:.3g} raw points, over the budget of {POINT_BUDGET}"
+        )
+    ranges = [np.arange(a, b + 1) for a, b in zip(n0.astype(int), n1.astype(int))]
+    grids = np.meshgrid(*ranges, indexing="ij")
+    coeffs = np.stack([g.ravel() for g in grids], axis=1)
+    return coeffs @ basis
+
+
+def oracle_orbit_generate(spec, window, label=""):
+    """An orbit window the direct way: every raw point of the lattice cells
+    covering the window padded by one period, those inside the box padded
+    once more deduplicated, scaled by their own closest pair and cropped."""
+    lattice, centering, motif = spec.lattice, spec.centering, spec.motif()
+    d = spec.dimension
+
+    def points_at(translates):
+        return (
+            translates[:, None, None, :] + centering[None, :, None, :] + motif[None, None, :, :]
+        ).reshape(-1, d)
+
+    probe = points_at(np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice)
+    scale = 2.0 / oracle_dedup(probe)[1]
+
+    pad = float(np.linalg.norm(lattice, axis=1).max())
+    lo = window.lower / scale - pad
+    hi = window.upper / scale + pad
+    points = points_at(oracle_lattice_translates(lattice, lo, hi, len(centering) * len(motif)))
+    inside = np.all((points >= lo - pad) & (points <= hi + pad), axis=1)
+    points, closest = oracle_dedup(points[inside])
+
+    centers = points * (2.0 / closest)
+    return Packing(centers[window.contains(centers)], window, 1.0, label)
 
 
 def oracle_encode_packing(p: Packing) -> bytes:

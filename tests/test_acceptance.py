@@ -33,7 +33,7 @@ from sepack import (
     is_k_regular,
     load_catalog,
     local_fingerprint,
-    min_pairwise_distance,
+    min_contact_distance,
     polyomino_oracle,
     profile_complete_indices,
     quasi_square_packing,
@@ -194,10 +194,11 @@ def test_criterion_7_diagonal_construction():
         result = diagonal_construction(d, 1)
         if result.packing.n_spheres != expected:
             failures.append(f"d={d}: {result.packing.n_spheres} spheres != {expected}")
-        verdict = interior_regularity_check(result)
+        graph = build_contact_graph(result.packing)
+        verdict = interior_regularity_check(result, graph)
         if verdict.status != "regular":
             failures.append(f"d={d}: saturated degree check {verdict}")
-        if abs(min_pairwise_distance(result.packing) - 2.0) > 1e-9:
+        if not abs(min_contact_distance(graph, result.packing) - 2.0) <= 1e-9:
             failures.append(f"d={d}: min distance off")
         clearance = diagonal_plane_clearance(d)
         if (clearance > 1.0 - 1e-9) != (expected_status == "WindowCertified"):
@@ -205,7 +206,7 @@ def test_criterion_7_diagonal_construction():
                 f"d={d}: closed-form diagonal-plane clearance {clearance:.9f} "
                 f"disagrees with the expected {expected_status}"
             )
-        report = certify_total_separability(result.packing, full_audit=True)
+        report = certify_total_separability(result.packing, full_audit=True, graph=graph)
         if report.status != expected_status:
             failures.append(
                 f"d={d}: certification {report.status}, sep {report.sep}; "

@@ -72,6 +72,31 @@ class TestPacking:
         with pytest.raises(ValueError):
             p.centers[0, 0] = 5.0
 
+    def test_sorted_centers_skip_the_sort(self, monkeypatch):
+        # equal rows and a signed zero are in order as they stand
+        centers = np.array([[-1.0, 3.0], [0.0, -0.0], [0.0, 0.0], [0.0, 2.0], [1.0, -5.0]])
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+        p = Packing(centers)
+        assert sorts == []
+        assert p.centers.tobytes() == centers.tobytes()
+        # the packing holds a read-only copy; the caller's array stays writable
+        assert p.centers is not centers and centers.flags.writeable
+        centers[0, 0] = 7.0
+        assert p.centers[0, 0] == -1.0
+
+    def test_shuffled_centers_come_out_canonical(self, rng, monkeypatch):
+        grid = np.array([[x, y, z] for x in range(4) for y in range(-2, 2) for z in (0.5, 1.5)])
+        shuffled = grid[rng.permutation(len(grid))]
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+        p = Packing(shuffled)
+        assert sorts == [1]
+        assert np.array_equal(p.centers, grid)
+        assert p.centers.flags.c_contiguous
+
 
 class TestValidatePacking:
     def test_exact_tangency_ok(self):

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from sepack import core
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
@@ -27,3 +29,13 @@ def test_demo_runs(script, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [script])
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_diagonal_demo_builds_one_kdtree_per_packing(tmp_path, monkeypatch, capsys):
+    # seven packings, one contact graph each; 17 KD-trees when the degree
+    # check, the closest pair and sep each built their own
+    builds = []
+    tree_class = core.cKDTree
+    monkeypatch.setattr(core, "cKDTree", lambda *a, **k: builds.append(1) or tree_class(*a, **k))
+    test_demo_runs("diagonal_family.py", tmp_path, monkeypatch, capsys)
+    assert len(builds) == 7

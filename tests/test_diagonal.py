@@ -13,10 +13,12 @@ from sepack import (
     generate_named,
     interior_regularity_check,
     local_fingerprint,
+    min_contact_distance,
     min_pairwise_distance,
     profile_complete_indices,
     separability_measure,
 )
+from sepack import core
 from sepack.diagonal import SPHERE_BUDGET, cube_count_exact
 from sepack.errors import SizeLimitError, UnsupportedDimensionError
 
@@ -122,6 +124,23 @@ class TestRegularityAndValidity:
     def test_depth_zero_inconclusive(self):
         verdict = interior_regularity_check(diagonal_construction(3, 0))
         assert verdict.status == "inconclusive"
+
+    def test_one_contact_graph_serves_every_check(self, monkeypatch):
+        # regularity, the closest pair and certification each built their
+        # own KD-tree before (3 per packing); one prebuilt graph serves all
+        result = diagonal_construction(3, 2)
+        builds = []
+        tree_class = core.cKDTree
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "cKDTree", lambda *a, **k: builds.append(1) or tree_class(*a, **k))
+            graph = build_contact_graph(result.packing)
+            verdict = interior_regularity_check(result, graph)
+            closest = min_contact_distance(graph, result.packing)
+            report = certify_total_separability(result.packing, full_audit=True, graph=graph)
+        assert len(builds) == 1
+        assert verdict == interior_regularity_check(result)
+        assert closest == min_pairwise_distance(result.packing)
+        assert report == certify_total_separability(result.packing, full_audit=True)
 
     @pytest.mark.parametrize("d,t", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
     def test_no_overlap(self, d, t):

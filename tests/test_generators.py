@@ -35,10 +35,10 @@ from sepack.errors import (
 from sepack import core
 from sepack.core import TOL
 from sepack.diagonal import diagonal_construction
-from sepack.generators import POINT_BUDGET, _dedup
+from sepack.generators import APEIROGON, POINT_BUDGET, TRIANGULAR, _dedup
 from sepack.packio import build_verify_report, encode_packing, write_report
 
-from conftest import brute_force_edges, traced_peak
+from conftest import brute_force_edges, oracle_orbit_generate, traced_peak
 
 SQRT2 = math.sqrt(2.0)
 
@@ -272,6 +272,82 @@ class TestOrbitGeneration:
     def test_rejects_singular_lattice(self):
         with pytest.raises(MalformedInputError):
             OrbitSpec(np.array([1.0, 0.0]), np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+
+def _catalog_spec(name):
+    entry = load_catalog()[name]
+    return OrbitSpec(entry.seeds, entry.lattice, entry.centering)
+
+
+NEAR = 1.0 + 0.2 * TOL  # a seed coordinate whose orbit copies sit 0.4 TOL apart
+
+# (spec, window, sphere count or None): every orbit spec at the benchmark's
+# windows, the specs of TestOrbitGeneration, seeds whose copies from
+# neighbouring cells are near duplicates (within TOL / 2, not bit-identical;
+# on 2Z the dropped copy of each pair is 2 - 0.4 TOL from the next kept
+# one, closer than any two kept points), a motif reaching past the probe's
+# cells, and a window off the origin
+ORBIT_CASES = {
+    **{
+        f"{name}-L{l}": (lambda name=name: _catalog_spec(name), l, None)
+        for name, l in [
+            ("P1", 12), ("P3", 12), ("K6", 12), ("K9", 12), ("J1", 8), ("J16", 8),
+            ("J18", 8), ("J20", 8), ("O1", 6), ("O103", 9), ("P1", 100), ("K9", 100),
+            ("J1", 14),
+        ]
+    },
+    "TRI-L40": (lambda: TRIANGULAR, 40, None),
+    "A-L6": (lambda: APEIROGON, 6, None),
+    "seed012-4Z3": (
+        lambda: OrbitSpec([0.0, 1.0, 2.0], 4.0 * np.eye(3), [[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]),
+        8, None,
+    ),
+    "axis-4Z2": (lambda: OrbitSpec([1.0, 0.0], 4.0 * np.eye(2)), 10, None),
+    "axis-2Z2": (lambda: OrbitSpec([1.0, 0.0], 2.0 * np.eye(2)), 10, None),
+    "J20-L7": (lambda: _catalog_spec("J20"), 7, None),
+    "near-2Z2": (lambda: OrbitSpec([NEAR, 0.0], 2.0 * np.eye(2)), 10, 112),
+    "near-2Z3": (lambda: OrbitSpec([NEAR, 0.0, 0.0], 2.0 * np.eye(3)), 10, 1176),
+    "near-4Z2": (lambda: OrbitSpec([NEAR, 1.0], 4.0 * np.eye(2)), 10, 100),
+    "near-2Z": (lambda: OrbitSpec([NEAR], [[2.0]]), 10, 10),
+    "far-motif": (lambda: OrbitSpec([10.3, 0.0], 2.0 * np.eye(2)), 10, 24),
+    "J20-off-origin": (
+        lambda: _catalog_spec("J20"), Window([37.5, -12.25, 3.0], [45.0, -4.0, 9.5], 3.0), None
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_window_matches_padded_oracle(case):
+    make, window, count = ORBIT_CASES[case]
+    spec = make()
+    if not isinstance(window, Window):
+        window = Window.cube(window, spec.dimension)
+    packing = orbit_generate(spec, window)
+    assert encode_packing(packing) == encode_packing(oracle_orbit_generate(spec, window))
+    assert count in (None, packing.n_spheres)
+
+
+def test_orbit_generation_is_window_local():
+    # O103 at L = 9 keeps 1,536 spheres.  Measured under tracemalloc: the
+    # window-local route peaks at 8.1 MB, the padded route (921,984 raw
+    # points, 345,600 of them deduplicated) at 65.0 MB
+    generate_named("O103", 6)
+    with traced_peak() as peak:
+        generate_named("O103", 9)
+    assert peak[0] < 16_000_000
+
+
+def test_point_budget_fires_at_the_oracle_window():
+    # the padded window of O103 spans 7^4 cells of 384 raw points up to
+    # L = 12 and 9^4 (2,519,424 raw points, 81 MB of coordinates) from
+    # L = 13; both routes raise once the probe's 31,104 points (~3.3 MB
+    # peak) are deduplicated, before any window is allocated
+    spec = _catalog_spec("O103")
+    assert orbit_generate(spec, Window.cube(12, 4)).n_spheres > 0
+    for route in (orbit_generate, oracle_orbit_generate):
+        with traced_peak() as peak, pytest.raises(SizeLimitError):
+            route(spec, Window.cube(13, 4))
+        assert peak[0] < 8_000_000
 
 
 class TestDedup:
