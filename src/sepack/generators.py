@@ -59,23 +59,18 @@ POINT_BUDGET = 2_000_000
 _SWEEP_CHUNK = 1 << 17
 
 
-def _dedup(points: np.ndarray) -> tuple[np.ndarray, float]:
+def _dedup(points: np.ndarray) -> np.ndarray:
     """Merge points closer than TOL / 2, each connected chain of such near
-    pairs keeping its lowest point; return them, in lexicographic order,
-    and their closest distance."""
-    # equal rows first, as np.unique(axis=0) would but with a lexsort,
-    # ten times faster than its structured-row sort
+    pairs keeping its lowest point; return them in lexicographic order."""
+    # equal rows first: one lexsort, ten times faster than the
+    # structured-row sort of np.unique(axis=0)
     points = points[np.lexsort(points.T[::-1])]
     distinct = np.ones(len(points), dtype=bool)
     distinct[1:] = np.any(points[1:] != points[:-1], axis=1)
     points = points[distinct]
-    tree = cKDTree(points)
-    closest = float(tree.query(points, k=2)[0][:, 1].min(initial=np.inf))
-    if closest > TOL / 2:
-        return points, closest
-    pairs = tree.query_pairs(r=TOL / 2, output_type="ndarray")
-    if len(pairs) == 0:  # a distance within one rounding of TOL / 2 compares differently here
-        return points, closest
+    pairs = cKDTree(points).query_pairs(r=TOL / 2, output_type="ndarray")
+    if len(pairs) == 0:
+        return points
     n = len(points)
     near = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     _, labels = connected_components(near, directed=False)
@@ -368,9 +363,11 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     at = _cell_points(spec.centering, spec.motif())
 
     # the raw contact distance of one cell plus its neighbors sizes the window
-    probe = at(np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice).reshape(-1, d)
-    scale, raw = _scale_and_window(lattice, at, window, _dedup(probe)[1])
-    centers = _dedup(raw)[0] * scale
+    cells = np.array(list(itertools.product((-1, 0, 1), repeat=d)))
+    probe = _dedup(at(cells @ lattice).reshape(-1, d))
+    contact = float(cKDTree(probe).query(probe, k=2)[0][:, 1].min())
+    scale, raw = _scale_and_window(lattice, at, window, contact)
+    centers = _dedup(raw) * scale
     return Packing(centers[window.contains(centers)], window, 1.0, label)
 
 
