@@ -14,10 +14,10 @@ Two construction routes cover the whole catalog:
 An orbit spec is generated in proportion to its window: only the
 lattice cells whose bounding ball meets the window are tiled, and their
 points near it are deduplicated, scaled so the closest pair sits at
-distance exactly 2, and cropped.  The scale is the closest pair of the
-window padded by one lattice period, to the last bit; a sweep of the
-contact pair types over that padded window's cells finds it without
-building the padded window's points.
+distance exactly 2, and cropped.  The scale is taken, to the last bit,
+from the closest pair of a window padded by lattice periods all round;
+a sweep of the contact pair types over the padded window's cells finds
+that pair without building the padded window's points.
 """
 
 from __future__ import annotations
