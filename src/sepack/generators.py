@@ -177,9 +177,10 @@ def _cell_points(centering: np.ndarray, motif: np.ndarray):
     return at
 
 
-def _pair_types(at, lattice: np.ndarray, dims: tuple, contact: float) -> tuple:
+def _pair_types(at, lattice: np.ndarray, dims: tuple, reach: float) -> tuple:
     """The near-duplicate pair types (within TOL / 2), listed both ways, and
-    the other pair types within the contact distance, listed one way.
+    the other pair types within reach, listed one way; reach is widened to
+    reach * (1 + TOL) + TOL, beyond the rounding of any coordinate.
 
     A pair type is a row (a, b, delta): cell point a of one cell and cell
     point b of the cell delta coefficients away; (b, a, -delta) is the
@@ -189,7 +190,7 @@ def _pair_types(at, lattice: np.ndarray, dims: tuple, contact: float) -> tuple:
     d = len(lattice)
     own = at(np.zeros(d))
     kinds = np.arange(len(own))
-    radii = (TOL / 2, contact * (1 + TOL))
+    radii = (TOL / 2, reach * (1 + TOL) + TOL)
     span = 2 * np.linalg.norm(own, axis=1).max() + radii[1]
     limit = np.minimum(span * np.linalg.norm(np.linalg.inv(lattice), axis=0), np.subtract(dims, 1))
     axes = np.meshgrid(*[np.arange(-n, n + 1) for n in limit.astype(int)], indexing="ij")
@@ -208,7 +209,8 @@ def _pair_types(at, lattice: np.ndarray, dims: tuple, contact: float) -> tuple:
     near, within = found
     flipped = np.column_stack([within[:, 1], within[:, 0], -within[:, 2:]])
     skip = set(map(tuple, near.tolist()))
-    one_way = lex_less(within, flipped) & [row not in skip for row in map(tuple, within.tolist())]
+    not_near = np.array([row not in skip for row in map(tuple, within.tolist())], dtype=bool)
+    one_way = lex_less(within, flipped) & not_near
     return near, within[one_way]
 
 
@@ -319,7 +321,10 @@ def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -
     the lattice cells covering the window padded by one lattice period (at
     the probe's scale), inside the box padded once more.  Those points are
     never built: the pair types within the probe's contact distance are
-    evaluated at every grid cell where both ends survive the dedup.
+    evaluated at every grid cell where both ends survive the dedup.  When
+    the closest of them lies further out (a motif wider than the padding
+    leaves few of its points in the box), the types out to it are swept
+    too, so no type left out can come closer.
     """
     d = len(lattice)
     own = at(np.zeros(d))
@@ -330,7 +335,12 @@ def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -
     grid = _lattice_translates(lattice, lo, hi, len(own))
     near, contacts = _pair_types(at, lattice, grid.shape[:-1], contact)
     alive, largest = _survivors(grid, at, lo - pad, hi + pad, near)
-    scale = 2.0 / _contact_sweep(grid, at, alive, contacts)
+    closest, reach = _contact_sweep(grid, at, alive, contacts), contact
+    diameter = float(np.linalg.norm(hi - lo)) + 4 * pad  # of the padded box
+    while closest > reach * (1 + TOL / 2) + TOL / 2 and reach <= diameter:
+        reach = closest if closest < np.inf else 2 * reach
+        closest = _contact_sweep(grid, at, alive, _pair_types(at, lattice, grid.shape[:-1], reach)[1])
+    scale = 2.0 / closest
 
     flat = grid.reshape(-1, d)
     low, high = (window.lower - TOL) / scale, (window.upper + TOL) / scale
@@ -338,9 +348,11 @@ def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -
     gap = np.zeros(len(flat))
     for k in range(d):
         gap += np.maximum(0.0, np.maximum(low[k] - flat[:, k], flat[:, k] - high[k])) ** 2
-    reach = np.linalg.norm(own, axis=1).max() + slack
-    raw = at(flat[gap <= reach**2]).reshape(-1, d)
-    return scale, raw[np.all((raw >= low - slack) & (raw <= high + slack), axis=1)]
+    ball = np.linalg.norm(own, axis=1).max() + slack
+    raw = at(flat[gap <= ball**2]).reshape(-1, d)
+    # a point the padded box leaves out is not in the padded window either
+    low, high = np.maximum(low - slack, lo - pad), np.minimum(high + slack, hi + pad)
+    return scale, raw[np.all((raw >= low) & (raw <= high), axis=1)]
 
 
 def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:

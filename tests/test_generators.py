@@ -286,7 +286,10 @@ NEAR = 1.0 + 0.2 * TOL  # a seed coordinate whose orbit copies sit 0.4 TOL apart
 # neighbouring cells are near duplicates (within TOL / 2, not bit-identical;
 # on 2Z the dropped copy of each pair is 2 - 0.4 TOL from the next kept
 # one, closer than any two kept points), a motif reaching past the probe's
-# cells, and a window off the origin
+# cells, motifs wider than the padding (the padded box then holds no pair
+# at the probe's contact distance, or leaves out points of the window),
+# copies just over TOL / 2 apart (the closest pair is then within
+# rounding of its own size), and a window off the origin
 ORBIT_CASES = {
     **{
         f"{name}-L{l}": (lambda name=name: _catalog_spec(name), l, None)
@@ -310,6 +313,11 @@ ORBIT_CASES = {
     "near-4Z2": (lambda: OrbitSpec([NEAR, 1.0], 4.0 * np.eye(2)), 10, 100),
     "near-2Z": (lambda: OrbitSpec([NEAR], [[2.0]]), 10, 10),
     "far-motif": (lambda: OrbitSpec([10.3, 0.0], 2.0 * np.eye(2)), 10, 24),
+    "wide-motif-sparse-box": (
+        lambda: OrbitSpec([[5.5], [7.5]], [[1.5]]), Window([-5.6], [-4.5]), 1
+    ),
+    "wide-motif-box-edge": (lambda: OrbitSpec([4.5], [[2.5]]), Window([9.0], [13.0]), 0),
+    "apart-0.64TOL": (lambda: OrbitSpec([1.5, -1.5 + 0.45 * TOL], 3.1 * np.eye(2)), 10, 0),
     "J20-off-origin": (
         lambda: _catalog_spec("J20"), Window([37.5, -12.25, 3.0], [45.0, -4.0, 9.5], 3.0), None
     ),
