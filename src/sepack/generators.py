@@ -333,13 +333,14 @@ def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -
     lo = window.lower / probe_scale - pad
     hi = window.upper / probe_scale + pad
     grid = _lattice_translates(lattice, lo, hi, len(own))
-    near, contacts = _pair_types(at, lattice, grid.shape[:-1], contact)
+    dims = grid.shape[:-1]
+    near, contacts = _pair_types(at, lattice, dims, contact)
     alive, largest = _survivors(grid, at, lo - pad, hi + pad, near)
     closest, reach = _contact_sweep(grid, at, alive, contacts), contact
     diameter = float(np.linalg.norm(hi - lo)) + 4 * pad  # of the padded box
     while closest > reach * (1 + TOL / 2) + TOL / 2 and reach <= diameter:
         reach = closest if closest < np.inf else 2 * reach
-        closest = _contact_sweep(grid, at, alive, _pair_types(at, lattice, grid.shape[:-1], reach)[1])
+        closest = _contact_sweep(grid, at, alive, _pair_types(at, lattice, dims, reach)[1])
     scale = 2.0 / closest
 
     flat = grid.reshape(-1, d)
