@@ -11,13 +11,16 @@ Two construction routes cover the whole catalog:
   apeirogon, whose contact graph is the graph Cartesian product of the
   factors.
 
-An orbit spec is generated in proportion to its window: only the
-lattice cells whose bounding ball meets the window are tiled, and their
-points near it are deduplicated, scaled so the closest pair sits at
-distance exactly 2, and cropped.  The scale is taken, to the last bit,
-from the closest pair of a window padded by lattice periods all round;
-a sweep of the contact pair types over the padded window's cells finds
-that pair without building the padded window's points.
+An orbit spec is generated in proportion to its window.  One rule
+merges near duplicates (points within TOL / 2): a survivor mask over
+(lattice cell, cell point) keeps the lowest point of each chain of near
+pairs.  The scale is taken, to the last bit, from the closest pair of the
+surviving points of a window padded by lattice periods all round; a
+sweep of the contact pair types over the padded window's cells finds
+that pair without building the padded window's points.  Then only the
+cells whose bounding ball meets the window are tiled, and their
+surviving points are scaled so the closest pair sits at distance exactly
+2, and cropped.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .catalog import CATALOG_ONLY, CatalogEntry, load_catalog
@@ -49,33 +50,15 @@ TRIANGULAR_ID = "TRI"
 
 # Most raw points the padded window of an orbit spec may span (its lattice
 # cells times the points per cell), and most spheres a product may hold.
-# Checked before anything that size is allocated.  The contact sweep
-# visits every cell of the padded window, _SWEEP_CHUNK floats at a time;
-# only the cells that meet the window are tiled.  O103 at L = 9 spans
-# 921,984 raw points and deduplicates 1,536; P1 at L = 1000 spans 1,010,025.
+# Checked before anything that size is allocated.  The survivor mask and
+# the contact sweep visit every cell of the padded window, _SWEEP_CHUNK
+# floats at a time; only the cells that meet the window are tiled.  O103
+# at L = 9 spans 921,984 raw points and keeps 1,536; P1 at L = 1000 spans
+# 1,010,025.
 POINT_BUDGET = 2_000_000
 
 # most floats one step of the contact sweep holds in one array
 _SWEEP_CHUNK = 1 << 17
-
-
-def _dedup(points: np.ndarray) -> np.ndarray:
-    """Merge points closer than TOL / 2, each connected chain of such near
-    pairs keeping its lowest point; return them in lexicographic order."""
-    # equal rows first: one lexsort, ten times faster than the
-    # structured-row sort of np.unique(axis=0)
-    points = points[np.lexsort(points.T[::-1])]
-    distinct = np.ones(len(points), dtype=bool)
-    distinct[1:] = np.any(points[1:] != points[:-1], axis=1)
-    points = points[distinct]
-    pairs = cKDTree(points).query_pairs(r=TOL / 2, output_type="ndarray")
-    if len(pairs) == 0:
-        return points
-    n = len(points)
-    near = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    _, labels = connected_components(near, directed=False)
-    _, lowest = np.unique(labels, return_index=True)
-    return _dedup(points[np.sort(lowest)])
 
 
 def _lattice_translates(
@@ -235,9 +218,9 @@ def _component(kind: int, partners: dict, dims: tuple) -> tuple[list, list]:
     return members, edges
 
 
-def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> tuple[np.ndarray, int]:
-    """The raw points _dedup keeps, as a mask over (grid cell, cell point),
-    and the size of the largest near-duplicate component.
+def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> np.ndarray:
+    """The raw points that stand for their near duplicates, as a mask over
+    (grid cell, cell point): the one near-duplicate rule of orbit windows.
 
     A raw point survives when it lies in the box [low, high] and no lower
     point (lexicographic, ties to the lower (offset, cell point) label, as
@@ -257,10 +240,8 @@ def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> tuple[np.nd
     partners = {}
     for a, b, *delta in near.tolist():
         partners.setdefault(a, []).append((b, tuple(delta)))
-    largest = 1
     for kind in partners:
         members, edges = _component(kind, partners, dims)
-        largest = max(largest, len(members))
         coords, present = [], []
         for offset, point in members:
             here, there = _slabs(dims, offset)
@@ -279,7 +260,7 @@ def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> tuple[np.nd
             if member < members[0]:
                 lower |= np.all(coords[i] == coords[0], axis=-1)
             alive[..., kind] &= ~(reached[i] & lower)
-    return alive, largest
+    return alive
 
 
 def _contact_sweep(grid: np.ndarray, at, alive: np.ndarray, types: np.ndarray) -> float:
@@ -313,18 +294,18 @@ def _contact_sweep(grid: np.ndarray, at, alive: np.ndarray, types: np.ndarray) -
 
 
 def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -> tuple:
-    """The scale of an orbit window and its raw points before the dedup:
-    those of the cells whose bounding ball meets the window, within reach
-    of it of every near-duplicate chain of a point inside it.
+    """The scale of an orbit window and its raw points: the survivors of
+    the cells whose bounding ball meets the window.
 
-    The scale is 2 over the closest pair of the deduplicated raw points of
+    The scale is 2 over the closest pair of the surviving raw points of
     the lattice cells covering the window padded by one lattice period (at
     the probe's scale), inside the box padded once more.  Those points are
     never built: the pair types within the probe's contact distance are
-    evaluated at every grid cell where both ends survive the dedup.  When
-    the closest of them lies further out (a motif wider than the padding
-    leaves few of its points in the box), the types out to it are swept
-    too, so no type left out can come closer.
+    evaluated at every grid cell where both ends survive.  When the closest
+    of them lies further out (a motif wider than the padding leaves few of
+    its points in the box), the types out to it are swept too, so no type
+    left out can come closer.  The padded box holds the window, so its
+    survivors are the window's points too.
     """
     d = len(lattice)
     own = at(np.zeros(d))
@@ -335,7 +316,7 @@ def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -
     grid = _lattice_translates(lattice, lo, hi, len(own))
     dims = grid.shape[:-1]
     near, contacts = _pair_types(at, lattice, dims, contact)
-    alive, largest = _survivors(grid, at, lo - pad, hi + pad, near)
+    alive = _survivors(grid, at, lo - pad, hi + pad, near)
     closest, reach = _contact_sweep(grid, at, alive, contacts), contact
     diameter = float(np.linalg.norm(hi - lo)) + 4 * pad  # of the padded box
     while closest > reach * (1 + TOL / 2) + TOL / 2 and reach <= diameter:
@@ -343,29 +324,26 @@ def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -
         closest = _contact_sweep(grid, at, alive, _pair_types(at, lattice, dims, reach)[1])
     scale = 2.0 / closest
 
-    flat = grid.reshape(-1, d)
     low, high = (window.lower - TOL) / scale, (window.upper + TOL) / scale
-    slack = TOL * (largest + np.abs([low, high]).max())
-    gap = np.zeros(len(flat))
+    gap = np.zeros(dims)
     for k in range(d):
-        gap += np.maximum(0.0, np.maximum(low[k] - flat[:, k], flat[:, k] - high[k])) ** 2
-    ball = np.linalg.norm(own, axis=1).max() + slack
-    raw = at(flat[gap <= ball**2]).reshape(-1, d)
-    # a point the padded box leaves out is not in the padded window either
-    low, high = np.maximum(low - slack, lo - pad), np.minimum(high + slack, hi + pad)
-    return scale, raw[np.all((raw >= low) & (raw <= high), axis=1)]
+        gap += np.maximum(0.0, np.maximum(low[k] - grid[..., k], grid[..., k] - high[k])) ** 2
+    # the slack covers the rounding of a point's coordinates and of the crop
+    ball = np.linalg.norm(own, axis=1).max() + TOL * (1 + np.abs([low, high]).max())
+    cells = gap <= ball**2
+    return scale, at(grid[cells])[alive[cells]]
 
 
 def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     """Generate {g . seed + c + t} over the window, normalized to contact 2.
 
-    The probe (the cells within one lattice step of the origin) sizes a
-    padded window, and a sweep of the pair types at the probe's contact
-    distance over that window's lattice cells gives the scale, to the
-    last bit of the closest pair among its deduplicated points (see
-    _scale_and_window).  Then only the cells whose bounding ball meets the
-    window are tiled; their points within reach of it are deduplicated,
-    scaled and cropped.
+    The probe (the cells within one lattice step of the origin, each
+    point's near duplicates merged by _survivors) sizes a padded window,
+    and a sweep of the pair types at the probe's contact distance over
+    that window's lattice cells gives the scale, to the last bit of the
+    closest pair among its surviving points (see _scale_and_window).  Then
+    only the cells whose bounding ball meets the window are tiled; their
+    surviving points are scaled and cropped.
 
     The caller is responsible for validating regularity/separability of
     the result.  Raises SizeLimitError when the padded window's cells hold
@@ -376,11 +354,13 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     at = _cell_points(spec.centering, spec.motif())
 
     # the raw contact distance of one cell plus its neighbors sizes the window
-    cells = np.array(list(itertools.product((-1, 0, 1), repeat=d)))
-    probe = _dedup(at(cells @ lattice).reshape(-1, d))
+    cells = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice
+    cells = cells.reshape((3,) * d + (d,))
+    near = _pair_types(at, lattice, cells.shape[:-1], 0.0)[0]
+    probe = at(cells)[_survivors(cells, at, -np.inf, np.inf, near)]
     contact = float(cKDTree(probe).query(probe, k=2)[0][:, 1].min())
     scale, raw = _scale_and_window(lattice, at, window, contact)
-    centers = _dedup(raw) * scale
+    centers = raw * scale
     return Packing(centers[window.contains(centers)], window, 1.0, label)
 
 
@@ -456,9 +436,9 @@ def _as_window(window, dimension: int, margin: float) -> Window:
     return Window.cube(float(window), dimension, margin)
 
 
-def _block_window(window: Window, start: int, dim: int, margin: float) -> Window:
+def _block_window(window: Window, start: int, dim: int) -> Window:
     return Window(
-        window.lower[start : start + dim], window.upper[start : start + dim], margin
+        window.lower[start : start + dim], window.upper[start : start + dim], window.margin
     )
 
 
@@ -498,10 +478,8 @@ def generate_named(name: str, window, margin: float = 3.0) -> Packing:
         left_id, right_id = entry.factors
         left_dim = 1 if left_id == "A" else load_catalog()[left_id].dimension
         right_dim = entry.dimension - left_dim
-        left = generate_named(left_id, _block_window(window, 0, left_dim, margin), margin)
-        right = generate_named(
-            right_id, _block_window(window, left_dim, right_dim, margin), margin
-        )
+        left = generate_named(left_id, _block_window(window, 0, left_dim))
+        right = generate_named(right_id, _block_window(window, left_dim, right_dim))
         return _cartesian(left, right, entry.id)
     raise UnsupportedConstructionError(f"unknown construction kind {entry.kind!r}")
 

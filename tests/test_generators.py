@@ -35,7 +35,8 @@ from sepack.errors import (
 from sepack import core
 from sepack.core import TOL
 from sepack.diagonal import diagonal_construction
-from sepack.generators import APEIROGON, POINT_BUDGET, TRIANGULAR, _dedup
+from sepack import generators
+from sepack.generators import APEIROGON, POINT_BUDGET, TRIANGULAR
 from sepack.packio import build_verify_report, encode_packing, write_report
 
 from conftest import brute_force_edges, oracle_orbit_generate, traced_peak
@@ -170,6 +171,11 @@ class TestGenerateNamed:
         p = generate_named("P1", w)
         assert p.n_spheres == 81
 
+    @pytest.mark.parametrize("name,margin", [("J9", 5.0), ("O9", 0.0)])
+    def test_product_keeps_the_window_margin(self, name, margin):
+        w = Window.cube(4, load_catalog()[name].dimension, margin)
+        assert generate_named(name, w).window.margin == margin
+
     def test_deterministic(self):
         a = generate_named("K9", 10)
         b = generate_named("K9", 10)
@@ -289,7 +295,9 @@ NEAR = 1.0 + 0.2 * TOL  # a seed coordinate whose orbit copies sit 0.4 TOL apart
 # cells, motifs wider than the padding (the padded box then holds no pair
 # at the probe's contact distance, or leaves out points of the window),
 # copies just over TOL / 2 apart (the closest pair is then within
-# rounding of its own size), and a window off the origin
+# rounding of its own size), a window off the origin, and a chain of five
+# near duplicates 0.3 TOL apart whose ends are 1.2 TOL apart, which keeps
+# only its lowest point
 ORBIT_CASES = {
     **{
         f"{name}-L{l}": (lambda name=name: _catalog_spec(name), l, None)
@@ -312,6 +320,10 @@ ORBIT_CASES = {
     "near-2Z3": (lambda: OrbitSpec([NEAR, 0.0, 0.0], 2.0 * np.eye(3)), 10, 1176),
     "near-4Z2": (lambda: OrbitSpec([NEAR, 1.0], 4.0 * np.eye(2)), 10, 100),
     "near-2Z": (lambda: OrbitSpec([NEAR], [[2.0]]), 10, 10),
+    "near-chain-30Z2": (
+        lambda: OrbitSpec([[5.0, 0.0], [5.0, 0.3 * TOL], [5.0, 0.6 * TOL]], 30.0 * np.eye(2)),
+        40, 324,
+    ),
     "far-motif": (lambda: OrbitSpec([10.3, 0.0], 2.0 * np.eye(2)), 10, 24),
     "wide-motif-sparse-box": (
         lambda: OrbitSpec([[5.5], [7.5]], [[1.5]]), Window([-5.6], [-4.5]), 1
@@ -335,10 +347,29 @@ def test_orbit_window_matches_padded_oracle(case):
     assert count in (None, packing.n_spheres)
 
 
+def test_generation_kdtree_builds(monkeypatch):
+    # an orbit window builds three: the probe's near pair types and closest
+    # pair, and the padded window's pair types; a product builds its factors'
+    builds = []
+    tree_class = generators.cKDTree
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return tree_class(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "cKDTree", counting)
+    catalog = load_catalog()
+    for name in sorted(PINNED_PACKINGS):
+        builds.clear()
+        generate_named(name, 4)
+        product = name in catalog and catalog[name].kind == "product"
+        assert len(builds) == (6 if product else 3), name
+
+
 def test_orbit_generation_is_window_local():
     # O103 at L = 9 keeps 1,536 spheres.  Measured under tracemalloc: the
-    # window-local route peaks at 8.1 MB, the padded route (921,984 raw
-    # points, 345,600 of them deduplicated) at 65.0 MB
+    # window-local route peaks at 8.1 MB, the padded route of the oracle
+    # (921,984 raw points, 345,600 of them deduplicated) at 65.0 MB
     generate_named("O103", 6)
     with traced_peak() as peak:
         generate_named("O103", 9)
@@ -349,23 +380,13 @@ def test_point_budget_fires_at_the_oracle_window():
     # the padded window of O103 spans 7^4 cells of 384 raw points up to
     # L = 12 and 9^4 (2,519,424 raw points, 81 MB of coordinates) from
     # L = 13; both routes raise once the probe's 31,104 points are
-    # deduplicated (peaks 2.3 and 3.3 MB), before any window is allocated
+    # deduplicated (peaks 3.3 MB each), before any window is allocated
     spec = _catalog_spec("O103")
     assert orbit_generate(spec, Window.cube(12, 4)).n_spheres > 0
     for route in (orbit_generate, oracle_orbit_generate):
         with traced_peak() as peak, pytest.raises(SizeLimitError):
             route(spec, Window.cube(13, 4))
         assert peak[0] < 8_000_000
-
-
-class TestDedup:
-    def test_chain_of_near_points_keeps_the_lowest(self):
-        # each point within TOL/2 of the next, the ends further apart
-        step = 0.3 * TOL
-        chain = np.array([[5.0, 2.0 * step], [5.0, 0.0], [5.0, step]])
-        far = np.array([[7.0, 0.0]])
-        kept = _dedup(np.vstack([chain, far]))
-        assert np.array_equal(kept, np.array([[5.0, 0.0], [7.0, 0.0]]))
 
 
 # sha256 of encode_packing(generate_named(name, L)) at L = 4, recorded before
