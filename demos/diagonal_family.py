@@ -57,7 +57,7 @@ def main():
     print("first higher-dimensional violation witness (d=3, depth 1):")
     result = diagonal_construction(3, 1)
     report = separability_measure(result.packing, full_audit=True)
-    (i, j), s = report.violations[0]
+    i, j, s = report.violations[0]
     print(f"  sep = {report.sep}; e.g. the tangent plane of the contact")
     print(f"  {result.packing.centers[i].round(6).tolist()} - {result.packing.centers[j].round(6).tolist()}")
     print(f"  cuts into the sphere at {result.packing.centers[s].round(6).tolist()}")

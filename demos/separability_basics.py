@@ -22,8 +22,7 @@ def show(name, points):
     p = Packing(points)
     report = separability_measure(p, full_audit=True)
     print(f"{name}: sep = {report.sep} ({report.clean_edges}/{report.total_edges} clean)")
-    for (i, j), sphere in report.violations:
-        h = tangent_hyperplane(p, (i, j))
+    for i, j, sphere in report.violations:
         print(
             f"   contact {p.centers[i].tolist()} - {p.centers[j].tolist()}: "
             f"tangent line enters the circle at {p.centers[sphere].tolist()}"

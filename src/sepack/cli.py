@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from . import catalog, contact_numbers, diagonal, generators, packio, svgfig
+from . import contact_numbers, diagonal, generators, packio, svgfig
 from .errors import SepackError
 from .separability import separability_measure, sep_measure_sequence
 

@@ -8,7 +8,7 @@ bit for bit.  Values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree

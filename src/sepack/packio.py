@@ -12,13 +12,15 @@ packing's ``centers``, a report's ``separability.violations``) through
 the encoder, whose indented mode costs one Python call per token.  The
 small rest of the document, with a placeholder in the bulk list's place,
 goes through ``json.dumps`` and is split at the placeholder; the bulk
-rows are written in chunks between the halves, each row from one fixed
-template at the indentation ``json.dumps`` gives that depth.  The bytes
+rows are written in chunks between the halves, each chunk from fixed
+templates at the indentation ``json.dumps`` gives that depth.  The bytes
 match ``json.dumps`` because the rows hold only what the templates spell
 the same way: a center row is Python floats, written with ``repr`` (the
 encoder's ``float.__repr__``; coordinates are finite), and a witness row
-is three Python ints, written with ``%d``.  An empty bulk list is written
-as ``[]``, as the encoder does.
+(i, j, sphere) of the certifier's (k, 3) integer array becomes the object
+``{"edge": [i, j], "sphere": sphere}``, a whole chunk written by one
+``%`` of a repeated template over Python ints.  An empty bulk list is
+written as ``[]``, as the encoder does.
 """
 
 from __future__ import annotations
@@ -42,14 +44,14 @@ _BULK = "<bulk rows>"
 _CHUNK_ROWS = 4096
 
 
-def _json_pieces(doc: dict, path: tuple, row_text):
+def _json_pieces(doc: dict, path: tuple, chunk_text):
     """Yield ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"`` in pieces.
 
-    ``path`` is the key path of the bulk list in ``doc``; ``row_text``
-    encodes one of its elements at indentation ``len(path) + 1``.  The
-    placeholder is searched for together with its key, which occurs once
-    in the document; a string value cannot spell that pair, since every
-    quote inside an encoded string is escaped.
+    ``path`` is the key path of the bulk list in ``doc``; ``chunk_text``
+    encodes a slice of its rows, joined by ``",\\n"``, at indentation
+    ``len(path) + 1``.  The placeholder is searched for together with its
+    key, which occurs once in the document; a string value cannot spell
+    that pair, since every quote inside an encoded string is escaped.
     """
     skeleton = dict(doc)
     parent = skeleton
@@ -61,26 +63,24 @@ def _json_pieces(doc: dict, path: tuple, row_text):
     text = json.dumps(skeleton, indent=1, sort_keys=True)
     head, _, tail = text.partition(key + json.dumps(_BULK))
     yield head + key
-    if not rows:
+    if len(rows) == 0:
         yield "[]"
     else:
         separator = "[\n"
         for start in range(0, len(rows), _CHUNK_ROWS):
-            yield separator + ",\n".join(map(row_text, rows[start : start + _CHUNK_ROWS]))
+            yield separator + chunk_text(rows[start : start + _CHUNK_ROWS])
             separator = ",\n"
         yield "\n" + " " * len(path) + "]"
     yield tail + "\n"
 
 
-def _center_row(row: list) -> str:
-    return "  [\n   " + ",\n   ".join(map(repr, row)) + "\n  ]"
+def _center_rows(rows: list) -> str:
+    return ",\n".join("  [\n   " + ",\n   ".join(map(repr, row)) + "\n  ]" for row in rows)
 
 
-def _witness_row(witness: dict) -> str:
-    (i, j), sphere = witness["edge"], witness["sphere"]
-    return '   {\n    "edge": [\n     %d,\n     %d\n    ],\n    "sphere": %d\n   }' % (
-        i, j, sphere
-    )
+def _witness_rows(rows: np.ndarray) -> str:
+    template = '   {\n    "edge": [\n     %d,\n     %d\n    ],\n    "sphere": %d\n   }'
+    return ",\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def encode_packing(p: Packing) -> bytes:
@@ -97,7 +97,7 @@ def encode_packing(p: Packing) -> bytes:
         # Python floats: numpy 2 reprs a np.float64 as "np.float64(...)"
         "centers": p.centers.tolist(),
     }
-    return "".join(_json_pieces(doc, ("centers",), _center_row)).encode("utf-8")
+    return "".join(_json_pieces(doc, ("centers",), _center_rows)).encode("utf-8")
 
 
 def decode_packing(data: bytes) -> Packing:
@@ -144,7 +144,12 @@ def _degree_histogram(degrees) -> dict:
 
 
 def build_verify_report(p: Packing, full_audit: bool = False) -> dict:
-    """All verification facts about one packing, as a JSON-ready dict.
+    """All verification facts about one packing, as the report document.
+
+    The dict is ready for ``json.dumps`` except ``separability.violations``,
+    which stays the certifier's read-only (k, 3) int64 array of (i, j,
+    sphere) witness rows; ``write_report`` spells each row as the object
+    ``{"edge": [i, j], "sphere": sphere}``.
 
     The contact graph is built once and shared by the regularity check,
     the triangle test and the certifier.  A triangle in the contact graph
@@ -177,9 +182,7 @@ def build_verify_report(p: Packing, full_audit: bool = False) -> dict:
             "sep_float": float(sep.sep),
             "clean_edges": sep.clean_edges,
             "total_edges": sep.total_edges,
-            "violations": [
-                {"edge": list(edge), "sphere": sphere} for edge, sphere in sep.violations
-            ],
+            "violations": sep.violations,
         },
         "timing_seconds": round(time.perf_counter() - start, 6),
     }
@@ -194,4 +197,4 @@ def build_verify_report(p: Packing, full_audit: bool = False) -> dict:
 def write_report(report: dict, path) -> None:
     """Stream the report to ``path`` without building its whole text."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_pieces(report, ("separability", "violations"), _witness_row))
+        fh.writelines(_json_pieces(report, ("separability", "violations"), _witness_rows))

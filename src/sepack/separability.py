@@ -96,24 +96,35 @@ def plane_hits_interior(h: TangentContact, p: Packing) -> int | None:
     return int(hits[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparabilityReport:
     """Per-window separability verdict and the sep ratio.
 
-    ``sep`` is exact (a Fraction); ``violations`` holds (edge, sphere)
-    witnesses, one per dirty edge by default or all of them under full
-    audit.
+    ``sep`` is exact (a Fraction).  ``violations`` is a read-only (k, 3)
+    int64 array of witness rows (i, j, sphere): the tangent plane of edge
+    (i, j) enters that sphere.  It holds one row per dirty edge by default
+    or every offender under full audit, and has shape (0, 3) when no edge
+    is dirty.
     """
 
     clean_edges: int
     total_edges: int
     sep: Fraction
-    violations: tuple
+    violations: np.ndarray
     status: str
 
+    def __eq__(self, other):
+        if not isinstance(other, SeparabilityReport):
+            return NotImplemented
+        return (
+            (self.clean_edges, self.total_edges, self.sep, self.status)
+            == (other.clean_edges, other.total_edges, other.sep, other.status)
+            and np.array_equal(self.violations, other.violations)
+        )
 
-def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[int, list]:
-    """Count clean edges and collect violation witnesses.
+
+def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[int, np.ndarray]:
+    """Count clean edges and collect violation witnesses as (i, j, sphere) rows.
 
     Edge e with unit normal u_e and offset b_e is dirty when some center x
     has |x . u_e - b_e| < r' = radius - TOL.  Edges are grouped by
@@ -135,13 +146,15 @@ def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[in
     normals, X below 7e4 in d = 4) the spheres grazing a plane at exactly
     the radius, a whole neighboring row in a grid, stay out of the slab.
 
-    Witnesses are ordered by edge (ContactGraph order), then by sphere
-    index; without full audit each dirty edge keeps its lowest-index
-    offender.
+    The witness rows form a read-only (k, 3) int64 array, ordered by edge
+    (ContactGraph order), then by sphere index; without full audit each
+    dirty edge keeps its lowest-index offender.
     """
     edges = g.edges
     if len(edges) == 0:
-        return 0, []
+        witnesses = np.zeros((0, 3), dtype=np.int64)
+        witnesses.setflags(write=False)
+        return 0, witnesses
     centers = p.centers
     xi = centers[edges[:, 0]]
     xj = centers[edges[:, 1]]
@@ -187,21 +200,16 @@ def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[in
             hit_edges.append(e[hit])
             hit_spheres.append(sphere[hit])
 
-    if not hit_edges:
-        return len(edges), []
     e = np.concatenate(hit_edges)
     sphere = np.concatenate(hit_spheres)
     ranked = np.lexsort((sphere, e))
     e, sphere = e[ranked], sphere[ranked]
     first = np.flatnonzero(np.diff(e, prepend=-1))
-    clean = len(edges) - len(first)
-    # one (i, j) tuple per dirty edge, shared by all of its witnesses
-    dirty = np.fromiter(map(tuple, edges[e[first]].tolist()), dtype=object, count=len(first))
-    if full_audit:
-        dirty = np.repeat(dirty, np.diff(np.append(first, len(e))))
-    else:
-        sphere = sphere[first]
-    return clean, list(zip(dirty.tolist(), sphere.tolist()))
+    if not full_audit:
+        e, sphere = e[first], sphere[first]
+    witnesses = np.column_stack([edges[e], sphere])
+    witnesses.setflags(write=False)
+    return len(edges) - len(first), witnesses
 
 
 def _report(p: Packing, full_audit: bool, graph: ContactGraph | None) -> SeparabilityReport:
@@ -209,12 +217,10 @@ def _report(p: Packing, full_audit: bool, graph: ContactGraph | None) -> Separab
     that already built the contact graph of ``p`` pass it in."""
     g = build_contact_graph(p) if graph is None else graph
     total = g.edge_count
-    if total == 0:
-        return SeparabilityReport(0, 0, Fraction(1), (), WINDOW_CERTIFIED)
     clean, violations = _edge_cleanliness(p, g, full_audit)
-    sep = Fraction(clean, total)
-    status = VIOLATION_FOUND if violations else WINDOW_CERTIFIED
-    return SeparabilityReport(clean, total, sep, tuple(violations), status)
+    sep = Fraction(clean, total) if total else Fraction(1)
+    status = VIOLATION_FOUND if len(violations) else WINDOW_CERTIFIED
+    return SeparabilityReport(clean, total, sep, violations, status)
 
 
 def separability_measure(p: Packing, full_audit: bool = False) -> SeparabilityReport:

@@ -67,7 +67,7 @@ def brute_force_witnesses(centers, full_audit, radius=1.0, tol=1e-9):
     """(clean, witnesses) by testing every sphere against every tangent
     plane, one plane at a time, with no grouping of the planes.
 
-    Witnesses are ((i, j), s) pairs ordered by edge, then by sphere; without
+    Witnesses are [i, j, s] rows ordered by edge, then by sphere; without
     full audit each dirty edge keeps only its lowest-index offender.
     """
     centers = np.asarray(centers, dtype=float)
@@ -80,7 +80,7 @@ def brute_force_witnesses(centers, full_audit, radius=1.0, tol=1e-9):
         offenders = np.flatnonzero(np.abs(centers @ u - b) < radius - tol).tolist()
         if not offenders:
             clean += 1
-        witnesses.extend(((i, j), s) for s in offenders[: None if full_audit else 1])
+        witnesses.extend([i, j, s] for s in offenders[: None if full_audit else 1])
     return clean, witnesses
 
 
@@ -163,9 +163,13 @@ def oracle_encode_packing(p: Packing) -> bytes:
 
 
 def oracle_write_report(report: dict, path) -> None:
-    """A verify report through the standard JSON encoder."""
+    """A verify report through the standard JSON encoder, its (i, j, s)
+    witness rows spelled as {"edge": [i, j], "sphere": s} objects."""
+    sep = report["separability"]
+    witnesses = [{"edge": [i, j], "sphere": s} for i, j, s in sep["violations"].tolist()]
+    doc = {**report, "separability": {**sep, "violations": witnesses}}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
@@ -346,10 +350,10 @@ def diagonal_plane_clearance(d):
 
 def deepest_witness_clearance(p: Packing, violations):
     """Least distance from a witness sphere's centre to the tangent plane
-    of its (edge, sphere) violation witness."""
+    of its (i, j, sphere) violation witness row."""
     centers = p.centers
     best = np.inf
-    for (i, j), s in violations:
+    for i, j, s in violations:
         normal = centers[j] - centers[i]
         normal = normal / np.linalg.norm(normal)
         midpoint = (centers[i] + centers[j]) / 2.0

@@ -213,7 +213,7 @@ def test_criterion_7_diagonal_construction():
                 f"expected {expected_status} at the closed-form "
                 f"diagonal-plane clearance {clearance:.9f}"
             )
-        elif report.violations:
+        elif len(report.violations):
             worst = deepest_witness_clearance(result.packing, report.violations)
             if abs(worst - clearance) > 1e-9:
                 failures.append(

@@ -29,7 +29,7 @@ from sepack.errors import (
 from sepack import packio
 from sepack.packio import _BULK, write_report
 
-from conftest import oracle_encode_packing, oracle_write_report
+from conftest import oracle_encode_packing, oracle_write_report, traced_peak
 
 
 class TestRoundTrip:
@@ -137,7 +137,18 @@ class TestVerifyReport:
         b = build_verify_report(p)
         a.pop("timing_seconds")
         b.pop("timing_seconds")
+        witnesses = [r["separability"].pop("violations").tolist() for r in (a, b)]
+        assert witnesses[0] == witnesses[1]
         assert a == b
+
+    def test_full_audit_of_a_dirty_window_stays_small(self, tmp_path):
+        # TRI at L = 40 has 124,716 witnesses and an 8.8 MB report file; one
+        # dict per witness peaked at 45 MB, one (k, 3) int array at 11 MB
+        with traced_peak() as peak:
+            report = build_verify_report(generate_named("TRI", 40), full_audit=True)
+            write_report(report, tmp_path / "tri.json")
+        assert len(report["separability"]["violations"]) == 124_716
+        assert peak[0] < 16_000_000
 
     def test_missing_interior_sphere_is_irregular(self):
         p = generate_named("P1", 8)
@@ -203,7 +214,7 @@ class TestWriterMatchesStandardEncoder:
         p = Packing(centers, Window.cube(4, 3))
         assert encode_packing(p) == oracle_encode_packing(p)
         report = build_verify_report(p)
-        assert report["separability"]["violations"] == []
+        assert report["separability"]["violations"].tolist() == []
         _assert_report_matches_oracle(report, tmp_path)
 
     def test_extreme_coordinates(self):
@@ -239,7 +250,7 @@ class TestWriterMatchesStandardEncoder:
         certified = build_verify_report(generate_named("K6", 8), full_audit=True)
         audit = build_verify_report(generate_triangular(6), full_audit=True)
         inconclusive = build_verify_report(generate_named("P1", 2))
-        assert certified["separability"]["violations"] == []
+        assert certified["separability"]["violations"].tolist() == []
         assert audit["separability"]["status"] == "ViolationFound"
         assert inconclusive["regularity"] == {"status": "inconclusive", "k": None}
         for report in (certified, audit, inconclusive):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -183,6 +184,16 @@ class TestCertifyTotalSeparability:
         monkeypatch.setattr(separability, "build_contact_graph", no_build)
         assert certify_total_separability(p, True, graph=graph) == expected
 
+    def test_reports_differing_only_in_witnesses_are_unequal(self):
+        p = generate_triangular(6)
+        brief = certify_total_separability(p)
+        full = certify_total_separability(p, full_audit=True)
+        assert (brief.clean_edges, brief.status) == (full.clean_edges, full.status)
+        assert len(brief.violations) < len(full.violations)
+        assert brief != full
+        assert full == replace(full, violations=full.violations.copy())
+        assert full != replace(full, violations=full.violations[::-1])
+
     def test_measure_does_not_call_the_public_certifier(self, monkeypatch):
         # so a traced measure records one certifier span, not two
         def no_call(*args, **kwargs):
@@ -244,8 +255,8 @@ def assert_matches_oracle(p):
     report = certify_total_separability(p)
     audit = certify_total_separability(p, full_audit=True)
     assert report.clean_edges == audit.clean_edges == clean
-    assert list(report.violations) == brief
-    assert list(audit.violations) == full
+    assert report.violations.tolist() == brief
+    assert audit.violations.tolist() == full
 
 
 class TestCertifierAgainstOracle:
@@ -297,8 +308,8 @@ class TestCertifierAgainstOracle:
             return int(np.flatnonzero(np.all(p.centers == x, axis=1))[0])
 
         assert report.total_edges == 2 and report.clean_edges == 0
-        assert sorted(report.violations) == sorted(
-            [((at(a), at(b)), at(f)), (tuple(sorted((at(c), at(d)))), at(e))]
+        assert sorted(report.violations.tolist()) == sorted(
+            [[at(a), at(b), at(f)], [*sorted((at(c), at(d))), at(e)]]
         )
 
 
