@@ -13,14 +13,14 @@ Two construction routes cover the whole catalog:
 
 An orbit spec is generated in proportion to its window.  One rule
 merges near duplicates (points within TOL / 2): a survivor mask over
-(lattice cell, cell point) keeps the lowest point of each chain of near
-pairs.  The scale is taken, to the last bit, from the closest pair of the
-surviving points of a window padded by lattice periods all round; a
-sweep of the contact pair types over the padded window's cells finds
-that pair without building the padded window's points.  Then only the
-cells whose bounding ball meets the window are tiled, and their
-surviving points are scaled so the closest pair sits at distance exactly
-2, and cropped.
+(lattice cell, cell point) keeps the lowest point of its component of
+near pairs inside the box.  The scale is taken, to the last bit, from the
+closest pair of the surviving points of a window padded by lattice
+periods all round; a sweep of the contact pair types over the padded
+window's cells finds that pair without building the padded window's
+points.  Then only the cells whose bounding ball meets the window are
+tiled, and their surviving points are scaled so the closest pair sits at
+distance exactly 2, and cropped.
 """
 
 from __future__ import annotations
@@ -130,6 +130,8 @@ class OrbitSpec:
         centering = np.atleast_2d(np.asarray(centering, dtype=float))
         if seeds.ndim != 2 or seeds.size == 0 or centering.ndim != 2 or centering.shape[1] != d:
             raise MalformedInputError("orbit seeds and centering must be lists of d-vectors")
+        if not all(np.isfinite(x).all() for x in (seeds, lattice, centering)):
+            raise MalformedInputError("orbit seeds, lattice and centering must be finite")
         if lattice.shape != (d, d) or abs(np.linalg.det(lattice)) < 1e-12:
             raise MalformedInputError("lattice basis must be d independent d-vectors")
         object.__setattr__(self, "seeds", seeds)
@@ -197,35 +199,14 @@ def _pair_types(at, lattice: np.ndarray, dims: tuple, reach: float) -> tuple:
     return near, within[one_way]
 
 
-def _component(kind: int, partners: dict, dims: tuple) -> tuple[list, list]:
-    """The near-duplicate chain component of cell point kind in cell 0:
-    its members (cell offset, cell point), kind itself first, and the
-    edges (u, v) between them, leaving out offsets no grid of shape dims
-    holds.  partners maps a cell point to its (cell point, offset) near
-    partners."""
-    own = ((0,) * len(dims), kind)
-    members, edges = [own], []
-    index = {own: 0}
-    for u, (offset, point) in enumerate(members):  # grows as it is read
-        for other, delta in partners[point]:
-            shifted = (tuple(x + y for x, y in zip(offset, delta)), other)
-            if any(abs(x) >= n for x, n in zip(shifted[0], dims)):
-                continue
-            if shifted not in index:
-                index[shifted] = len(members)
-                members.append(shifted)
-            edges.append((u, index[shifted]))
-    return members, edges
-
-
 def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> np.ndarray:
     """The raw points that stand for their near duplicates, as a mask over
     (grid cell, cell point): the one near-duplicate rule of orbit windows.
 
-    A raw point survives when it lies in the box [low, high] and no lower
-    point (lexicographic, ties to the lower (offset, cell point) label, as
-    one bit-identical copy stands for all) is reached from it by a chain of
-    near pairs inside the box; near holds the near pair types both ways.
+    A raw point survives when it lies in the box [low, high] and is the
+    lowest point of its component of near pairs inside the box: lowest
+    lexicographically, ties to the lower (grid cell, cell point) label, as
+    one bit-identical copy stands for all.
     """
     dims, d = grid.shape[:-1], grid.shape[-1]
     flat = grid.reshape(-1, d)
@@ -236,31 +217,31 @@ def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> np.ndarray:
         x = at(flat[first : first + step])
         inside[first : first + step] = np.all((x >= low) & (x <= high), axis=-1)
     inside = inside.reshape(dims + (kinds,))
-    alive = inside.copy()
-    partners = {}
+    if not len(near):
+        return inside
+    labels = np.arange(inside.size).reshape(inside.shape)
+    pairs = []
     for a, b, *delta in near.tolist():
-        partners.setdefault(a, []).append((b, tuple(delta)))
-    for kind in partners:
-        members, edges = _component(kind, partners, dims)
-        coords, present = [], []
-        for offset, point in members:
-            here, there = _slabs(dims, offset)
-            x = np.zeros(dims + (d,))
-            x[here] = at(grid[there], [point])[..., 0, :]
-            on = np.zeros(dims, dtype=bool)
-            on[here] = inside[there + (point,)]
-            coords.append(x)
-            present.append(on)
-        reached = [present[0]] + [np.zeros(dims, dtype=bool)] * (len(members) - 1)
-        for _ in members:
-            for u, v in edges:
-                reached[v] = reached[v] | (reached[u] & present[v])
-        for i, member in enumerate(members[1:], 1):
-            lower = lex_less(coords[i], coords[0])
-            if member < members[0]:
-                lower |= np.all(coords[i] == coords[0], axis=-1)
-            alive[..., kind] &= ~(reached[i] & lower)
-    return alive
+        here, there = _slabs(dims, delta)
+        both = inside[here + (a,)] & inside[there + (b,)]
+        pairs.append([labels[here + (a,)][both], labels[there + (b,)][both]])
+    nodes, ends = np.unique(np.concatenate(pairs, axis=1), return_inverse=True)
+    u, v = ends.reshape(2, -1)
+    cell, kind = np.divmod(nodes, kinds)
+    x = at(flat[cell], kind[:, None])[:, 0]
+    rank = np.argsort(np.lexsort(x.T[::-1]))  # stable: ties keep the label order
+    # spread the least rank over the pairs until nothing moves: the lowest
+    # point of a component is the one that keeps its own rank
+    least = rank
+    while True:
+        spread = least.copy()
+        np.minimum.at(spread, u, least[v])
+        np.minimum.at(spread, v, least[u])
+        if np.array_equal(spread, least):
+            break
+        least = spread
+    inside.flat[nodes[least != rank]] = False
+    return inside
 
 
 def _contact_sweep(grid: np.ndarray, at, alive: np.ndarray, types: np.ndarray) -> float:

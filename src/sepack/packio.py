@@ -122,7 +122,10 @@ def decode_packing(data: bytes) -> Packing:
             np.array(doc["window"]["upper"], dtype=float),
             float(doc["window"]["margin"]),
         )
-        centers = np.array(doc["centers"], dtype=float).reshape(-1, doc["dimension"])
+        centers = np.array(doc["centers"], dtype=float)
+        if centers.shape[1:] != (doc["dimension"],) and centers.shape != (0,):
+            raise PackingParseError(f"centers must be a list of {doc['dimension']}-long rows")
+        centers = centers.reshape(-1, doc["dimension"])
         return Packing(centers, window, float(doc["radius"]), str(doc.get("label", "")))
     except (KeyError, TypeError, ValueError) as exc:
         raise PackingParseError(f"invalid packing document: {exc}") from exc

@@ -275,9 +275,21 @@ class TestOrbitGeneration:
         p = orbit_generate(spec, Window.cube(7, 3), label="J20")
         assert check_entry_invariants(p, entry).ok
 
-    def test_rejects_singular_lattice(self):
+    @pytest.mark.parametrize(
+        "seeds, lattice, centering",
+        [
+            ([1.0, 0.0], [[1.0, 0.0], [2.0, 0.0]], None),
+            ([np.nan, 0.0], 2.0 * np.eye(2), None),
+            ([1.0, np.inf], 2.0 * np.eye(2), None),
+            ([1.0, 0.0], [[np.nan, 0.0], [0.0, 2.0]], None),
+            ([1.0, 0.0], [[2.0, 0.0], [0.0, -np.inf]], None),
+            ([1.0, 0.0], 2.0 * np.eye(2), [[0.0, 0.0], [1.0, np.nan]]),
+        ],
+        ids=["singular", "nan-seed", "inf-seed", "nan-lattice", "inf-lattice", "nan-centering"],
+    )
+    def test_rejects_singular_lattice(self, seeds, lattice, centering):
         with pytest.raises(MalformedInputError):
-            OrbitSpec(np.array([1.0, 0.0]), np.array([[1.0, 0.0], [2.0, 0.0]]))
+            OrbitSpec(np.array(seeds), np.array(lattice), centering)
 
 
 def _catalog_spec(name):

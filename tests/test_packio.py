@@ -77,6 +77,12 @@ class TestDecodeErrors:
         with pytest.raises(PackingParseError):
             decode_packing(json.dumps(doc).encode())
 
+    def test_flattened_centers(self):
+        doc = json.loads(encode_packing(generate_named("P1", 4)))
+        doc["centers"] = [sum(doc["centers"], [])]
+        with pytest.raises(PackingParseError, match="2-long rows"):
+            decode_packing(json.dumps(doc).encode())
+
     @pytest.mark.parametrize("radius", ["NaN", "Infinity", "1e400"])
     def test_non_finite_radius(self, radius):
         # json.loads reads all three, as nan, inf and inf
