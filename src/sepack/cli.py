@@ -2,11 +2,16 @@
 
 Every command exits nonzero on error; reports and packing files are
 plain JSON documents suitable for shell pipelines.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused: parsing never changes it, and each call gets a fresh
+``argparse.Namespace``, so no state passes from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import contact_numbers, diagonal, generators, packio, svgfig
@@ -109,6 +114,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepack",

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.spatial import cKDTree  # noqa: F401  (perfbench/tracer.py counts tree builds through this name)
 
 from .core import TOL, Packing, interior_indices, valid_pairs_within
@@ -111,28 +110,30 @@ def is_k_regular(g: ContactGraph, p: Packing, k: int | None = None, indices=None
 def contains_triangle(g: ContactGraph) -> tuple | None:
     """Return the lexicographically first triangle (i < j < k), or None.
 
-    With U the sparse upper-triangular adjacency (U[i, j] = 1 for an edge
-    i < j), (U @ U)[i, k] counts the paths i < j < k and multiplying by U
-    keeps those closed by the edge i-k, so the product has a nonzero in
-    row i exactly when i is the least vertex of some triangle.  The
-    witness is extracted from the first such row only: its smallest j
-    with an upper neighbor k shared with i, and the smallest such k.  Any
-    simplex in the contact graph contains a triangle, so this is the
-    complete obstruction test for total separability.
+    A wedge joins two edges (i, j) and (i, k), j < k, that leave the same
+    least vertex i; it is closed, and i < j < k a triangle, exactly when
+    (j, k) is an edge too.  The edges are sorted lexicographically, so the
+    upper neighbours of each vertex are one run of rows: every edge is
+    paired with each later edge of its run, and the candidate keys j * n + k
+    are looked up among the sorted edge keys i * n + j by one searchsorted.
+    The wedges are generated in lexicographic order of (i, j, k), so the
+    first closed one is the witness.  A vertex with u upper neighbours
+    opens u (u - 1) / 2 wedges, few in a packing, whose degrees are bounded
+    by the kissing number.  Any simplex in the contact graph contains a
+    triangle, so this is the complete obstruction test for total
+    separability.
     """
-    n = g.vertex_count
-    if g.edge_count < 3:
+    n, edges = g.vertex_count, g.edges
+    low, high, rows = edges[:, 0], edges[:, 1], np.arange(len(edges))
+    keys = low * n + high
+    later = np.cumsum(np.bincount(low, minlength=n))[low] - rows - 1  # rows after it in its run
+    first = np.repeat(rows, later)
+    # the t-th wedge of row e, counted from 0, pairs it with row e + 1 + t
+    second = np.arange(len(first)) + (rows + 1 - np.cumsum(later) + later)[first]
+    wedges = high[first] * n + high[second]
+    found = np.minimum(np.searchsorted(keys, wedges), len(keys) - 1)
+    closed = np.flatnonzero(keys[found] == wedges)
+    if not len(closed):
         return None
-    rows, cols = g.edges[:, 0], g.edges[:, 1]
-    upper = sparse.csr_array((np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=(n, n))
-    closed = (upper @ upper).multiply(upper).tocsr()
-    closed.eliminate_zeros()
-    if closed.nnz == 0:
-        return None
-    i = int(np.flatnonzero(np.diff(closed.indptr))[0])
-    above_i = upper.indices[upper.indptr[i] : upper.indptr[i + 1]]
-    for j in np.sort(above_i):
-        common = np.intersect1d(above_i, upper.indices[upper.indptr[j] : upper.indptr[j + 1]])
-        if len(common):
-            break
-    return (i, int(j), int(common[0]))
+    w = closed[0]
+    return (int(low[first[w]]), int(high[first[w]]), int(high[second[w]]))

@@ -193,9 +193,11 @@ def _pair_types(at, lattice: np.ndarray, dims: tuple, reach: float) -> tuple:
         found.append(np.unique(rows[~itself], axis=0))
     near, within = found
     flipped = np.column_stack([within[:, 1], within[:, 0], -within[:, 2:]])
-    skip = set(map(tuple, near.tolist()))
-    not_near = np.array([row not in skip for row in map(tuple, within.tolist())], dtype=bool)
-    one_way = lex_less(within, flipped) & not_near
+    # both lists hold distinct rows, so a row of within that is also near is counted twice
+    _, row, count = np.unique(
+        np.vstack([within, near]), axis=0, return_inverse=True, return_counts=True
+    )
+    one_way = lex_less(within, flipped) & (count[row[: len(within)]] == 1)
     return near, within[one_way]
 
 
@@ -221,12 +223,17 @@ def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> np.ndarray:
         return inside
     labels = np.arange(inside.size).reshape(inside.shape)
     pairs = []
-    for a, b, *delta in near.tolist():
+    for delta in np.unique(near[:, 2:], axis=0):
+        ends = near[np.all(near[:, 2:] == delta, axis=1), :2]
         here, there = _slabs(dims, delta)
-        both = inside[here + (a,)] & inside[there + (b,)]
-        pairs.append([labels[here + (a,)][both], labels[there + (b,)][both]])
-    nodes, ends = np.unique(np.concatenate(pairs, axis=1), return_inverse=True)
-    u, v = ends.reshape(2, -1)
+        inside_a, inside_b = inside[here], inside[there]
+        step = max(1, _SWEEP_CHUNK // math.prod(inside_a.shape[:-1]))
+        for start in range(0, len(ends), step):
+            a, b = ends[start : start + step].T
+            both = inside_a[..., a] & inside_b[..., b]
+            pairs.append([labels[here][..., a][both], labels[there][..., b][both]])
+    nodes, index = np.unique(np.concatenate(pairs, axis=1), return_inverse=True)
+    u, v = index.reshape(2, -1)
     cell, kind = np.divmod(nodes, kinds)
     x = at(flat[cell], kind[:, None])[:, 0]
     rank = np.argsort(np.lexsort(x.T[::-1]))  # stable: ties keep the label order

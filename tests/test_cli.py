@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sepack.cli import main
+from sepack.cli import build_parser, main
 
 from conftest import traced_peak
 
@@ -164,6 +164,45 @@ class TestOtherCommands:
 
     def test_missing_file_is_error(self, capsys):
         assert run("measure", "/nonexistent/file.json") == 2
+
+
+class TestRepeatedCalls:
+    """One parser serves every call in a process; no call leaves state behind."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_parser_is_not_built_at_import(self):
+        code = "import sepack.cli as c; print(c.build_parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0 and out.stdout.strip() == "0"
+
+    def test_full_audit_does_not_carry_over(self, tmp_path):
+        pack, full, brief = tmp_path / "t.json", tmp_path / "full.json", tmp_path / "brief.json"
+        assert run("gen", "--name", "TRI", "--window", "6", "--out", str(pack)) == 0
+        assert run("verify", str(pack), "--full-audit", "--report", str(full)) == 0
+        assert run("verify", str(pack), "--report", str(brief)) == 0
+        audited = json.loads(full.read_text())["separability"]
+        sep = json.loads(brief.read_text())["separability"]
+        edges = [tuple(w["edge"]) for w in sep["violations"]]
+        # the brief report names one witness per dirty edge
+        assert len(edges) == len(set(edges)) == sep["total_edges"] - sep["clean_edges"] > 0
+        assert len(audited["violations"]) > len(edges)
+
+    def test_margin_does_not_carry_over(self, tmp_path):
+        wide, plain = tmp_path / "wide.json", tmp_path / "plain.json"
+        assert run("gen", "--name", "P1", "--window", "8", "--margin", "5", "--out", str(wide)) == 0
+        assert run("gen", "--name", "P1", "--window", "8", "--out", str(plain)) == 0
+        assert json.loads(wide.read_text())["window"]["margin"] == 5.0
+        assert json.loads(plain.read_text())["window"]["margin"] == 3.0
+
+    def test_usage_error_then_valid_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--name", "P1", "--window")
+        assert exc.value.code == 2
+        assert "--window" in capsys.readouterr().err
+        assert run("formulas", "--n", "8", "--d", "3") == 0
+        assert "= 12" in capsys.readouterr().out
 
 
 def test_module_entry_point(tmp_path):

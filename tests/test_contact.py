@@ -191,7 +191,7 @@ def assert_first_triangle_matches_oracle(g):
 
 
 class TestContainsTriangleAgainstOracle:
-    """The sparse-product triangle search against a triple loop."""
+    """The wedge-join triangle search against a triple loop."""
 
     def test_triangular_lattice(self):
         g = build_contact_graph(generate_triangular(10))
@@ -226,3 +226,39 @@ class TestContainsTriangleAgainstOracle:
             pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
             keep = rng.random(len(pairs)) < rng.uniform(0.02, 0.2)
             assert_first_triangle_matches_oracle(ContactGraph(n, pairs[keep]))
+
+    def test_isolated_high_index_vertices(self, rng):
+        # the edges use only the first few vertices; every vertex above them
+        # has no edge, so its run of upper neighbours is empty
+        found = 0
+        for _ in range(40):
+            used = int(rng.integers(3, 12))
+            pairs = np.array([(i, j) for i in range(used) for j in range(i + 1, used)])
+            keep = rng.random(len(pairs)) < rng.uniform(0.2, 0.6)
+            n = used + int(rng.integers(1, 500))
+            found += assert_first_triangle_matches_oracle(ContactGraph(n, pairs[keep])) is not None
+        assert 0 < found < 40
+
+    def test_least_vertex_with_many_upper_neighbours(self, rng):
+        # a hub below a crowd of upper neighbours with few edges among them:
+        # most of the hub's wedges are open, and the first closed one may lie
+        # far along its run
+        found = 0
+        for _ in range(30):
+            n = int(rng.integers(20, 80))
+            hub = int(rng.integers(0, 5))
+            spokes = [(hub, j) for j in range(hub + 1, n) if rng.random() < 0.8]
+            others = [(i, j) for i in range(hub + 1, n) for j in range(i + 1, n)]
+            chords = [others[k] for k in np.flatnonzero(rng.random(len(others)) < 0.003)]
+            g = ContactGraph(n, np.array(spokes + chords).reshape(-1, 2))
+            found += assert_first_triangle_matches_oracle(g) is not None
+        assert 0 < found < 30
+
+    def test_fewer_than_three_edges(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(0, 8))
+            pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)]).reshape(-1, 2)
+            chosen = pairs[rng.permutation(len(pairs))[: int(rng.integers(0, 3))]]
+            assert assert_first_triangle_matches_oracle(ContactGraph(n, chosen)) is None
+        assert contains_triangle(ContactGraph(3, [(0, 1), (1, 2)])) is None
+        assert contains_triangle(ContactGraph(0, np.zeros((0, 2), dtype=int))) is None
