@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree  # noqa: F401  (perfbench/tracer.py counts tree builds through this name)
 
+from ._kdtree import cKDTree  # noqa: F401  (perfbench/tracer.py counts tree builds through this name)
 from .core import TOL, Packing, interior_indices, valid_pairs_within
 
 

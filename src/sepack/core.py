@@ -4,6 +4,10 @@ All packings are unit-sphere packings normalized so that touching spheres
 have center distance exactly 2.  Centers are kept in canonical
 lexicographic order so that generated files and reports are reproducible
 bit for bit.  Values are immutable after construction and safe to share.
+
+The pair queries use scipy's KD-tree, and scipy loads on the first tree
+build (``sepack._kdtree``), so a command that builds no tree never
+imports it.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from ._kdtree import cKDTree
 from .errors import InvalidPackingError, MalformedInputError, UndefinedDistanceError
 
 

@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from ._kdtree import cKDTree
 from .catalog import CATALOG_ONLY, CatalogEntry, load_catalog
 from .core import TOL, Packing, Window, lex_less, min_pairwise_distance
 from .errors import (

@@ -1,12 +1,21 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sepack
 from sepack.cli import build_parser, main
 
 from conftest import traced_peak
+
+
+# child processes import sepack from the same sources as this process
+SRC = Path(sepack.__file__).resolve().parents[1]
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
 
 
 def run(*argv):
@@ -174,7 +183,7 @@ class TestRepeatedCalls:
 
     def test_parser_is_not_built_at_import(self):
         code = "import sepack.cli as c; print(c.build_parser.cache_info().currsize)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
         assert out.returncode == 0 and out.stdout.strip() == "0"
 
     def test_full_audit_does_not_carry_over(self, tmp_path):
@@ -205,11 +214,52 @@ class TestRepeatedCalls:
         assert "= 12" in capsys.readouterr().out
 
 
+# runs the commands of its JSON argument in order and prints, as its last
+# line, the scipy modules loaded after the import and after each command
+SCIPY_PROBE = """
+import json, sys
+from sepack.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+# sha256 of the file that `gen --name P1 --window 12` writes
+P1_L12_SHA256 = "156ac3000d4fb419e11b8ae28e69640e5426deaa676b6b29f2a76f37cdfdccb2"
+
+
+def test_scipy_loads_on_the_first_kdtree_build(tmp_path):
+    oracle, diag, fig, p1 = (tmp_path / f for f in ("o.json", "d.json", "o.svg", "p1.json"))
+    commands = [
+        ["formulas", "--n", "8", "--d", "3"],
+        ["contact-opt", "--n", "9", "--d", "2", "--oracle", "--out", str(oracle)],
+        ["construct-diagonal", "--d", "2", "--depth", "1", "--out", str(diag)],
+        ["render", str(oracle), "--out", str(fig)],
+        ["gen", "--name", "P1", "--window", "12", "--out", str(p1)],
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded[:-1] == [[]] * len(commands)
+    assert "scipy.spatial" in loaded[-1]
+    assert hashlib.sha256(p1.read_bytes()).hexdigest() == P1_L12_SHA256
+
+
 def test_module_entry_point(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "sepack", "formulas", "--n", "8", "--d", "3"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert out.returncode == 0
     assert "= 12" in out.stdout
