@@ -21,7 +21,6 @@ from sepack import (
     local_fingerprint,
     min_contact_distance,
     profile_complete_indices,
-    separability_measure,
 )
 
 
@@ -56,7 +55,7 @@ def main():
     print()
     print("first higher-dimensional violation witness (d=3, depth 1):")
     result = diagonal_construction(3, 1)
-    report = separability_measure(result.packing, full_audit=True)
+    report = certify_total_separability(result.packing, full_audit=True)
     i, j, s = report.violations[0]
     print(f"  sep = {report.sep}; e.g. the tangent plane of the contact")
     print(f"  {result.packing.centers[i].round(6).tolist()} - {result.packing.centers[j].round(6).tolist()}")

@@ -8,19 +8,14 @@ sep = 1/4, and the 2x2 grid is fully separable.
 
 import math
 
-from sepack import (
-    Packing,
-    plane_hits_interior,
-    separability_measure,
-    tangent_hyperplane,
-)
+from sepack import Packing, certify_total_separability
 
 SQRT3 = math.sqrt(3.0)
 
 
 def show(name, points):
     p = Packing(points)
-    report = separability_measure(p, full_audit=True)
+    report = certify_total_separability(p, full_audit=True)
     print(f"{name}: sep = {report.sep} ({report.clean_edges}/{report.total_edges} clean)")
     for i, j, sphere in report.violations:
         print(
@@ -37,13 +32,6 @@ def main():
         "triangle plus one collinear circle",
         [[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [1.0, SQRT3]],
     )
-
-    # the plane predicate directly: the line x = 1 against the third circle
-    p = Packing([[0.0, 0.0], [2.0, 0.0], [1.0, SQRT3]])
-    where = {tuple(c): i for i, c in enumerate(p.centers.tolist())}
-    h = tangent_hyperplane(p, (where[(0.0, 0.0)], where[(2.0, 0.0)]))
-    print(f"tangent line of the bottom contact: normal {h.normal.tolist()}, offset {h.offset}")
-    print(f"first interior hit: sphere index {plane_hits_interior(h, p)}")
 
 
 if __name__ == "__main__":

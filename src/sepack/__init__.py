@@ -2,7 +2,7 @@
 
 Construction of finite windows of the regular totally separable packings
 generated by convex uniform tessellations in dimensions 2-4, tangent-
-hyperplane certification of total separability, the separability measure,
+hyperplane certification of total separability and its sep measure,
 contact-number formulas with their achieving polyomino constructions,
 and the diagonal-cube family of (d+1)-regular packings.
 """
@@ -12,7 +12,6 @@ from .contact import (
     ContactGraph,
     RegularityVerdict,
     build_contact_graph,
-    contact_count,
     contains_triangle,
     is_k_regular,
     min_contact_distance,
@@ -64,12 +63,8 @@ from .packio import (
 from .separability import (
     SeparabilityReport,
     SepSequenceReport,
-    TangentContact,
     certify_total_separability,
-    plane_hits_interior,
     sep_measure_sequence,
-    separability_measure,
-    tangent_hyperplane,
 )
 from .svgfig import render_svg
 
@@ -88,7 +83,6 @@ __all__ = [
     "SepSequenceReport",
     "SeparabilityReport",
     "TOL",
-    "TangentContact",
     "ValidationResult",
     "Window",
     "box_packing",
@@ -101,7 +95,6 @@ __all__ = [
     "check_entry_invariants",
     "choose_box",
     "constructible_ids",
-    "contact_count",
     "contains_triangle",
     "decode_packing",
     "diagonal_construction",
@@ -118,7 +111,6 @@ __all__ = [
     "min_contact_distance",
     "min_pairwise_distance",
     "orbit_generate",
-    "plane_hits_interior",
     "polyomino_oracle",
     "product_packing",
     "profile_complete_indices",
@@ -126,8 +118,6 @@ __all__ = [
     "render_svg",
     "save_packing",
     "sep_measure_sequence",
-    "separability_measure",
     "signed_permutation_orbit",
-    "tangent_hyperplane",
     "validate_packing",
 ]

@@ -32,6 +32,7 @@ class ContactGraph:
 
     @property
     def edge_count(self) -> int:
+        """Number of contacts, C(P_n)."""
         return len(self.edges)
 
     @property
@@ -63,11 +64,6 @@ def min_contact_distance(g: ContactGraph, p: Packing) -> float:
     """
     lengths = np.linalg.norm(np.subtract(*p.centers[g.edges.T]), axis=1)
     return float(lengths.min()) if len(lengths) else float("nan")
-
-
-def contact_count(g: ContactGraph) -> int:
-    """Number of edges of the contact graph, C(P_n)."""
-    return g.edge_count
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ class UndefinedDistanceError(SepackError):
     """Pairwise distance requested on fewer than two centers."""
 
 
-class NotAContactError(SepackError):
-    """The given pair of spheres is not touching."""
-
-
 class UnknownCatalogIdError(SepackError):
     """Requested name is not in the catalog."""
 

@@ -112,11 +112,19 @@ def decode_packing(data: bytes) -> Packing:
     if not isinstance(doc, dict):
         raise PackingParseError("packing file must contain a JSON object", offset=0)
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    # JSON true equals 1 in Python, so a bool must be turned away by type
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise PackingVersionError(
             f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}"
         )
     try:
+        for name, value in (
+            ("dimension", doc["dimension"]),
+            ("radius", doc["radius"]),
+            ("margin", doc["window"]["margin"]),
+        ):
+            if isinstance(value, bool):
+                raise PackingParseError(f"{name} must be a number, not {json.dumps(value)}")
         window = Window(
             np.array(doc["window"]["lower"], dtype=float),
             np.array(doc["window"]["upper"], dtype=float),

@@ -1,14 +1,16 @@
-"""Tangent-hyperplane separability: per-edge clean tests and the sep measure.
+"""Tangent-hyperplane separability: one certifier, which also gives sep.
 
 A packing is totally separable when the tangent hyperplane at every
-contact misses the interior of every sphere.  For a finite window the
-verdict is window-scoped: a violation found is a true violation, while a
-clean sweep only certifies the generated crop (the hyperplane is
-unbounded, so a finite window cannot refute far-away intersections).
+contact misses the interior of every sphere.  certify_total_separability
+is the one verdict on that rule.  For a finite window it is
+window-scoped: a violation found is a true violation, while a clean
+sweep only certifies the generated crop (the hyperplane is unbounded, so
+a finite window cannot refute far-away intersections).
 
-The measure sep(P) is the fraction of contacts whose tangent hyperplane
-is clean; it is 0 for inseparable packings and 1 for totally separable
-ones.  Grazing contact (distance from a center to the plane exactly equal
+The same report carries the measure sep(P), the fraction of contacts
+whose tangent hyperplane is clean; it is 0 for inseparable packings and
+1 for totally separable ones.  An edgeless window is WindowCertified
+with sep 1: no plane can be dirty.  Grazing contact (distance from a center to the plane exactly equal
 to the radius) counts as clean: the plane must meet the open interior to
 be dirty, and grid tangent lines legitimately graze neighboring spheres.
 
@@ -29,18 +31,16 @@ TOL and verdicts drift: a J16 window rotated and shifted by 1e6 reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .contact import ContactGraph, build_contact_graph
 from .core import TOL, Packing
-from .errors import NotAContactError
 
 WINDOW_CERTIFIED = "WindowCertified"
 VIOLATION_FOUND = "ViolationFound"
-NO_EDGES = "NoEdges"
 
 # absolute float allowance of the slab test
 _ROUNDING = 1e-12
@@ -51,56 +51,12 @@ _CANDIDATE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
-class TangentContact:
-    """The tangent hyperplane {x : normal . x = offset} of a touching pair."""
-
-    edge: tuple
-    normal: np.ndarray
-    offset: float
-
-    @property
-    def point(self) -> np.ndarray:
-        """A point on the hyperplane (the tangency point)."""
-        return self.normal * self.offset
-
-
-def tangent_hyperplane(p: Packing, edge: tuple) -> TangentContact:
-    """The unique hyperplane through the tangency point of a touching pair,
-    normal to the line of centers."""
-    i, j = int(edge[0]), int(edge[1])
-    xi, xj = p.centers[i], p.centers[j]
-    diff = xj - xi
-    dist = float(np.linalg.norm(diff))
-    if abs(dist - 2.0 * p.radius) > TOL:
-        raise NotAContactError(
-            f"spheres {i} and {j} are at distance {dist}, not touching"
-        )
-    normal = diff / dist
-    offset = float(normal @ ((xi + xj) / 2.0))
-    normal.setflags(write=False)
-    return TangentContact((i, j), normal, offset)
-
-
-def plane_hits_interior(h: TangentContact, p: Packing) -> int | None:
-    """First sphere whose open interior meets the hyperplane, or None.
-
-    A sphere is hit when its center lies strictly closer than
-    radius - TOL to the plane.
-    """
-    if p.n_spheres == 0:
-        return None
-    dist = np.abs(p.centers @ h.normal - h.offset)
-    hits = np.flatnonzero(dist < p.radius - TOL)
-    if len(hits) == 0:
-        return None
-    return int(hits[0])
-
-
-@dataclass(frozen=True, eq=False)
 class SeparabilityReport:
-    """Per-window separability verdict and the sep ratio.
+    """The certifier's per-window verdict and the sep ratio.
 
-    ``sep`` is exact (a Fraction).  ``violations`` is a read-only (k, 3)
+    ``status`` is WindowCertified when no edge is dirty, edgeless windows
+    included, and ViolationFound otherwise.  ``sep`` is exact (a
+    Fraction), 1 for an edgeless window.  ``violations`` is a read-only (k, 3)
     int64 array of witness rows (i, j, sphere): the tangent plane of edge
     (i, j) enters that sphere.  It holds one row per dirty edge by default
     or every offender under full audit, and has shape (0, 3) when no edge
@@ -212,39 +168,26 @@ def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[in
     return len(edges) - len(first), witnesses
 
 
-def _report(p: Packing, full_audit: bool, graph: ContactGraph | None) -> SeparabilityReport:
-    """The one certifier behind both public names; ``graph`` lets a caller
-    that already built the contact graph of ``p`` pass it in."""
-    g = build_contact_graph(p) if graph is None else graph
-    total = g.edge_count
-    clean, violations = _edge_cleanliness(p, g, full_audit)
-    sep = Fraction(clean, total) if total else Fraction(1)
-    status = VIOLATION_FOUND if len(violations) else WINDOW_CERTIFIED
-    return SeparabilityReport(clean, total, sep, violations, status)
-
-
-def separability_measure(p: Packing, full_audit: bool = False) -> SeparabilityReport:
-    """sep(P) = fraction of contacts whose tangent hyperplane misses every
-    sphere interior in the window.  Status NoEdges when there is nothing
-    to measure."""
-    report = _report(p, full_audit, None)
-    return report if report.total_edges else replace(report, status=NO_EDGES)
-
-
 def certify_total_separability(
     p: Packing, full_audit: bool = False, graph: ContactGraph | None = None
 ) -> SeparabilityReport:
     """Window-scoped certification of total separability.
 
     WindowCertified means every edge is clean against every sphere in the
-    window (vacuously true for an edgeless packing); ViolationFound is a
-    genuine counterexample to total separability.  Edges are tested per
-    tangent direction: one sorted projection of the centers per direction,
-    a bisected slab per edge, and an exact recheck of the slab's spheres
+    window (vacuously true for an edgeless packing, whose sep is 1);
+    ViolationFound is a genuine counterexample to total separability, and
+    sep is the fraction of clean edges.  Edges are tested per tangent
+    direction: one sorted projection of the centers per direction, a
+    bisected slab per edge, and an exact recheck of the slab's spheres
     against the edge's own plane (see ``_edge_cleanliness`` for the slab
     width).  ``graph``, when given, must be the contact graph of ``p``.
     """
-    return _report(p, full_audit, graph)
+    g = build_contact_graph(p) if graph is None else graph
+    total = g.edge_count
+    clean, violations = _edge_cleanliness(p, g, full_audit)
+    sep = Fraction(clean, total) if total else Fraction(1)
+    status = VIOLATION_FOUND if len(violations) else WINDOW_CERTIFIED
+    return SeparabilityReport(clean, total, sep, violations, status)
 
 
 @dataclass(frozen=True)
@@ -279,10 +222,7 @@ def sep_measure_sequence(family, windows) -> SepSequenceReport:
 
         name = str(family)
         make = lambda l: generate_named(name, l)
-    values = []
-    for l in windows:
-        report = separability_measure(make(l))
-        values.append(report.sep)
+    values = [certify_total_separability(make(l)).sep for l in windows]
     floats = [float(v) for v in values]
     stable = round(floats[-1], 3) == round(floats[-2], 3)
     diffs = np.diff(floats)

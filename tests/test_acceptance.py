@@ -25,7 +25,6 @@ from sepack import (
     cd_upper_bound,
     certify_total_separability,
     check_entry_invariants,
-    contact_count,
     contains_triangle,
     diagonal_construction,
     generate_named,
@@ -38,7 +37,6 @@ from sepack import (
     profile_complete_indices,
     quasi_square_packing,
     sep_measure_sequence,
-    separability_measure,
 )
 
 from conftest import deepest_witness_clearance, diagonal_plane_clearance
@@ -84,8 +82,8 @@ def test_criterion_2_quasi_square_achieves_formula():
     for n in range(1, 401):
         omino, packing = quasi_square_packing(n)
         graph = build_contact_graph(packing)
-        if contact_count(graph) != c2_formula(n):
-            failures.append(f"n={n}: contacts {contact_count(graph)} != {c2_formula(n)}")
+        if graph.edge_count != c2_formula(n):
+            failures.append(f"n={n}: contacts {graph.edge_count} != {c2_formula(n)}")
         if contains_triangle(graph) is not None:
             failures.append(f"n={n}: triangle found")
         if certify_total_separability(packing).status != "WindowCertified":
@@ -104,7 +102,7 @@ def test_criterion_3_box_equality_at_perfect_powers():
         for k in (2, 3, 4):
             n = k**d
             omino, packing = box_packing(n, d)
-            achieved = contact_count(build_contact_graph(packing))
+            achieved = build_contact_graph(packing).edge_count
             target = d * (n - k ** (d - 1))
             if not (achieved == cd_upper_bound(n, d) == target):
                 failures.append(
@@ -157,9 +155,9 @@ def test_criterion_5_separability_measure_values():
     tangent3 = Packing([[0.0, 0.0], [2.0, 0.0], [1.0, sqrt3]])
     mixed = Packing([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [1.0, sqrt3]])
     values = (
-        separability_measure(grid).sep,
-        separability_measure(tangent3).sep,
-        separability_measure(mixed).sep,
+        certify_total_separability(grid).sep,
+        certify_total_separability(tangent3).sep,
+        certify_total_separability(mixed).sep,
     )
     expected = (Fraction(1), Fraction(0), Fraction(1, 4))
     elapsed = time.perf_counter() - start

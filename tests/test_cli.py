@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sepack
@@ -100,6 +101,18 @@ class TestOtherCommands:
         assert run("measure", str(pack)) == 0
         out = capsys.readouterr().out
         assert "sep = 0" in out and "ViolationFound" in out
+
+    @pytest.mark.parametrize("centers", [[[0.0, 0.0]], np.zeros((0, 2))], ids=["one", "none"])
+    def test_measure_of_edgeless_file(self, tmp_path, capsys, centers):
+        # measure labels a window without contacts NoEdges; verify of the
+        # same file certifies it with sep 1
+        pack, rep = tmp_path / "p.json", tmp_path / "r.json"
+        sepack.save_packing(sepack.Packing(centers, sepack.Window([-2.0, -2.0], [2.0, 2.0])), pack)
+        assert run("measure", str(pack)) == 0
+        assert capsys.readouterr().out == "sep = 1 (1.000000)\nstatus = NoEdges\n"
+        assert run("verify", str(pack), "--report", str(rep)) == 0
+        separability = json.loads(rep.read_text())["separability"]
+        assert (separability["status"], separability["sep"]) == ("WindowCertified", "1")
 
     def test_formulas(self, capsys):
         assert run("formulas", "--n", "27", "--d", "3") == 0

@@ -9,7 +9,6 @@ from sepack import (
     RegularityVerdict,
     Window,
     build_contact_graph,
-    contact_count,
     contains_triangle,
     generate_named,
     generate_triangular,
@@ -36,25 +35,25 @@ def grid_packing(nx, ny):
 class TestBuildContactGraph:
     def test_square(self):
         g = build_contact_graph(grid_packing(2, 2))
-        assert contact_count(g) == 4
+        assert g.edge_count == 4
 
     def test_3x3_grid(self):
         # direct count: 2 * 3 * (3 - 1) = 12 grid edges
         g = build_contact_graph(grid_packing(3, 3))
-        assert contact_count(g) == 12
+        assert g.edge_count == 12
 
     def test_three_tangent_circles(self):
         p = Packing([[0.0, 0.0], [2.0, 0.0], [1.0, SQRT3]])
         g = build_contact_graph(p)
-        assert contact_count(g) == 3
+        assert g.edge_count == 3
 
     def test_rejects_invalid_packing(self):
         with pytest.raises(InvalidPackingError):
             build_contact_graph(Packing([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_empty_and_singleton(self):
-        assert contact_count(build_contact_graph(Packing(np.zeros((0, 2))))) == 0
-        assert contact_count(build_contact_graph(Packing([[0.0, 0.0]]))) == 0
+        assert build_contact_graph(Packing(np.zeros((0, 2)))).edge_count == 0
+        assert build_contact_graph(Packing([[0.0, 0.0]])).edge_count == 0
 
     def test_matches_brute_force_on_catalog_windows(self):
         for name, l in [("P3", 8), ("K6", 8), ("J16", 5)]:

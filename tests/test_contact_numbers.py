@@ -12,7 +12,6 @@ from sepack import (
     cd_upper_bound,
     certify_total_separability,
     choose_box,
-    contact_count,
     contains_triangle,
     polyomino_oracle,
     quasi_square_packing,
@@ -114,7 +113,7 @@ class TestQuasiSquarePacking:
         omino, packing = quasi_square_packing(n)
         assert omino.shared_faces == expected
         g = build_contact_graph(packing)
-        assert contact_count(g) == expected
+        assert g.edge_count == expected
 
     def test_achieves_formula_up_to_120(self):
         for n in range(1, 121):
@@ -129,7 +128,7 @@ class TestBoxPacking:
     def test_2x2x2(self):
         omino, packing = box_packing(8, 3)
         assert omino.shared_faces == 12
-        assert contact_count(build_contact_graph(packing)) == 12
+        assert build_contact_graph(packing).edge_count == 12
 
     def test_2x2x3(self):
         # (a-1)bc + a(b-1)c + ab(c-1) = 6 + 6 + 8 = 20 for a full 2x2x3 box

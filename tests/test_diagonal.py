@@ -16,7 +16,6 @@ from sepack import (
     min_contact_distance,
     min_pairwise_distance,
     profile_complete_indices,
-    separability_measure,
 )
 from sepack import core
 from sepack.diagonal import SPHERE_BUDGET, cube_count_exact
@@ -165,7 +164,7 @@ class TestSeparabilityByDimension:
         # deepest incursion reaching the closed-form clearance 1/3 instead
         # of the radius 1
         result = diagonal_construction(3, 1)
-        report = separability_measure(result.packing, full_audit=True)
+        report = certify_total_separability(result.packing, full_audit=True)
         assert report.status == "ViolationFound"
         assert report.sep == Fraction(27, 29)
         assert report.total_edges == 116
@@ -175,7 +174,7 @@ class TestSeparabilityByDimension:
     def test_d4_has_genuine_violations(self):
         # at d = 4 a sibling-branch sphere centre lies on a diagonal plane
         result = diagonal_construction(4, 1)
-        report = separability_measure(result.packing, full_audit=True)
+        report = certify_total_separability(result.packing, full_audit=True)
         assert report.status == "ViolationFound"
         assert report.sep == Fraction(34, 35)
         worst = deepest_witness_clearance(result.packing, report.violations)

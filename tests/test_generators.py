@@ -11,7 +11,6 @@ from sepack import (
     build_contact_graph,
     check_entry_invariants,
     constructible_ids,
-    contact_count,
     generate_apeirogon,
     generate_named,
     generate_triangular,
@@ -199,10 +198,10 @@ class TestProductPacking:
         # |E(PxQ)| = |V_P| |E_Q| + |V_Q| |E_P| on full windows
         p = generate_named("P1", 4)
         q = generate_named("P3", 6)
-        ep = contact_count(build_contact_graph(p))
-        eq = contact_count(build_contact_graph(q))
+        ep = build_contact_graph(p).edge_count
+        eq = build_contact_graph(q).edge_count
         prod = product_packing(p, q)
-        eprod = contact_count(build_contact_graph(prod))
+        eprod = build_contact_graph(prod).edge_count
         assert eprod == p.n_spheres * eq + q.n_spheres * ep
 
     def test_matches_brute_force_contacts(self):

@@ -92,6 +92,26 @@ class TestDecodeErrors:
         with pytest.raises(MalformedInputError, match="finite and positive"):
             decode_packing(data)
 
+    @pytest.mark.parametrize(
+        "path, error",
+        [
+            (("format_version",), PackingVersionError),
+            (("dimension",), PackingParseError),
+            (("radius",), PackingParseError),
+            (("window", "margin"), PackingParseError),
+        ],
+        ids=["format_version", "dimension", "radius", "margin"],
+    )
+    def test_bool_is_not_a_number(self, path, error):
+        # the apeirogon has d = 1, the one dimension that true == 1 could pass for
+        doc = json.loads(encode_packing(generate_named("A", 4)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = True
+        with pytest.raises(error):
+            decode_packing(json.dumps(doc).encode())
+
     def test_hand_written_fixture(self):
         doc = {
             "format_version": 1,

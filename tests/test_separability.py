@@ -18,14 +18,10 @@ from sepack import (
     generate_named,
     generate_triangular,
     load_catalog,
-    plane_hits_interior,
     sep_measure_sequence,
-    separability_measure,
-    tangent_hyperplane,
 )
 from sepack import separability
-from sepack.errors import NotAContactError
-from sepack.separability import NO_EDGES, VIOLATION_FOUND, WINDOW_CERTIFIED
+from sepack.separability import VIOLATION_FOUND, WINDOW_CERTIFIED
 
 from conftest import (
     brute_force_clean_edges,
@@ -42,75 +38,15 @@ THREE_TANGENT = [[0.0, 0.0], [2.0, 0.0], [1.0, SQRT3]]
 MIXED_FOUR = [[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [1.0, SQRT3]]
 
 
-class TestTangentHyperplane:
-    def test_axis_pair(self):
-        p = Packing([[0.0, 0.0], [2.0, 0.0]])
-        h = tangent_hyperplane(p, (0, 1))
-        assert np.allclose(h.normal, [1.0, 0.0])
-        assert h.offset == pytest.approx(1.0)
-
-    def test_oblique_pair(self):
-        # midpoint (1/2, sqrt3/2) dotted with unit normal (1/2, sqrt3/2)
-        # gives offset 1/4 + 3/4 = 1
-        p = Packing([[0.0, 0.0], [1.0, SQRT3]])
-        h = tangent_hyperplane(p, (0, 1))
-        assert np.allclose(h.normal, [0.5, SQRT3 / 2.0])
-        assert h.offset == pytest.approx(1.0)
-
-    def test_3d_axis_pair(self):
-        p = Packing([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
-        h = tangent_hyperplane(p, (0, 1))
-        assert np.allclose(h.normal, [0.0, 0.0, 1.0])
-        assert h.offset == pytest.approx(1.0)
-
-    def test_non_touching_pair_rejected(self):
-        p = Packing([[0.0, 0.0], [5.0, 0.0]])
-        with pytest.raises(NotAContactError):
-            tangent_hyperplane(p, (0, 1))
-
-    def test_contact_point_on_plane(self):
-        p = Packing(THREE_TANGENT)
-        for edge in [(0, 1), (0, 2), (1, 2)]:
-            h = tangent_hyperplane(p, edge)
-            mid = (p.centers[edge[0]] + p.centers[edge[1]]) / 2
-            assert float(h.normal @ mid) == pytest.approx(h.offset, abs=1e-12)
-            assert np.linalg.norm(h.normal) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestPlaneHitsInterior:
-    def test_hits_third_circle(self):
-        p = Packing(THREE_TANGENT)
-        idx = {tuple(c): i for i, c in enumerate(p.centers.tolist())}
-        h = tangent_hyperplane(p, (idx[(0.0, 0.0)], idx[(2.0, 0.0)]))
-        hit = plane_hits_interior(h, p)
-        assert hit == idx[(1.0, SQRT3)]  # distance 0 from the line x=1
-
-    def test_distant_line_misses(self):
-        from sepack.separability import TangentContact
-
-        p = Packing(THREE_TANGENT)
-        h = TangentContact((0, 1), np.array([1.0, 0.0]), 3.0)  # line x=3
-        assert plane_hits_interior(h, p) is None
-
-    def test_grid_plane_grazes_clean(self):
-        p = generate_named("J1", 6)
-        idx0 = int(np.flatnonzero(np.all(p.centers == 0.0, axis=1))[0])
-        partner = int(
-            np.flatnonzero(np.all(p.centers == [0.0, 0.0, 2.0], axis=1))[0]
-        )
-        h = tangent_hyperplane(p, (idx0, partner))  # plane z = 1
-        assert plane_hits_interior(h, p) is None
-
-
 class TestSeparabilityMeasure:
     def test_square_grid_fully_separable(self):
         p = Packing([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-        report = separability_measure(p)
+        report = certify_total_separability(p)
         assert report.sep == Fraction(1)
         assert report.status == WINDOW_CERTIFIED
 
     def test_three_tangent_circles_inseparable(self):
-        report = separability_measure(Packing(THREE_TANGENT))
+        report = certify_total_separability(Packing(THREE_TANGENT))
         assert report.sep == Fraction(0)
         assert report.status == VIOLATION_FOUND
 
@@ -118,24 +54,26 @@ class TestSeparabilityMeasure:
         # contacts: (0,0)-(2,0), (2,0)-(4,0), (0,0)-(1,s3), (2,0)-(1,s3).
         # tangent lines: x=1 passes through (1,s3); x+s3*y=2 passes through
         # (2,0); -x+s3*y=0 passes through (0,0); only x=3 clears everything
-        report = separability_measure(Packing(MIXED_FOUR))
+        report = certify_total_separability(Packing(MIXED_FOUR))
         assert report.total_edges == 4
         assert report.sep == Fraction(1, 4)
 
     def test_matches_brute_force(self):
         for pts in (THREE_TANGENT, MIXED_FOUR):
             clean, total = brute_force_clean_edges(pts)
-            report = separability_measure(Packing(pts))
+            report = certify_total_separability(Packing(pts))
             assert (report.clean_edges, report.total_edges) == (clean, total)
 
     def test_no_edges_status(self):
-        report = separability_measure(Packing([[0.0, 0.0]]))
-        assert report.status == NO_EDGES
-        assert report.sep == Fraction(1)
+        # an empty window is certified with sep 1, as a lone sphere is
+        report = certify_total_separability(Packing(np.zeros((0, 2))))
+        assert report.status == WINDOW_CERTIFIED
+        assert (report.total_edges, report.sep) == (0, Fraction(1))
+        assert report.violations.shape == (0, 3)
 
     def test_full_audit_lists_every_offender(self):
-        brief = separability_measure(Packing(THREE_TANGENT))
-        full = separability_measure(Packing(THREE_TANGENT), full_audit=True)
+        brief = certify_total_separability(Packing(THREE_TANGENT))
+        full = certify_total_separability(Packing(THREE_TANGENT), full_audit=True)
         assert len(brief.violations) == 3  # one witness per dirty edge
         assert len(full.violations) >= len(brief.violations)
 
@@ -143,7 +81,7 @@ class TestSeparabilityMeasure:
         p = Packing(MIXED_FOUR)
         for _ in range(5):
             q = transformed(p, random_rotation(2, rng), rng.uniform(-4, 4, 2))
-            report = separability_measure(q)
+            report = certify_total_separability(q)
             assert report.sep == Fraction(1, 4)
             assert report.status == VIOLATION_FOUND
 
@@ -193,14 +131,6 @@ class TestCertifyTotalSeparability:
         assert brief != full
         assert full == replace(full, violations=full.violations.copy())
         assert full != replace(full, violations=full.violations[::-1])
-
-    def test_measure_does_not_call_the_public_certifier(self, monkeypatch):
-        # so a traced measure records one certifier span, not two
-        def no_call(*args, **kwargs):
-            raise AssertionError("public certifier called")
-
-        monkeypatch.setattr(separability, "certify_total_separability", no_call)
-        assert separability_measure(Packing(MIXED_FOUR)).sep == Fraction(1, 4)
 
 
 class TestSepMeasureSequence:

@@ -21,3 +21,14 @@ def test_tree_builds_are_counted_not_traced(tmp_path):
     assert not [name for name in names if name.endswith("cKDTree")]
     # an orbit window builds three trees, a verify one
     assert [module for _, module in tracer.kdtree_builds] == ["generators"] * 3 + ["core"]
+
+
+def test_measure_runs_under_the_certifier_span(tmp_path):
+    pack = tmp_path / "tri.json"
+    assert main(["gen", "--name", "TRI", "--window", "6", "--out", str(pack)]) == 0
+    tracer = Tracer()
+    with tracer.installed():
+        assert main(["measure", str(pack)]) == 0
+    names = [span.name for span in tracer.spans]
+    assert names.count("separability.certify_total_separability") == 1
+    assert names.count("contact.build_contact_graph") == 1
