@@ -18,9 +18,12 @@ near pairs inside the box.  The scale is taken, to the last bit, from the
 closest pair of the surviving points of a window padded by lattice
 periods all round; a sweep of the contact pair types over the padded
 window's cells finds that pair without building the padded window's
-points.  Then only the cells whose bounding ball meets the window are
-tiled, and their surviving points are scaled so the closest pair sits at
-distance exactly 2, and cropped.
+points.  Both passes form raw coordinates one at a time, from
+coordinate-major tables of the cell points; the sweep computes only the
+(cell, pair type) pairs with both ends surviving.  Then only the cells
+whose bounding ball meets the window are tiled, and their surviving
+points are scaled so the closest pair sits at distance exactly 2, and
+cropped.
 """
 
 from __future__ import annotations
@@ -50,14 +53,14 @@ TRIANGULAR_ID = "TRI"
 
 # Most raw points the padded window of an orbit spec may span (its lattice
 # cells times the points per cell), and most spheres a product may hold.
-# Checked before anything that size is allocated.  The survivor mask and
-# the contact sweep visit every cell of the padded window, _SWEEP_CHUNK
-# floats at a time; only the cells that meet the window are tiled.  O103
-# at L = 9 spans 921,984 raw points and keeps 1,536; P1 at L = 1000 spans
-# 1,010,025.
+# Checked before anything that size is allocated.  The survivor mask tests
+# every raw point of the padded window, a coordinate at a time, and the
+# contact sweep every (cell, pair type) pair; only the cells that meet the
+# window are tiled.  O103 at L = 9 spans 921,984 raw points and keeps
+# 1,536; P1 at L = 1000 spans 1,010,025.
 POINT_BUDGET = 2_000_000
 
-# most floats one step of the contact sweep holds in one array
+# most values one step of the survivor mask or the contact sweep holds in one array
 _SWEEP_CHUNK = 1 << 17
 
 
@@ -147,22 +150,29 @@ class OrbitSpec:
         return np.unique(np.vstack([signed_permutation_orbit(s) for s in self.seeds]), axis=0)
 
 
-def _cell_points(centering: np.ndarray, motif: np.ndarray):
-    """at(translates, kinds): coordinates (t + c) + m of the cell points
-    ``kinds`` at every translate t, shape translates.shape[:-1] +
-    (len(kinds), d).  Cell point p is centering offset p // len(motif) plus
-    motif point p % len(motif).  Every raw coordinate of an orbit window is
-    computed here, so the same point always has the same bits."""
-    every = np.arange(len(centering) * len(motif))
-
-    def at(translates: np.ndarray, kinds=every) -> np.ndarray:
-        offset, point = np.divmod(np.asarray(kinds), len(motif))
-        return (translates[..., None, :] + centering[offset]) + motif[point]
-
-    return at
+def _cell_points(centering: np.ndarray, motif: np.ndarray) -> tuple:
+    """Coordinate-major (d, kinds) tables (c, m) of the cell points: cell
+    point p is centering offset p // len(motif) plus motif point p % len(motif).
+    Coordinate k of cell point p at translate t is (t_k + c[k, p]) + m[k, p]:
+    every raw coordinate of an orbit window comes from these tables in that
+    order, so the same point always has the same bits."""
+    offset, point = np.divmod(np.arange(len(centering) * len(motif)), len(motif))
+    return centering[offset].T.copy(), motif[point].T.copy()
 
 
-def _pair_types(at, lattice: np.ndarray, dims: tuple, reach: float) -> tuple:
+def _at(tables: tuple, translates: np.ndarray, kinds=slice(None)) -> np.ndarray:
+    """Cell points ``kinds`` at each translate, shape translates.shape[:-1] + (len(kinds), d)."""
+    return (translates[..., None, :] + tables[0].T[kinds]) + tables[1].T[kinds]
+
+
+def _coordinate(tables: tuple, k: int, t: np.ndarray, kinds) -> np.ndarray:
+    """(t + c[k, kinds]) + m[k, kinds], in place on t: coordinate k of cell points ``kinds``."""
+    t += tables[0][k][kinds]
+    t += tables[1][k][kinds]
+    return t
+
+
+def _pair_types(tables: tuple, lattice: np.ndarray, dims: tuple, reach: float) -> tuple:
     """The near-duplicate pair types (within TOL / 2), listed both ways, and
     the other pair types within reach, listed one way; reach is widened to
     reach * (1 + TOL) + TOL, beyond the rounding of any coordinate.
@@ -173,7 +183,7 @@ def _pair_types(at, lattice: np.ndarray, dims: tuple, reach: float) -> tuple:
     holds and that can bring two cell points within reach is looked at.
     """
     d = len(lattice)
-    own = at(np.zeros(d))
+    own = _at(tables, np.zeros(d))
     kinds = np.arange(len(own))
     radii = (TOL / 2, reach * (1 + TOL) + TOL)
     span = 2 * np.linalg.norm(own, axis=1).max() + radii[1]
@@ -181,7 +191,7 @@ def _pair_types(at, lattice: np.ndarray, dims: tuple, reach: float) -> tuple:
     axes = np.meshgrid(*[np.arange(-n, n + 1) for n in limit.astype(int)], indexing="ij")
     offsets = np.stack([g.ravel() for g in axes], axis=1)
     offsets = offsets[np.linalg.norm(offsets @ lattice, axis=1) <= span]
-    tree = cKDTree(at(offsets @ lattice).reshape(-1, d))
+    tree = cKDTree(_at(tables, offsets @ lattice).reshape(-1, d))
     found = []
     for r in radii:
         hits = tree.query_ball_point(own, r)
@@ -203,7 +213,7 @@ def _pair_types(at, lattice: np.ndarray, dims: tuple, reach: float) -> tuple:
     return near, within[one_way]
 
 
-def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> np.ndarray:
+def _survivors(grid: np.ndarray, tables: tuple, low, high, near: np.ndarray) -> np.ndarray:
     """The raw points that stand for their near duplicates, as a mask over
     (grid cell, cell point): the one near-duplicate rule of orbit windows.
 
@@ -214,12 +224,14 @@ def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> np.ndarray:
     """
     dims, d = grid.shape[:-1], grid.shape[-1]
     flat = grid.reshape(-1, d)
-    kinds = len(at(np.zeros(d)))
-    inside = np.empty((len(flat), kinds), dtype=bool)
-    step = max(1, _SWEEP_CHUNK // (kinds * d))
+    kinds = tables[0].shape[1]
+    inside = np.ones((len(flat), kinds), dtype=bool)
+    step = max(1, _SWEEP_CHUNK // kinds)
     for first in range(0, len(flat), step):
-        x = at(flat[first : first + step])
-        inside[first : first + step] = np.all((x >= low) & (x <= high), axis=-1)
+        block = inside[first : first + step]
+        for k in range(d):
+            x = (flat[first : first + step, k, None] + tables[0][k]) + tables[1][k]
+            block &= (x >= low[k]) & (x <= high[k])
     inside = inside.reshape(dims + (kinds,))
     if not len(near):
         return inside
@@ -232,13 +244,13 @@ def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> np.ndarray:
         step = max(1, _SWEEP_CHUNK // math.prod(inside_a.shape[:-1]))
         for start in range(0, len(ends), step):
             a, b = ends[start : start + step].T
-            both = inside_a[..., a] & inside_b[..., b]
-            pairs.append([labels[here][..., a][both], labels[there][..., b][both]])
+            *cell, end = np.nonzero(inside_a[..., a] & inside_b[..., b])
+            pairs.append([labels[here][(*cell, a[end])], labels[there][(*cell, b[end])]])
     nodes, index = np.unique(np.concatenate(pairs, axis=1), return_inverse=True)
     u, v = index.reshape(2, -1)
     cell, kind = np.divmod(nodes, kinds)
-    x = at(flat[cell], kind[:, None])[:, 0]
-    rank = np.argsort(np.lexsort(x.T[::-1]))  # stable: ties keep the label order
+    keys = [_coordinate(tables, k, flat[cell, k], kind) for k in reversed(range(d))]
+    rank = np.argsort(np.lexsort(keys))  # stable: ties keep the label order
     # spread the least rank over the pairs until nothing moves: the lowest
     # point of a component is the one that keeps its own rank
     least = rank
@@ -253,11 +265,13 @@ def _survivors(grid: np.ndarray, at, low, high, near: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _contact_sweep(grid: np.ndarray, at, alive: np.ndarray, types: np.ndarray) -> float:
+def _contact_sweep(grid: np.ndarray, tables: tuple, alive: np.ndarray, types: np.ndarray) -> float:
     """Least distance of the pair types over every grid cell where both
     ends are alive, in the float arithmetic of cKDTree's Euclidean kernel:
     squared differences summed coordinate by coordinate, then sqrt.  Each
-    step holds about _SWEEP_CHUNK floats per array."""
+    step takes the (cell, type) pairs with both ends alive and forms their
+    coordinates one at a time from the cell point tables; no step holds
+    more than _SWEEP_CHUNK values in one array."""
     dims, d = grid.shape[:-1], grid.shape[-1]
     least = np.inf
     for delta in np.unique(types[:, 2:], axis=0):
@@ -270,20 +284,20 @@ def _contact_sweep(grid: np.ndarray, at, alive: np.ndarray, types: np.ndarray) -
             t_a, t_b = grid_a[block].reshape(-1, d), grid_b[block].reshape(-1, d)
             on_a = alive_a[block].reshape(len(t_a), -1)
             on_b = alive_b[block].reshape(len(t_b), -1)
-            step = max(1, _SWEEP_CHUNK // (len(t_a) * d))
+            step = max(1, _SWEEP_CHUNK // len(t_a))
             for start in range(0, len(ends), step):
                 a, b = ends[start : start + step].T
-                diff = at(t_a, a) - at(t_b, b)
-                diff *= diff
-                squares = diff[..., 0].copy()
-                for k in range(1, d):
-                    squares += diff[..., k]
-                both = on_a[:, a] & on_b[:, b]
-                least = min(least, float(squares.min(where=both, initial=np.inf)))
+                cell, end = np.nonzero(on_a[:, a] & on_b[:, b])
+                a, b, squares = a[end], b[end], np.zeros(len(cell))
+                for k in range(d):
+                    diff = _coordinate(tables, k, t_a[:, k][cell], a)
+                    diff -= _coordinate(tables, k, t_b[:, k][cell], b)
+                    squares += diff * diff
+                least = min(least, float(squares.min(initial=np.inf)))
     return float(np.sqrt(least))  # sqrt is monotone: the root of the least square
 
 
-def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -> tuple:
+def _scale_and_window(lattice: np.ndarray, tables: tuple, window: Window, contact: float) -> tuple:
     """The scale of an orbit window and its raw points: the survivors of
     the cells whose bounding ball meets the window.
 
@@ -298,20 +312,20 @@ def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -
     survivors are the window's points too.
     """
     d = len(lattice)
-    own = at(np.zeros(d))
+    own = _at(tables, np.zeros(d))
     probe_scale = 2.0 / contact
     pad = float(np.linalg.norm(lattice, axis=1).max())
     lo = window.lower / probe_scale - pad
     hi = window.upper / probe_scale + pad
     grid = _lattice_translates(lattice, lo, hi, len(own))
     dims = grid.shape[:-1]
-    near, contacts = _pair_types(at, lattice, dims, contact)
-    alive = _survivors(grid, at, lo - pad, hi + pad, near)
-    closest, reach = _contact_sweep(grid, at, alive, contacts), contact
+    near, contacts = _pair_types(tables, lattice, dims, contact)
+    alive = _survivors(grid, tables, lo - pad, hi + pad, near)
+    closest, reach = _contact_sweep(grid, tables, alive, contacts), contact
     diameter = float(np.linalg.norm(hi - lo)) + 4 * pad  # of the padded box
     while closest > reach * (1 + TOL / 2) + TOL / 2 and reach <= diameter:
         reach = closest if closest < np.inf else 2 * reach
-        closest = _contact_sweep(grid, at, alive, _pair_types(at, lattice, dims, reach)[1])
+        closest = _contact_sweep(grid, tables, alive, _pair_types(tables, lattice, dims, reach)[1])
     scale = 2.0 / closest
 
     low, high = (window.lower - TOL) / scale, (window.upper + TOL) / scale
@@ -321,7 +335,7 @@ def _scale_and_window(lattice: np.ndarray, at, window: Window, contact: float) -
     # the slack covers the rounding of a point's coordinates and of the crop
     ball = np.linalg.norm(own, axis=1).max() + TOL * (1 + np.abs([low, high]).max())
     cells = gap <= ball**2
-    return scale, at(grid[cells])[alive[cells]]
+    return scale, _at(tables, grid[cells])[alive[cells]]
 
 
 def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
@@ -341,15 +355,16 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     """
     lattice = spec.lattice
     d = spec.dimension
-    at = _cell_points(spec.centering, spec.motif())
+    tables = _cell_points(spec.centering, spec.motif())
 
     # the raw contact distance of one cell plus its neighbors sizes the window
     cells = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice
     cells = cells.reshape((3,) * d + (d,))
-    near = _pair_types(at, lattice, cells.shape[:-1], 0.0)[0]
-    probe = at(cells)[_survivors(cells, at, -np.inf, np.inf, near)]
+    near = _pair_types(tables, lattice, cells.shape[:-1], 0.0)[0]
+    everywhere = np.full(d, np.inf)
+    probe = _at(tables, cells)[_survivors(cells, tables, -everywhere, everywhere, near)]
     contact = float(cKDTree(probe).query(probe, k=2)[0][:, 1].min())
-    scale, raw = _scale_and_window(lattice, at, window, contact)
+    scale, raw = _scale_and_window(lattice, tables, window, contact)
     centers = raw * scale
     return Packing(centers[window.contains(centers)], window, 1.0, label)
 

@@ -100,6 +100,18 @@ def encode_packing(p: Packing) -> bytes:
     return "".join(_json_pieces(doc, ("centers",), _center_rows)).encode("utf-8")
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a bool or a list holding one at any depth."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, bool):
+            return True
+        if isinstance(value, list):
+            stack.extend(value)
+    return False
+
+
 def decode_packing(data: bytes) -> Packing:
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -118,13 +130,19 @@ def decode_packing(data: bytes) -> Packing:
             f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}"
         )
     try:
-        for name, value in (
-            ("dimension", doc["dimension"]),
-            ("radius", doc["radius"]),
-            ("margin", doc["window"]["margin"]),
-        ):
-            if isinstance(value, bool):
-                raise PackingParseError(f"{name} must be a number, not {json.dumps(value)}")
+        # a bool reads as 0 or 1 below; without true or false in the bytes
+        # there is none, so the common file skips this pass over every value
+        if b"true" in data or b"false" in data:
+            for name, value in (
+                ("dimension", doc["dimension"]),
+                ("radius", doc["radius"]),
+                ("margin", doc["window"]["margin"]),
+                ("lower", doc["window"]["lower"]),
+                ("upper", doc["window"]["upper"]),
+                ("centers", doc["centers"]),
+            ):
+                if _holds_bool(value):
+                    raise PackingParseError(f"{name} must hold numbers, not JSON booleans")
         window = Window(
             np.array(doc["window"]["lower"], dtype=float),
             np.array(doc["window"]["upper"], dtype=float),

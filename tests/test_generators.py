@@ -358,6 +358,16 @@ def test_orbit_window_matches_padded_oracle(case):
     assert count in (None, packing.n_spheres)
 
 
+@pytest.mark.parametrize(
+    "case", ["J16-L8", "near-chain-30Z2", "wide-motif-sparse-box", "J20-off-origin"]
+)
+def test_small_sweep_chunks_keep_the_bytes(case, monkeypatch):
+    # 64 values a step splits the survivor mask and the contact sweep into
+    # many steps, some of which hold no pair with both ends alive
+    monkeypatch.setattr(generators, "_SWEEP_CHUNK", 64)
+    test_orbit_window_matches_padded_oracle(case)
+
+
 def test_generation_kdtree_builds(monkeypatch):
     # an orbit window builds three: the probe's near pair types and closest
     # pair, and the padded window's pair types; a product builds its factors'

@@ -99,11 +99,14 @@ class TestDecodeErrors:
             (("dimension",), PackingParseError),
             (("radius",), PackingParseError),
             (("window", "margin"), PackingParseError),
+            (("window", "lower", 0), PackingParseError),
+            (("centers", 1, 0), PackingParseError),
         ],
-        ids=["format_version", "dimension", "radius", "margin"],
+        ids=["format_version", "dimension", "radius", "margin", "lower", "center"],
     )
     def test_bool_is_not_a_number(self, path, error):
-        # the apeirogon has d = 1, the one dimension that true == 1 could pass for
+        # the apeirogon has d = 1, the one dimension that true == 1 could pass for;
+        # a bool bound or coordinate would read as 1.0 and re-encode to other bytes
         doc = json.loads(encode_packing(generate_named("A", 4)))
         parent = doc
         for key in path[:-1]:
@@ -111,6 +114,12 @@ class TestDecodeErrors:
         parent[path[-1]] = True
         with pytest.raises(error):
             decode_packing(json.dumps(doc).encode())
+
+    def test_true_in_a_label_still_decodes(self):
+        # the bool check runs when the bytes spell true or false anywhere
+        p = generate_named("A", 4)
+        p = Packing(p.centers, p.window, p.radius, "true or false")
+        assert encode_packing(decode_packing(encode_packing(p))) == encode_packing(p)
 
     def test_hand_written_fixture(self):
         doc = {
