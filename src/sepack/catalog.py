@@ -15,6 +15,8 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import InvalidValueError
+
 _BASIS = (1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0))
 
 CATALOG_ONLY = "catalog-only"
@@ -78,7 +80,7 @@ def load_catalog() -> dict:
     text = resources.files("sepack").joinpath("data/catalog.json").read_text()
     data = json.loads(text)
     if data.get("format_version") != 1:
-        raise ValueError(f"unsupported catalog format_version {data.get('format_version')}")
+        raise InvalidValueError(f"unsupported catalog format_version {data.get('format_version')}")
     entries = [_parse_entry(raw) for raw in data["entries"]]
     return {e.id: e for e in entries}
 

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import TOL, Packing, Window
-from .errors import EnumerationLimitError, SizeLimitError
+from .errors import EnumerationLimitError, InvalidValueError, SizeLimitError
 from .generators import POINT_BUDGET
 
 # exhaustive enumeration limits: the largest cases are the 36,446 fixed
@@ -38,7 +38,7 @@ def c2_formula(n: int) -> int:
     """Maximum contact number of a totally separable packing of n unit
     circles: floor(2(n - sqrt(n))), exact at perfect squares."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidValueError(f"n must be >= 1, got {n}")
     k = math.isqrt(n)
     if k * k == n:
         return 2 * (n - k)
@@ -69,9 +69,9 @@ def cd_upper_bound(n: int, d: int) -> int:
     totally separable packing of n unit spheres in R^d; an equality when
     n is a perfect d-th power."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidValueError(f"n must be >= 1, got {n}")
     if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+        raise InvalidValueError(f"d must be >= 2, got {d}")
     # d*n^((d-1)/d) = (d^d * n^(d-1))^(1/d), and d*n is an integer, so
     # the floor is d*n minus the ceiling of that integer d-th root
     power = d**d * n ** (d - 1)
@@ -117,7 +117,7 @@ class Polyomino:
         if cells.size == 0:
             cells = cells.reshape(0, self.dimension)
         if cells.ndim != 2 or cells.shape[1] != self.dimension:
-            raise ValueError("cell arity does not match dimension")
+            raise InvalidValueError("cell arity does not match dimension")
         if len(cells):
             codes = _padded_codes(cells)[0]
             order = np.argsort(codes, kind="stable")
@@ -178,9 +178,9 @@ class BoxSpec:
 
     def __post_init__(self):
         if any(s < 1 for s in self.sides):
-            raise ValueError("box sides must be >= 1")
+            raise InvalidValueError("box sides must be >= 1")
         if math.prod(self.sides) < self.cells_used:
-            raise ValueError("box must hold at least n cells")
+            raise InvalidValueError("box must hold at least n cells")
 
     @property
     def remainder(self) -> int:
@@ -191,7 +191,7 @@ def choose_box(n: int, d: int) -> BoxSpec:
     """Smallest box of the form (k+delta_i), delta_i in {0,1}, holding n
     cells; ties broken toward the lexicographically smallest delta."""
     if n < 1 or d < 2:
-        raise ValueError("need n >= 1 and d >= 2")
+        raise InvalidValueError("need n >= 1 and d >= 2")
     k = _floor_root(n, d)
     best = None
     for deltas in itertools.product((0, 1), repeat=d):
@@ -217,7 +217,7 @@ def quasi_square_packing(n: int) -> tuple[Polyomino, Packing]:
     shared faces; its contact count is exactly c2_formula(n).
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidValueError(f"n must be >= 1, got {n}")
     _check_size(n)
     k = math.isqrt(n)
     widths = [k] if k * k == n else [k, k + 1]
@@ -259,7 +259,7 @@ def enumerate_fixed_polyforms(n: int, d: int = 2) -> list:
     shape.  len() of the result is OEIS A001168 (d = 2) / A001931 (d = 3).
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidValueError(f"n must be >= 1, got {n}")
     # cell c is the integer sum((c_i + n) * side**i): no coordinate of a
     # shape cell or its neighbour leaves [-n, n], so the last coordinate is
     # the most significant digit and "after the origin" is "> origin"
@@ -296,7 +296,7 @@ def polyomino_oracle(n: int, d: int = 2) -> int:
     by ORACLE_LIMITS.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidValueError(f"n must be >= 1, got {n}")
     limit = ORACLE_LIMITS.get(d)
     if limit is None:
         raise EnumerationLimitError(

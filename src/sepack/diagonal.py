@@ -49,7 +49,7 @@ import numpy as np
 
 from .contact import ContactGraph, RegularityVerdict, build_contact_graph, is_k_regular
 from .core import TOL, Packing, Window, interior_indices
-from .errors import SizeLimitError, UnsupportedDimensionError
+from .errors import InvalidValueError, SizeLimitError, UnsupportedDimensionError
 
 # most spheres a construction may hold; checked before any allocation
 SPHERE_BUDGET = 200_000
@@ -119,7 +119,7 @@ def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
     if d < 2:
         raise UnsupportedDimensionError(f"diagonal construction needs d >= 2, got {d}")
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise InvalidValueError("depth must be >= 0")
     if cube_count_exact(d, depth) * (2**d) > SPHERE_BUDGET:
         raise SizeLimitError(
             f"depth {depth} in d={d} needs {cube_count_exact(d, depth) * 2**d} "

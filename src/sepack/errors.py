@@ -17,6 +17,12 @@ class InvalidPackingError(SepackError):
         self.verdict = verdict
 
 
+class InvalidValueError(SepackError, ValueError):
+    """An argument or data value is out of range: a count, a depth, a box
+    side, a window sequence or a data format version.  It is also a
+    ValueError, so callers that catch ValueError still catch it."""
+
+
 class UndefinedDistanceError(SepackError):
     """Pairwise distance requested on fewer than two centers."""
 

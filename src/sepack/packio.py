@@ -18,8 +18,9 @@ match ``json.dumps`` because the rows hold only what the templates spell
 the same way: a center row is Python floats, written with ``repr`` (the
 encoder's ``float.__repr__``; coordinates are finite), and a witness row
 (i, j, sphere) of the certifier's (k, 3) integer array becomes the object
-``{"edge": [i, j], "sphere": sphere}``, a whole chunk written by one
-``%`` of a repeated template over Python ints.  An empty bulk list is
+``{"edge": [i, j], "sphere": sphere}``, a whole chunk spelled by numpy
+as one block of the template's bytes and table-looked-up digits, with no
+Python object per value (see ``_witness_rows``).  An empty bulk list is
 written as ``[]``, as the encoder does.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +44,18 @@ FORMAT_VERSION = 1
 _BULK = "<bulk rows>"
 # bulk rows joined per write
 _CHUNK_ROWS = 4096
+# a witness row's literal text around its three values "i", "j" and
+# "sphere", up to the ",\n" that joins it to the next row, as uint32
+# words NUL-padded at the end
+_WITNESS_WORDS = [
+    np.frombuffer(text + bytes(-len(text) % 4), dtype=np.uint32)
+    for text in (
+        b'   {\n    "edge": [\n     ',
+        b",\n     ",
+        b'\n    ],\n    "sphere": ',
+        b"\n   },\n",
+    )
+]
 
 
 def _json_pieces(doc: dict, path: tuple, chunk_text):
@@ -78,9 +92,44 @@ def _center_rows(rows: list) -> str:
     return ",\n".join("  [\n   " + ",\n   ".join(map(repr, row)) + "\n  ]" for row in rows)
 
 
+@lru_cache(maxsize=1)
+def _digit_groups() -> np.ndarray:
+    """Four ASCII bytes per uint32: the groups 0..9999 zero-padded, then
+    the same groups with NULs for their leading zeros ("0" stays), then
+    one group of NULs."""
+    groups = np.arange(10_000)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    padded = (groups // place % 10 + ord("0")).astype(np.uint8)
+    leading = padded * ((groups >= place) | (place == 1))
+    nul = np.zeros((1, 4), dtype=np.uint8)
+    groups = np.concatenate([padded, leading, nul]).view(np.uint32).ravel()
+    groups.setflags(write=False)
+    return groups
+
+
 def _witness_rows(rows: np.ndarray) -> str:
-    template = '   {\n    "edge": [\n     %d,\n     %d\n    ],\n    "sphere": %d\n   }'
-    return ",\n".join([template] * len(rows)) % tuple(rows.ravel().tolist())
+    """The witness objects of (i, j, sphere) index rows, joined by ``",\\n"``.
+
+    The chunk is built as one block of 4-byte words: per row the
+    template's literal words around three values of ``limbs`` digit groups
+    each, enough for the chunk's largest value.  A value's base-10^4 limb
+    is looked up in ``_digit_groups`` by its prefix, the value without the
+    limbs below: a prefix of 10^4 or more takes the zero-padded group, a
+    smaller one the group without leading zeros, and a prefix of 0 the NUL
+    group, except in the last limb, whose 0 is spelled "0".  Deleting the
+    block's NULs leaves the decimal spellings ``json.dumps`` gives.
+    """
+    values = rows.reshape(-1)
+    limbs = (len(str(values.max())) + 3) // 4
+    prefix = values[:, None] // 10_000 ** np.arange(limbs - 1, -1, -1)
+    index = prefix % 10_000 + 10_000 * (prefix < 10_000)
+    index[:, :-1] += 10_000 * (prefix[:, :-1] == 0)
+    digits = _digit_groups()[index].reshape(len(rows), 3, limbs)
+    text = [np.broadcast_to(words, (len(rows), len(words))) for words in _WITNESS_WORDS]
+    block = np.concatenate(
+        [text[0], digits[:, 0], text[1], digits[:, 1], text[2], digits[:, 2], text[3]], axis=1
+    )
+    return block.tobytes().translate(None, b"\0")[:-2].decode("ascii")
 
 
 def encode_packing(p: Packing) -> bytes:

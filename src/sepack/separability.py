@@ -38,6 +38,7 @@ import numpy as np
 
 from .contact import ContactGraph, build_contact_graph
 from .core import TOL, Packing
+from .errors import InvalidValueError
 
 WINDOW_CERTIFIED = "WindowCertified"
 VIOLATION_FOUND = "ViolationFound"
@@ -95,16 +96,26 @@ def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[in
     bounds the change of normal within the group; the last two terms
     bound the float rounding of the two d-term dot products and of the
     slab ends.  So one sort of the projections per group and a bisection
-    per edge yield every possible offender, and each candidate is then
-    rechecked with the edge's own normal and offset: the verdicts do not
-    depend on how the rounding grouped the directions.  The slack is
-    computed, never a fixed constant: while it stays below TOL (for grid
-    normals, X below 7e4 in d = 4) the spheres grazing a plane at exactly
-    the radius, a whole neighboring row in a grid, stay out of the slab.
+    per edge yield every possible offender.  The slack is computed, never
+    a fixed constant: while it stays below TOL (for grid normals, X below
+    7e4 in d = 4) the spheres grazing a plane at exactly the radius, a
+    whole neighboring row in a grid, stay out of the slab.
+
+    The same two-sided bound, |x . u_g - x . s_e u_e| <= spread * X, makes
+    the slab's inner band a set of sure hits.  A candidate whose projection
+    lies within r' - slack of s_e b_e has |x . s_e u_e - s_e b_e| < r' -
+    slack + spread * X = r' - rounding exactly, and ``rounding`` covers the
+    float error of the two d-term dot products and of the band ends, so the
+    recheck below would find it under r' too.  Only the rim, candidates
+    with r' - slack <= |x . u_g - s_e b_e| <= r' + slack, is rechecked with
+    the edge's own normal and offset: the verdicts do not depend on how the
+    rounding grouped the directions.
 
     The witness rows form a read-only (k, 3) int64 array, ordered by edge
-    (ContactGraph order), then by sphere index; without full audit each
-    dirty edge keeps its lowest-index offender.
+    (ContactGraph order), then by sphere index: every hit is ranked by the
+    one int64 key e * n + sphere, below m * n < 2^63 for any window under
+    POINT_BUDGET, in one sort.  Without full audit each dirty edge keeps
+    its lowest-index offender, the first of its run of keys.
     """
     edges = g.edges
     if len(edges) == 0:
@@ -130,7 +141,7 @@ def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[in
     reach = p.radius - TOL
     extent = float(np.max(np.abs(centers)))
     rounding = _ROUNDING + 4 * p.dimension**2 * np.finfo(float).eps * extent
-    hit_edges, hit_spheres = [], []
+    hit_keys = [np.zeros(0, dtype=np.int64)]
     for members in np.split(by_group, starts):
         facing = normals[members] * signs[members, None]
         u_g = facing[0]
@@ -140,26 +151,34 @@ def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[in
         order = np.argsort(proj)
         proj = proj[order]
         b = offsets[members] * signs[members]
+        # sorted positions [lo, hi) form the slab, [inner_lo, inner_hi) its inner band
         lo = np.searchsorted(proj, b - reach - slack, side="left")
         hi = np.searchsorted(proj, b + reach + slack, side="right")
         counts = hi - lo
         ends = np.cumsum(counts)
+        if ends[-1] == 0:
+            continue
+        inner = max(reach - slack, 0.0)
+        inner_lo = np.searchsorted(proj, b - inner, side="right")
+        inner_hi = np.maximum(np.searchsorted(proj, b + inner, side="left"), inner_lo)
         cuts = np.searchsorted(ends, np.arange(_CANDIDATE_BUDGET, ends[-1], _CANDIDATE_BUDGET))
         for chunk in np.split(np.arange(len(members)), cuts):
             # flatten the slabs of the chunk's edges into (edge, sphere) pairs
             c = counts[chunk]
             run_start = np.cumsum(c) - c
             e = np.repeat(members[chunk], c)
-            sphere = order[np.arange(c.sum()) + np.repeat(lo[chunk] - run_start, c)]
-            dist = np.abs(np.einsum("ij,ij->i", centers[sphere], normals[e]) - offsets[e])
-            hit = dist < reach
-            hit_edges.append(e[hit])
-            hit_spheres.append(sphere[hit])
+            at = np.arange(c.sum()) + np.repeat(lo[chunk] - run_start, c)
+            sphere = order[at]
+            hit = (np.repeat(inner_lo[chunk], c) <= at) & (at < np.repeat(inner_hi[chunk], c))
+            band = np.flatnonzero(~hit)
+            band_e = e[band]
+            dist = np.abs(
+                np.einsum("ij,ij->i", centers[sphere[band]], normals[band_e]) - offsets[band_e]
+            )
+            hit[band] = dist < reach
+            hit_keys.append(e[hit] * len(centers) + sphere[hit])
 
-    e = np.concatenate(hit_edges)
-    sphere = np.concatenate(hit_spheres)
-    ranked = np.lexsort((sphere, e))
-    e, sphere = e[ranked], sphere[ranked]
+    e, sphere = np.divmod(np.sort(np.concatenate(hit_keys)), len(centers))
     first = np.flatnonzero(np.diff(e, prepend=-1))
     if not full_audit:
         e, sphere = e[first], sphere[first]
@@ -214,7 +233,7 @@ def sep_measure_sequence(family, windows) -> SepSequenceReport:
     """
     windows = [float(w) for w in windows]
     if len(windows) < 2 or any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ValueError("need at least 2 strictly increasing window half-widths")
+        raise InvalidValueError("need at least 2 strictly increasing window half-widths")
     if callable(family):
         make = family
     else:

@@ -10,8 +10,21 @@ from sepack import (
     min_pairwise_distance,
     validate_packing,
 )
-from sepack.errors import MalformedInputError, UndefinedDistanceError
+from sepack import catalog
+from sepack.contact_numbers import (
+    BoxSpec,
+    Polyomino,
+    c2_formula,
+    cd_upper_bound,
+    choose_box,
+    enumerate_fixed_polyforms,
+    polyomino_oracle,
+    quasi_square_packing,
+)
+from sepack.diagonal import diagonal_construction
+from sepack.errors import MalformedInputError, SepackError, UndefinedDistanceError
 from sepack.generators import signed_permutation_orbit
+from sepack.separability import sep_measure_sequence
 
 from conftest import brute_force_min_distance, random_rotation, transformed
 
@@ -176,3 +189,56 @@ class TestInteriorIndices:
             dtype=float,
         )
         assert np.allclose(got, expected)
+
+
+class _VersionTwoCatalog:
+    """Stands in for ``importlib.resources``: the catalog file of a later format."""
+
+    def files(self, package):
+        return self
+
+    def joinpath(self, name):
+        return self
+
+    def read_text(self):
+        return '{"format_version": 2, "entries": []}'
+
+
+def _load_later_catalog():
+    # the cached load_catalog keeps the packaged catalog; its wrapped
+    # function reads the stand-in
+    original = catalog.resources
+    catalog.resources = _VersionTwoCatalog()
+    try:
+        catalog.load_catalog.__wrapped__()
+    finally:
+        catalog.resources = original
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: c2_formula(0),
+        lambda: cd_upper_bound(0, 2),
+        lambda: cd_upper_bound(1, 1),
+        lambda: Polyomino(2, [(0, 0, 0)]),
+        lambda: BoxSpec(2, (0, 2), 0),
+        lambda: BoxSpec(2, (1, 2), 3),
+        lambda: choose_box(0, 2),
+        lambda: quasi_square_packing(0),
+        lambda: enumerate_fixed_polyforms(0),
+        lambda: polyomino_oracle(0),
+        lambda: diagonal_construction(2, -1),
+        lambda: sep_measure_sequence("P1", [10, 6]),
+        _load_later_catalog,
+    ],
+    ids=[
+        "c2_formula", "cd_upper_bound-n", "cd_upper_bound-d", "Polyomino", "BoxSpec-sides",
+        "BoxSpec-cells", "choose_box", "quasi_square_packing", "enumerate_fixed_polyforms",
+        "polyomino_oracle", "diagonal_construction", "sep_measure_sequence", "load_catalog",
+    ],
+)
+def test_out_of_range_values_raise_a_typed_value_error(call):
+    with pytest.raises(SepackError) as info:
+        call()
+    assert isinstance(info.value, ValueError)

@@ -281,6 +281,25 @@ class TestWriterMatchesStandardEncoder:
         assert decode_packing(encode_packing(p)).label == label
         _assert_report_matches_oracle(build_verify_report(p, full_audit=True), tmp_path)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # chunks of 3 rows: one-digit values only, then every digit count
+            # to 6 across the base-10^4 limb boundary, then a partial chunk
+            [[0, 1, 9], [2, 3, 4], [5, 6, 7],
+             [9, 10, 99], [100, 9999, 10000], [10001, 999999, 0],
+             [999999, 10**8, 10**12 + 5]],
+            [[0, 999_999, 999_999]],
+        ],
+    )
+    def test_witness_digits_across_chunks(self, rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(packio, "_CHUNK_ROWS", 3)
+        report = build_verify_report(generate_triangular(4), full_audit=True)
+        violations = np.array(rows, dtype=np.int64)
+        violations.setflags(write=False)
+        report["separability"] = {**report["separability"], "violations": violations}
+        _assert_report_matches_oracle(report, tmp_path)
+
     def test_certified_audit_and_inconclusive_reports(self, tmp_path):
         certified = build_verify_report(generate_named("K6", 8), full_audit=True)
         audit = build_verify_report(generate_triangular(6), full_audit=True)

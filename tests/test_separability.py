@@ -243,6 +243,17 @@ class TestCertifierAgainstOracle:
         )
 
 
+    @pytest.mark.parametrize("shift", [0.0, 37.25, 5e4])
+    @pytest.mark.parametrize("delta", [0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-11, -1e-11])
+    def test_offender_at_the_edge_of_the_inner_band(self, delta, shift):
+        # the tangent line of the contact (0, 0)-(2, 0) is x = 1; the third
+        # circle's center lies within delta of the reach 1 - 1e-9 from it:
+        # in the inner band, in the rechecked rim or outside the slab
+        reach = 1.0 - 1e-9
+        centers = np.array([[0.0, 0.0], [2.0, 0.0], [1.0 + reach + delta, 50.0]]) + shift
+        assert_matches_oracle(Packing(centers))
+
+
 RIGID_MOTION_CASES = ["P1", "K6", "K9", "J16", "O1", "TRI", "diagonal-3"]
 
 
