@@ -7,7 +7,7 @@ contact-number formulas with their achieving polyomino constructions,
 and the diagonal-cube family of (d+1)-regular packings.
 """
 
-from .catalog import CatalogEntry, catalog_ids, constructible_ids, load_catalog
+from .catalog import CatalogEntry, constructible_ids, load_catalog
 from .contact import (
     ContactGraph,
     RegularityVerdict,
@@ -43,9 +43,7 @@ from .diagonal import (
     profile_complete_indices,
 )
 from .generators import (
-    EntryCheck,
     OrbitSpec,
-    check_entry_invariants,
     generate_apeirogon,
     generate_named,
     generate_triangular,
@@ -55,6 +53,7 @@ from .generators import (
 )
 from .packio import (
     build_verify_report,
+    check_entry_invariants,
     decode_packing,
     encode_packing,
     load_packing,
@@ -75,7 +74,6 @@ __all__ = [
     "CatalogEntry",
     "ContactGraph",
     "DiagonalConstruction",
-    "EntryCheck",
     "OrbitSpec",
     "Packing",
     "Polyomino",
@@ -89,7 +87,6 @@ __all__ = [
     "build_contact_graph",
     "build_verify_report",
     "c2_formula",
-    "catalog_ids",
     "cd_upper_bound",
     "certify_total_separability",
     "check_entry_invariants",

@@ -85,9 +85,5 @@ def load_catalog() -> dict:
     return {e.id: e for e in entries}
 
 
-def catalog_ids() -> list:
-    return list(load_catalog())
-
-
 def constructible_ids() -> list:
     return [e.id for e in load_catalog().values() if e.constructible]

@@ -86,7 +86,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_sep_sequence(args) -> int:
     windows = [float(w) for w in args.windows.split(",")]
-    report = sep_measure_sequence(args.name, windows)
+    report = sep_measure_sequence(functools.partial(generators.generate_named, args.name), windows)
     for half_width, value in zip(report.windows, report.values):
         print(f"L={half_width:g}: sep = {value} ({float(value):.6f})")
     print(f"stable to 3 decimals over last two windows: {report.stable_3dp}")
@@ -181,10 +181,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SepackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SepackError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

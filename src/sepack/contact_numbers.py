@@ -24,9 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TOL, Packing, Window
+from .core import POINT_BUDGET, TOL, Packing, Window
 from .errors import EnumerationLimitError, InvalidValueError, SizeLimitError
-from .generators import POINT_BUDGET
 
 # exhaustive enumeration limits: the largest cases are the 36,446 fixed
 # polyominoes of n=10 and the 162,913 fixed polycubes of n=8, which
@@ -85,11 +84,17 @@ def _padded_codes(cells: np.ndarray) -> tuple[np.ndarray, list]:
 
     Codes grow in the lexicographic order of the cells, and the padding
     keeps every cell +- e_i inside the box, so a step never wraps into
-    another row.
+    another row.  A box of 2^63 or more cells has no int64 codes and
+    raises InvalidValueError.
     """
-    lo = cells.min(axis=0) - 1
-    sides = (cells.max(axis=0) - lo + 2).tolist()
-    codes = np.ravel_multi_index(tuple((cells - lo).T), sides)
+    lo = cells.min(axis=0)
+    sides = [int(b) - int(a) + 3 for a, b in zip(lo, cells.max(axis=0))]
+    if math.prod(sides) > np.iinfo(np.int64).max:
+        raise InvalidValueError(
+            f"the cells' padded bounding box {sides} holds 2^63 or more cells"
+        )
+    # the difference fits in int64 once the box does, even where cells - lo wraps
+    codes = np.ravel_multi_index(tuple((cells - lo + 1).T), sides)
     return codes, [math.prod(sides[axis + 1 :]) for axis in range(len(sides))]
 
 
@@ -103,7 +108,8 @@ class Polyomino:
     lookup of every cell +- e_i; the facet identity 2d*n = perimeter +
     2*shared_faces ties them together.  The lookup codes each cell as one
     int64 over the cells' bounding box padded by one cell, so a set whose
-    padded box holds 2^63 or more cells raises ValueError.
+    padded box holds 2^63 or more cells raises InvalidValueError (a
+    ValueError).
     """
 
     dimension: int

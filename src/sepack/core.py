@@ -26,6 +26,13 @@ from .errors import InvalidPackingError, MalformedInputError, UndefinedDistanceE
 # constructions, which cannot hit distance 2 exactly in floating point.
 TOL = 1e-9
 
+# Most raw points the padded window of an orbit spec may span (its lattice
+# cells times the points per cell), most spheres a product may hold, and
+# most cells a contact-number construction may take.  Checked before
+# anything that size is allocated.  O103 at L = 9 spans 921,984 raw points
+# and keeps 1,536; P1 at L = 1000 spans 1,010,025.
+POINT_BUDGET = 2_000_000
+
 
 @dataclass(frozen=True)
 class Window:

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kdtree import cKDTree
-from .catalog import CATALOG_ONLY, CatalogEntry, load_catalog
-from .core import TOL, Packing, Window, lex_less, min_pairwise_distance
+from .catalog import CATALOG_ONLY, load_catalog
+from .core import POINT_BUDGET, TOL, Packing, Window, lex_less, min_pairwise_distance
 from .errors import (
     MalformedInputError,
     NormalizationRequiredError,
@@ -51,16 +51,10 @@ SQRT3 = math.sqrt(3.0)
 # inseparable packing (every contact's tangent line meets a third circle)
 TRIANGULAR_ID = "TRI"
 
-# Most raw points the padded window of an orbit spec may span (its lattice
-# cells times the points per cell), and most spheres a product may hold.
-# Checked before anything that size is allocated.  The survivor mask tests
-# every raw point of the padded window, a coordinate at a time, and the
-# contact sweep every (cell, pair type) pair; only the cells that meet the
-# window are tiled.  O103 at L = 9 spans 921,984 raw points and keeps
-# 1,536; P1 at L = 1000 spans 1,010,025.
-POINT_BUDGET = 2_000_000
-
-# most values one step of the survivor mask or the contact sweep holds in one array
+# most values one step of the survivor mask or the contact sweep holds in
+# one array: the mask tests every raw point of the padded window (at most
+# POINT_BUDGET), a coordinate at a time, and the sweep every (cell, pair
+# type) pair with both ends alive; only the cells that meet the window are tiled
 _SWEEP_CHUNK = 1 << 17
 
 
@@ -174,8 +168,10 @@ def _coordinate(tables: tuple, k: int, t: np.ndarray, kinds) -> np.ndarray:
 
 def _pair_types(tables: tuple, lattice: np.ndarray, dims: tuple, reach: float) -> tuple:
     """The near-duplicate pair types (within TOL / 2), listed both ways, and
-    the other pair types within reach, listed one way; reach is widened to
-    reach * (1 + TOL) + TOL, beyond the rounding of any coordinate.
+    every pair type within reach, listed one way; reach is widened to
+    reach * (1 + TOL) + TOL, beyond the rounding of any coordinate.  The
+    near types are among the latter, but _survivors never leaves both ends
+    of one alive, so the contact sweep never measures one.
 
     A pair type is a row (a, b, delta): cell point a of one cell and cell
     point b of the cell delta coefficients away; (b, a, -delta) is the
@@ -203,14 +199,7 @@ def _pair_types(tables: tuple, lattice: np.ndarray, dims: tuple, reach: float) -
         found.append(np.unique(rows[~itself], axis=0))
     near, within = found
     flipped = np.column_stack([within[:, 1], within[:, 0], -within[:, 2:]])
-    # the near types are left out for speed, not for the result: _survivors never
-    # leaves both ends of one alive (J16 sweeps 384 types instead of 456); both
-    # lists hold distinct rows, so a row of within that is also near is counted twice
-    _, row, count = np.unique(
-        np.vstack([within, near]), axis=0, return_inverse=True, return_counts=True
-    )
-    one_way = lex_less(within, flipped) & (count[row[: len(within)]] == 1)
-    return near, within[one_way]
+    return near, within[lex_less(within, flipped)]
 
 
 def _survivors(grid: np.ndarray, tables: tuple, low, high, near: np.ndarray) -> np.ndarray:
@@ -487,49 +476,3 @@ def generate_named(name: str, window, margin: float = 3.0) -> Packing:
         right = generate_named(right_id, _block_window(window, left_dim, right_dim))
         return _cartesian(left, right, entry.id)
     raise UnsupportedConstructionError(f"unknown construction kind {entry.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# invariant suite
-
-@dataclass(frozen=True)
-class EntryCheck:
-    """Result of the full invariant suite for one generated window."""
-
-    entry_id: str
-    n_spheres: int
-    min_distance: float
-    triangle: tuple | None
-    separability_status: str
-    regularity_status: str
-    expected_k: int
-
-    @property
-    def ok(self) -> bool:
-        return (
-            abs(self.min_distance - 2.0) <= TOL
-            and self.triangle is None
-            and self.separability_status == "WindowCertified"
-            and self.regularity_status == "regular"
-        )
-
-
-def check_entry_invariants(p: Packing, entry: CatalogEntry) -> EntryCheck:
-    """Run the acceptance-style invariant suite on a generated window:
-    contact distance 2 (the least over the contact edges, NaN without
-    one), triangle-free, window-certified separable, interior degree equal
-    to the catalog regularity.  An overlapping window raises
-    InvalidPackingError from the contact-graph build."""
-    from .contact import build_contact_graph, contains_triangle, is_k_regular, min_contact_distance
-    from .separability import certify_total_separability
-
-    graph = build_contact_graph(p)
-    return EntryCheck(
-        entry_id=entry.id,
-        n_spheres=p.n_spheres,
-        min_distance=min_contact_distance(graph, p),
-        triangle=contains_triangle(graph),
-        separability_status=certify_total_separability(p, graph=graph).status,
-        regularity_status=is_k_regular(graph, p, entry.regularity).status,
-        expected_k=entry.regularity,
-    )

@@ -33,10 +33,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .catalog import CatalogEntry
 from .contact import build_contact_graph, contains_triangle, is_k_regular
 from .core import Packing, Window
 from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError
-from .separability import VIOLATION_FOUND, certify_total_separability
+from .separability import VIOLATION_FOUND, WINDOW_CERTIFIED, certify_total_separability
 
 FORMAT_VERSION = 1
 
@@ -238,7 +239,7 @@ def build_verify_report(p: Packing, full_audit: bool = False) -> dict:
     graph = build_contact_graph(p)
     degrees = graph.degrees
     interior = p.window.interior_mask(p.centers)
-    regular = is_k_regular(graph, p)
+    regular = is_k_regular(graph, p, indices=np.flatnonzero(interior))
     triangle = contains_triangle(graph)
     sep = certify_total_separability(p, full_audit, graph=graph)
 
@@ -270,6 +271,31 @@ def build_verify_report(p: Packing, full_audit: bool = False) -> dict:
             f"status {sep.status}"
         )
     return report
+
+
+def check_entry_invariants(p: Packing, entry: CatalogEntry) -> list:
+    """The catalog invariants that a generated window of ``entry`` breaks,
+    read from its verify report: interior regularity with the catalog's k,
+    no triangle, and a window-certified separability verdict.  An empty
+    list means all hold.
+
+    Contact distance 2 needs no check of its own: every contact edge has
+    length within TOL of 2 and an overlap raises InvalidPackingError, so a
+    window that is regular with k >= 1 has it.
+    """
+    report = build_verify_report(p)
+    regularity, sep = report["regularity"], report["separability"]
+    broken = []
+    if regularity != {"status": "regular", "k": entry.regularity}:
+        broken.append(
+            f"regularity {regularity['status']} (k={regularity['k']}), "
+            f"expected regular (k={entry.regularity})"
+        )
+    if report["triangle"] is not None:
+        broken.append(f"triangle {report['triangle']}")
+    if sep["status"] != WINDOW_CERTIFIED:
+        broken.append(f"separability {sep['status']} (sep={sep['sep']})")
+    return broken
 
 
 def write_report(report: dict, path) -> None:

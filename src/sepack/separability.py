@@ -227,21 +227,13 @@ class SepSequenceReport:
 def sep_measure_sequence(family, windows) -> SepSequenceReport:
     """Evaluate sep over concentric windows of increasing half-width.
 
-    ``family`` is either a catalog/reference name (str) or a callable
-    mapping a half-width L to a Packing.  The window shape is fixed to
-    concentric axis-aligned cubes.
+    ``family`` maps a half-width L to a Packing, such as a window of a
+    named catalog packing.
     """
     windows = [float(w) for w in windows]
     if len(windows) < 2 or any(b <= a for a, b in zip(windows, windows[1:])):
         raise InvalidValueError("need at least 2 strictly increasing window half-widths")
-    if callable(family):
-        make = family
-    else:
-        from .generators import generate_named
-
-        name = str(family)
-        make = lambda l: generate_named(name, l)
-    values = [certify_total_separability(make(l)).sep for l in windows]
+    values = [certify_total_separability(family(l)).sep for l in windows]
     floats = [float(v) for v in values]
     stable = round(floats[-1], 3) == round(floats[-2], 3)
     diffs = np.diff(floats)

@@ -17,9 +17,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from sepack import Packing
-from sepack.core import TOL
+from sepack.core import POINT_BUDGET, TOL
 from sepack.errors import SizeLimitError
-from sepack.generators import POINT_BUDGET
 from sepack.packio import FORMAT_VERSION
 
 

@@ -13,6 +13,7 @@ from sepack import (
     generate_named,
     generate_triangular,
     is_k_regular,
+    min_contact_distance,
     validate_packing,
 )
 from sepack import core
@@ -54,6 +55,10 @@ class TestBuildContactGraph:
     def test_empty_and_singleton(self):
         assert build_contact_graph(Packing(np.zeros((0, 2)))).edge_count == 0
         assert build_contact_graph(Packing([[0.0, 0.0]])).edge_count == 0
+
+    def test_min_contact_distance_without_contact_is_nan(self):
+        p = Packing([[0.0, 0.0], [3.0, 0.0]])
+        assert math.isnan(min_contact_distance(build_contact_graph(p), p))
 
     def test_matches_brute_force_on_catalog_windows(self):
         for name, l in [("P3", 8), ("K6", 8), ("J16", 5)]:

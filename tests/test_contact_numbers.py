@@ -17,8 +17,8 @@ from sepack import (
     quasi_square_packing,
 )
 from sepack.contact_numbers import _floor_root, enumerate_fixed_polyforms
+from sepack.core import POINT_BUDGET
 from sepack.errors import EnumerationLimitError, SizeLimitError
-from sepack.generators import POINT_BUDGET
 
 from conftest import (
     brute_force_cd_upper_bound,

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from sepack.contact_numbers import (
 )
 from sepack.diagonal import diagonal_construction
 from sepack.errors import MalformedInputError, SepackError, UndefinedDistanceError
-from sepack.generators import signed_permutation_orbit
+from sepack.generators import generate_named, signed_permutation_orbit
 from sepack.separability import sep_measure_sequence
 
 from conftest import brute_force_min_distance, random_rotation, transformed
@@ -222,6 +223,7 @@ def _load_later_catalog():
         lambda: cd_upper_bound(0, 2),
         lambda: cd_upper_bound(1, 1),
         lambda: Polyomino(2, [(0, 0, 0)]),
+        lambda: Polyomino(2, [(0, 0), (2**32, 2**32)]),
         lambda: BoxSpec(2, (0, 2), 0),
         lambda: BoxSpec(2, (1, 2), 3),
         lambda: choose_box(0, 2),
@@ -229,13 +231,14 @@ def _load_later_catalog():
         lambda: enumerate_fixed_polyforms(0),
         lambda: polyomino_oracle(0),
         lambda: diagonal_construction(2, -1),
-        lambda: sep_measure_sequence("P1", [10, 6]),
+        lambda: sep_measure_sequence(partial(generate_named, "P1"), [10, 6]),
         _load_later_catalog,
     ],
     ids=[
-        "c2_formula", "cd_upper_bound-n", "cd_upper_bound-d", "Polyomino", "BoxSpec-sides",
-        "BoxSpec-cells", "choose_box", "quasi_square_packing", "enumerate_fixed_polyforms",
-        "polyomino_oracle", "diagonal_construction", "sep_measure_sequence", "load_catalog",
+        "c2_formula", "cd_upper_bound-n", "cd_upper_bound-d", "Polyomino", "Polyomino-box",
+        "BoxSpec-sides", "BoxSpec-cells", "choose_box", "quasi_square_packing",
+        "enumerate_fixed_polyforms", "polyomino_oracle", "diagonal_construction",
+        "sep_measure_sequence", "load_catalog",
     ],
 )
 def test_out_of_range_values_raise_a_typed_value_error(call):

@@ -1,8 +1,4 @@
-"""The demos run to completion against the current API.
-
-catalog_tour.py is left out: it takes seconds, and criterion 4 of
-test_acceptance.py runs the same invariant suite over the catalog.
-"""
+"""The demos run to completion against the current API."""
 
 import runpy
 import sys
@@ -10,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sepack import core
+from sepack import constructible_ids, core
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -39,3 +35,12 @@ def test_diagonal_demo_builds_one_kdtree_per_packing(tmp_path, monkeypatch, caps
     monkeypatch.setattr(core, "cKDTree", lambda *a, **k: builds.append(1) or tree_class(*a, **k))
     test_demo_runs("diagonal_family.py", tmp_path, monkeypatch, capsys)
     assert len(builds) == 7
+
+
+def test_catalog_tour_holds_every_invariant(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["catalog_tour.py"])
+    runpy.run_path(str(DEMOS / "catalog_tour.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("all invariants hold" in line for line in lines) == len(constructible_ids()) == 25
+    assert not any("PROBLEM" in line for line in lines)

@@ -32,10 +32,10 @@ from sepack.errors import (
     UnsupportedConstructionError,
 )
 from sepack import core
-from sepack.core import TOL
+from sepack.core import POINT_BUDGET, TOL
 from sepack.diagonal import diagonal_construction
-from sepack import generators
-from sepack.generators import APEIROGON, POINT_BUDGET, TRIANGULAR
+from sepack import generators, packio
+from sepack.generators import APEIROGON, TRIANGULAR
 from sepack.packio import build_verify_report, encode_packing, write_report
 
 from conftest import brute_force_edges, oracle_orbit_generate, traced_peak
@@ -131,29 +131,31 @@ class TestGenerateNamed:
     def test_invariant_suite_small_windows(self, name, l):
         entry = load_catalog()[name]
         p = generate_named(name, l)
-        check = check_entry_invariants(p, entry)
-        assert check.ok, check
+        assert check_entry_invariants(p, entry) == []
 
     def test_invariant_suite_builds_one_kdtree(self, monkeypatch):
+        # one verify report: one KD-tree build and one certifier call
         p = generate_named("K6", 8)
-        builds = []
-        tree_class = core.cKDTree
+        calls = []
 
-        def counting(*args, **kwargs):
-            builds.append(1)
-            return tree_class(*args, **kwargs)
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(core, "cKDTree", counting)
-        check = check_entry_invariants(p, load_catalog()["K6"])
-        assert len(builds) == 1
-        assert check.ok
-        assert abs(check.min_distance - min_pairwise_distance(p)) <= 1e-12
+        monkeypatch.setattr(core, "cKDTree", counted("tree", core.cKDTree))
+        certify = packio.certify_total_separability
+        monkeypatch.setattr(packio, "certify_total_separability", counted("certify", certify))
+        assert check_entry_invariants(p, load_catalog()["K6"]) == []
+        assert sorted(calls) == ["certify", "tree"]
 
     def test_invariant_suite_without_contact(self):
+        # both spheres are interior with degree 0, not the catalog's 3
         p = Packing([[0.0, 0.0], [3.0, 0.0]])
-        check = check_entry_invariants(p, load_catalog()["K6"])
-        assert math.isnan(check.min_distance)
-        assert not check.ok
+        assert check_entry_invariants(p, load_catalog()["K6"]) == [
+            "regularity regular (k=0), expected regular (k=3)"
+        ]
 
     def test_invariant_suite_rejects_overlap(self):
         # a sphere centred on a contact point of the K6 window overlaps two
@@ -272,7 +274,7 @@ class TestOrbitGeneration:
         entry = load_catalog()["J20"]
         spec = OrbitSpec(entry.seeds, entry.lattice, entry.centering)
         p = orbit_generate(spec, Window.cube(7, 3), label="J20")
-        assert check_entry_invariants(p, entry).ok
+        assert check_entry_invariants(p, entry) == []
 
     @pytest.mark.parametrize(
         "seeds, lattice, centering",

@@ -1,7 +1,7 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -135,12 +135,12 @@ class TestCertifyTotalSeparability:
 
 class TestSepMeasureSequence:
     def test_p1_constant_one(self):
-        report = sep_measure_sequence("P1", [6, 10, 14])
+        report = sep_measure_sequence(partial(generate_named, "P1"), [6, 10, 14])
         assert report.values == (Fraction(1), Fraction(1), Fraction(1))
         assert report.stable_3dp and report.monotone
 
     def test_triangular_constant_zero(self):
-        report = sep_measure_sequence("TRI", [6, 10, 14])
+        report = sep_measure_sequence(generate_triangular, [6, 10, 14])
         assert report.values == (Fraction(0), Fraction(0), Fraction(0))
         assert report.stable_3dp and report.monotone
 
@@ -160,7 +160,7 @@ class TestSepMeasureSequence:
 
     def test_requires_increasing_windows(self):
         with pytest.raises(ValueError):
-            sep_measure_sequence("P1", [10, 6])
+            sep_measure_sequence(partial(generate_named, "P1"), [10, 6])
 
 
 # small half-widths at which every constructible entry has contacts
