@@ -1,7 +1,10 @@
 """The diagonal-cube family: (d+1)-regular packings grown from cubes.
 
-In the plane the construction reproduces the truncated square tiling
-(verified below by comparing local distance profiles), and every tangent
+The family is one orbit spec, diagonal_spec(d): the cube corners
+{-1, 1}^d on the lattice (2 + 2/sqrt(d)) * B_d, B_d with rows 1, 2e_1,
+..., 2e_(d-1).  In the plane that spec, turned by 45 degrees, is the
+truncated square tiling K6 (printed below: the same motif, and K6's
+lattice times an integer matrix U of determinant -1), and every tangent
 line clears or exactly grazes the other circles.  In higher dimensions
 the packing stays (d+1)-regular and overlap-free, but certification
 finds genuine tangent-plane violations: the critical clearances that
@@ -12,15 +15,19 @@ papering over them.  PAPER.md holds only the paper's abstract, so it
 does not settle whether this recipe is the paper's family for d >= 3.
 """
 
+import math
+
+import numpy as np
+
 from sepack import (
+    OrbitSpec,
     build_contact_graph,
     certify_total_separability,
     diagonal_construction,
-    generate_named,
+    diagonal_spec,
     interior_regularity_check,
-    local_fingerprint,
+    load_catalog,
     min_contact_distance,
-    profile_complete_indices,
 )
 
 
@@ -43,13 +50,17 @@ def main():
     print("plane case vs truncated square tiling (K6):")
     result = diagonal_construction(2, 3)
     print(f"  certification: {certify_total_separability(result.packing).status}")
-    core = profile_complete_indices(result, 6.0)
-    diag = local_fingerprint(result.packing, 6.0, core)
-    k6 = local_fingerprint(generate_named("K6", 16, margin=8.0), 6.0)
-    worst = max(abs(a - b) for p in diag for a, b in zip(p, k6[0]))
+    turn = np.array([[1.0, -1.0], [1.0, 1.0]]) * math.sqrt(0.5)  # 45 degrees
+    spec, k6 = diagonal_spec(2), load_catalog()["K6"]
+    motif = spec.motif() @ turn.T
+    k6_motif = OrbitSpec(k6.seeds, k6.lattice, k6.centering).motif()
+    same = np.array_equal(motif[np.lexsort(motif.T[::-1])], k6_motif)
+    u = (spec.lattice @ turn.T) @ np.linalg.inv(k6.lattice)
+    print(f"  turned by 45 degrees, the spec's motif equals K6's: {same}")
     print(
-        f"  {len(diag)} complete local profiles, all equal to the K6 profile "
-        f"to within {worst:.2e}"
+        f"  its lattice is U times K6's, U = {np.rint(u).astype(int).tolist()} "
+        f"(off an integer matrix by {np.abs(u - np.rint(u)).max():.1e}), "
+        f"det U = {round(np.linalg.det(np.rint(u)))}"
     )
 
     print()

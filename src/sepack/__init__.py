@@ -38,9 +38,8 @@ from .core import (
 from .diagonal import (
     DiagonalConstruction,
     diagonal_construction,
+    diagonal_spec,
     interior_regularity_check,
-    local_fingerprint,
-    profile_complete_indices,
 )
 from .generators import (
     OrbitSpec,
@@ -95,6 +94,7 @@ __all__ = [
     "contains_triangle",
     "decode_packing",
     "diagonal_construction",
+    "diagonal_spec",
     "encode_packing",
     "generate_apeirogon",
     "generate_named",
@@ -104,13 +104,11 @@ __all__ = [
     "is_k_regular",
     "load_catalog",
     "load_packing",
-    "local_fingerprint",
     "min_contact_distance",
     "min_pairwise_distance",
     "orbit_generate",
     "polyomino_oracle",
     "product_packing",
-    "profile_complete_indices",
     "quasi_square_packing",
     "render_svg",
     "save_packing",

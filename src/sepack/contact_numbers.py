@@ -17,7 +17,6 @@ of c2_formula.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -109,7 +108,7 @@ class Polyomino:
     2*shared_faces ties them together.  The lookup codes each cell as one
     int64 over the cells' bounding box padded by one cell, so a set whose
     padded box holds 2^63 or more cells raises InvalidValueError (a
-    ValueError).
+    ValueError), as do ragged cells and coordinates outside int64.
     """
 
     dimension: int
@@ -119,7 +118,10 @@ class Polyomino:
         cells = self.cells
         if not isinstance(cells, np.ndarray):
             cells = list(cells)
-        cells = np.asarray(cells, dtype=np.int64)
+        try:
+            cells = np.asarray(cells, dtype=np.int64)
+        except (OverflowError, ValueError) as exc:  # outside int64, or ragged
+            raise InvalidValueError(f"cells must be d-tuples of int64 integers: {exc}") from exc
         if cells.size == 0:
             cells = cells.reshape(0, self.dimension)
         if cells.ndim != 2 or cells.shape[1] != self.dimension:
@@ -195,17 +197,17 @@ class BoxSpec:
 
 def choose_box(n: int, d: int) -> BoxSpec:
     """Smallest box of the form (k+delta_i), delta_i in {0,1}, holding n
-    cells; ties broken toward the lexicographically smallest delta."""
+    cells; ties broken toward the lexicographically smallest delta.
+
+    With k = floor(n^(1/d)), a box with j sides of k + 1 has volume
+    k^(d-j) (k+1)^j, which grows with j, so the smallest box takes the
+    least j that holds n, and the smallest delta puts its j ones last.
+    """
     if n < 1 or d < 2:
         raise InvalidValueError("need n >= 1 and d >= 2")
     k = _floor_root(n, d)
-    best = None
-    for deltas in itertools.product((0, 1), repeat=d):
-        sides = tuple(k + dd for dd in deltas)
-        vol = math.prod(sides)
-        if vol >= n and (best is None or vol < math.prod(best)):
-            best = sides
-    return BoxSpec(d, best, n)
+    j = next(j for j in range(d + 1) if k ** (d - j) * (k + 1) ** j >= n)
+    return BoxSpec(d, (k,) * (d - j) + (k + 1,) * j, n)
 
 
 def _check_size(n: int) -> None:

@@ -1,24 +1,24 @@
-"""Iterative diagonal-cube construction of a (d+1)-regular packing in R^d.
+"""The diagonal-cube family: a (d+1)-regular packing of unit spheres in R^d.
 
-Start from one axis-aligned cube of edge 2 with unit spheres at its
-vertices.  Each vertex v of a cube with sign vector s (relative to the
-cube centroid) spawns a new cube diagonally outward: the new cube's
-nearest vertex sits at v + 2s/sqrt(d), so the spawned sphere touches the
-spawning one.  Every sphere then touches its d edge-neighbors within its
-own cube plus 1 diagonal partner, giving degree d+1 once the partner
-cube exists.
+The packing is one orbit spec (diagonal_spec): the cube corners
+{-1, 1}^d, the signed-permutation orbit of the seed 1, repeated on the
+lattice (2 + 2/sqrt(d)) * B_d, whose rows 1, 2e_1, ..., 2e_(d-1) span the
+integer vectors with all coordinates of one parity.  So each lattice
+vector k carries a cube of edge 2, and the corner s of cube k touches its
+d edge neighbours in the cube and the corner -s of cube k + s across the
+diagonal, at distance 2: degree d + 1.  No two cubes share a vertex
+((2 + 2/sqrt(d)) * k = 2 has no integer solution).  At d = 2 the spec
+turned by 45 degrees is the truncated square tiling K6: the same motif,
+on K6's lattice times an integer matrix of determinant -1.
 
-Cube centroids live on the lattice (2 + 2/sqrt(d)) * Z^d and are tracked
-as integer vectors.  Spawning changes every integer coordinate by +-1,
-so the cubes spawned up to depth t are exactly the integer vectors with
-all coordinates of equal parity in the L-infinity ball of radius t; the
-growth closes up onto that lattice in every dimension (for d = 2 this is
-the truncated square tiling), and spawning back toward a parent merely
-reproduces an existing position and is dropped.  No two cubes ever share
-a vertex ((2 + 2/sqrt(d)) * k = 2 has no integer solution), so the
-sphere count is exactly 2^d per cube.  The construction is this closed
-form: diagonal_construction lists the equal-parity ball directly, and
-the spawning BFS survives only as the test oracle in tests/conftest.py.
+diagonal_construction lists the finite pieces grown by spawning: from one
+root cube, each vertex s of a cube spawns the cube one diagonal step
+outward, and the cubes spawned up to depth t are exactly the equal-parity
+integer vectors in the L-infinity ball of radius t (the spawning BFS
+survives as the test oracle in tests/conftest.py).  Its centres are the
+closed form (2 + 2/sqrt(d)) * k + s, and orbit_generate of the spec over
+their bounding box returns the same sphere set within a few ulps, as it
+rescales to the closest pair (bit for bit at d = 4, where the step is 3).
 
 The packing is always (d+1)-regular at saturated spheres and free of
 overlaps, but the tangent-plane separability of the family is a plane
@@ -48,8 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import ContactGraph, RegularityVerdict, build_contact_graph, is_k_regular
-from .core import TOL, Packing, Window, interior_indices
+from .core import TOL, Packing, Window
 from .errors import InvalidValueError, SizeLimitError, UnsupportedDimensionError
+from .generators import OrbitSpec
 
 # most spheres a construction may hold; checked before any allocation
 SPHERE_BUDGET = 200_000
@@ -69,10 +70,6 @@ class DiagonalConstruction:
     packing: Packing
     cube_lattice: np.ndarray  # (n_cubes, d) int lattice coordinates
     saturated: np.ndarray  # (n_spheres,) bool
-
-    @property
-    def step(self) -> float:
-        return 2.0 + 2.0 / math.sqrt(self.dimension)
 
     @property
     def n_cubes(self) -> int:
@@ -97,13 +94,13 @@ def _equal_parity_ball(d: int, t: int) -> np.ndarray:
     return box[np.all((box - box[:, :1]) % 2 == 0, axis=1)]
 
 
-def _cubes_and_corners(centers: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cube lattice vector k and corner sign s of each centre step * k + s.
-
-    |s_i| = 1 is below step / 2, so k is the nearest lattice vector.
-    """
-    cubes = np.rint(centers / step).astype(np.int64)
-    return cubes, np.rint(centers - step * cubes).astype(np.int64)
+def diagonal_spec(d: int) -> OrbitSpec:
+    """The infinite packing: the orbit {-1, 1}^d of the seed 1 on the
+    lattice (2 + 2/sqrt(d)) * B_d, B_d with rows 1, 2e_1, ..., 2e_(d-1)."""
+    if d < 2:
+        raise UnsupportedDimensionError(f"the diagonal family needs d >= 2, got {d}")
+    basis = np.vstack([np.ones(d), 2.0 * np.eye(d)[:-1]])
+    return OrbitSpec(np.ones(d), (2.0 + 2.0 / math.sqrt(d)) * basis)
 
 
 def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
@@ -128,15 +125,17 @@ def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
 
     lattice = _equal_parity_ball(d, depth)
     signs = np.array(list(itertools.product((-1, 1), repeat=d)), dtype=np.int64)
-    step = 2.0 + 2.0 / math.sqrt(d)
     # one sphere per (cube, corner); cubes never share vertices
-    centers = step * np.repeat(lattice, len(signs), axis=0) + np.tile(signs, (len(lattice), 1))
+    cubes = np.repeat(lattice, len(signs), axis=0)
+    corners = np.tile(signs, (len(lattice), 1))
+    centers = (2.0 + 2.0 / math.sqrt(d)) * cubes + corners
+    # the stable sort Packing would do, applied to the saturation mask too
+    order = np.lexsort(centers.T[::-1])
+    saturated = np.abs(cubes + corners).max(axis=1)[order] <= depth
 
     pad = 1.0 + TOL
     window = Window(centers.min(axis=0) - pad, centers.max(axis=0) + pad, 0.0)
-    packing = Packing(centers, window, 1.0, f"diagonal d={d} depth={depth}")
-    cubes, corners = _cubes_and_corners(packing.centers, step)
-    saturated = np.abs(cubes + corners).max(axis=1) <= depth
+    packing = Packing(centers[order], window, 1.0, f"diagonal d={d} depth={depth}")
     return DiagonalConstruction(d, depth, packing, lattice, saturated)
 
 
@@ -151,44 +150,3 @@ def interior_regularity_check(
     """
     graph = build_contact_graph(result.packing) if graph is None else graph
     return is_k_regular(graph, result.packing, result.dimension + 1, result.saturated_indices())
-
-
-def local_fingerprint(p: Packing, radius: float, indices=None) -> list:
-    """Multiset of local distance profiles, an isometry-invariant signature.
-
-    For each selected sphere (default: interior spheres of the window),
-    the profile is the sorted tuple of distances to every other sphere
-    within ``radius``.  Congruent packings restricted to congruent
-    complete neighborhoods produce equal profiles.
-    """
-    if indices is None:
-        indices = interior_indices(p)
-    indices = np.asarray(indices, dtype=int)
-    profiles = []
-    for i in indices:
-        diff = p.centers - p.centers[i]
-        dist = np.linalg.norm(diff, axis=1)
-        close = np.sort(dist[(dist > 1e-12) & (dist <= radius)])
-        profiles.append(tuple(float(x) for x in close))
-    return sorted(profiles)
-
-
-def profile_complete_indices(result: DiagonalConstruction, radius: float) -> np.ndarray:
-    """Saturated spheres whose radius-ball is fully generated.
-
-    The infinite construction holds a cube at every all-same-parity
-    integer position; at depth t exactly those within L-infinity norm t
-    exist.  A sphere is radius-complete when every same-parity position
-    close enough to contribute a sphere within ``radius`` (centroid
-    within radius + sqrt(d)) is already spawned.  The sphere at corner s
-    of cube k sees cube k + o at distance ||step * o - s||, and o is a
-    same-parity offset because k + o must be one.
-    """
-    step = result.step
-    reach = radius + math.sqrt(result.dimension)
-    cubes, corners = _cubes_and_corners(result.packing.centers, step)
-    complete = result.saturated.copy()
-    for offset in _equal_parity_ball(result.dimension, int((reach + 1.0) // step)):
-        near = np.linalg.norm(step * offset - corners, axis=1) <= reach
-        complete &= ~near | (np.abs(cubes + offset).max(axis=1) <= result.depth)
-    return np.flatnonzero(complete)

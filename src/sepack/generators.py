@@ -38,6 +38,7 @@ from ._kdtree import cKDTree
 from .catalog import CATALOG_ONLY, load_catalog
 from .core import POINT_BUDGET, TOL, Packing, Window, lex_less, min_pairwise_distance
 from .errors import (
+    InvalidValueError,
     MalformedInputError,
     NormalizationRequiredError,
     SizeLimitError,
@@ -427,7 +428,11 @@ def _as_window(window, dimension: int, margin: float) -> Window:
                 f"window dimension {window.dimension} != packing dimension {dimension}"
             )
         return window
-    return Window.cube(float(window), dimension, margin)
+    try:
+        half_width = float(window)
+    except (TypeError, ValueError) as exc:
+        raise InvalidValueError(f"window must be a Window or a half-width, got {window!r}") from exc
+    return Window.cube(half_width, dimension, margin)
 
 
 def _block_window(window: Window, start: int, dim: int) -> Window:

@@ -171,6 +171,8 @@ def decode_packing(data: bytes) -> Packing:
         raise PackingParseError(
             f"malformed packing file at byte {exc.pos}: {exc.msg}", offset=exc.pos
         ) from exc
+    except RecursionError as exc:
+        raise PackingParseError(f"packing file nests too deep: {exc}") from exc
     if not isinstance(doc, dict):
         raise PackingParseError("packing file must contain a JSON object", offset=0)
     version = doc.get("format_version")
@@ -180,13 +182,17 @@ def decode_packing(data: bytes) -> Packing:
             f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}"
         )
     try:
+        for name, value in (("radius", doc["radius"]), ("margin", doc["window"]["margin"])):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise PackingParseError(f"{name} must be a JSON number, not {type(value).__name__}")
+        label = doc.get("label", "")
+        if not isinstance(label, str):
+            raise PackingParseError(f"label must be a JSON string, not {type(label).__name__}")
         # a bool reads as 0 or 1 below; without true or false in the bytes
         # there is none, so the common file skips this pass over every value
         if b"true" in data or b"false" in data:
             for name, value in (
                 ("dimension", doc["dimension"]),
-                ("radius", doc["radius"]),
-                ("margin", doc["window"]["margin"]),
                 ("lower", doc["window"]["lower"]),
                 ("upper", doc["window"]["upper"]),
                 ("centers", doc["centers"]),
@@ -202,8 +208,8 @@ def decode_packing(data: bytes) -> Packing:
         if centers.shape[1:] != (doc["dimension"],) and centers.shape != (0,):
             raise PackingParseError(f"centers must be a list of {doc['dimension']}-long rows")
         centers = centers.reshape(-1, doc["dimension"])
-        return Packing(centers, window, float(doc["radius"]), str(doc.get("label", "")))
-    except (KeyError, TypeError, ValueError) as exc:
+        return Packing(centers, window, float(doc["radius"]), label)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PackingParseError(f"invalid packing document: {exc}") from exc
 
 

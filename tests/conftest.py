@@ -8,6 +8,7 @@ import contextlib
 import itertools
 import json
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,15 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from sepack import Packing
+from sepack import (
+    OrbitSpec,
+    Packing,
+    Window,
+    diagonal_construction,
+    diagonal_spec,
+    load_catalog,
+    orbit_generate,
+)
 from sepack.core import POINT_BUDGET, TOL
 from sepack.errors import SizeLimitError
 from sepack.packio import FORMAT_VERSION
@@ -142,6 +151,32 @@ def oracle_orbit_generate(spec, window, label=""):
 
     centers = points * (2.0 / closest)
     return Packing(centers[window.contains(centers)], window, 1.0, label)
+
+
+def bad_packing_files() -> dict:
+    """Packing files, by case, that decode_packing must turn away with a
+    PackingParseError: a scalar of the wrong JSON type, centers nested
+    past the parser's recursion limit, and a coordinate no float holds."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "dimension": 2,
+        "radius": 1.0,
+        "label": "two",
+        "window": {"lower": [-4.0, -4.0], "upper": [4.0, 4.0], "margin": 0.0},
+        "centers": [[0.0, 0.0], [2.0, 0.0]],
+    }
+    cases = {
+        "radius-string": {"radius": "1"},
+        "margin-string": {"window": {**doc["window"], "margin": "0"}},
+        "label-object": {"label": {"name": "two"}},
+        "deep-centers": {"centers": "DEEP"},
+        "huge-integer": {"centers": [[10**400, 0.0], [2.0, 0.0]]},
+    }
+    deep = ("[" * 100_000 + "]" * 100_000).encode()
+    return {
+        case: json.dumps({**doc, **change}).encode().replace(b'"DEEP"', deep)
+        for case, change in cases.items()
+    }
 
 
 def oracle_encode_packing(p: Packing) -> bytes:
@@ -298,31 +333,42 @@ def is_cube_spawned(position, depth: int) -> bool:
     return max(abs(c) for c in position) <= depth
 
 
-def brute_force_profile_complete(result, radius):
-    """Saturated spheres of a diagonal construction whose radius-ball is
-    fully generated, by scanning every lattice position in the box around
-    each sphere."""
-    d = result.dimension
-    step = result.step
-    reach = radius + math.sqrt(d)
-    keep = []
-    for idx in result.saturated_indices():
-        x = result.packing.centers[idx]
-        lo = np.floor((x - reach) / step).astype(int)
-        hi = np.ceil((x + reach) / step).astype(int)
-        complete = True
-        for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-            parity = m[0] & 1
-            if any((c & 1) != parity for c in m):
-                continue  # never a cube position
-            if np.linalg.norm(step * np.array(m) - x) > reach:
-                continue
-            if not is_cube_spawned(m, result.depth):
-                complete = False
-                break
-        if complete:
-            keep.append(idx)
-    return np.array(keep, dtype=int)
+def turned_plane_spec_against_k6(spec):
+    """A plane orbit spec turned by 45 degrees, against K6's: both motifs
+    in lexicographic order, and the matrix U with turned lattice =
+    U @ K6's lattice (an integer matrix of determinant +-1 when the two
+    lattices are one)."""
+    turn = np.array([[1.0, -1.0], [1.0, 1.0]]) * math.sqrt(0.5)
+    k6 = load_catalog()["K6"]
+    motif = spec.motif() @ turn.T
+    k6_motif = OrbitSpec(k6.seeds, k6.lattice, k6.centering).motif()
+    u = (spec.lattice @ turn.T) @ np.linalg.inv(k6.lattice)
+    return motif[np.lexsort(motif.T[::-1])], k6_motif, u
+
+
+def spec_window_and_closed_form(d, depth):
+    """The centres of diagonal_spec(d) over the bounding box of
+    diagonal_construction(d, depth)'s centres, paired row by row with the
+    nearest closed-form centre: (window, closed form, the closed-form row
+    of each window row)."""
+    closed = diagonal_construction(d, depth).packing.centers
+    window = orbit_generate(diagonal_spec(d), Window(closed.min(axis=0), closed.max(axis=0)))
+    return window.centers, closed, cKDTree(closed).query(window.centers)[1]
+
+
+def brute_force_choose_box(n, d):
+    """choose_box by walking every delta vector in lexicographic order and
+    keeping the first box of least volume that holds n cells."""
+    k = 1
+    while (k + 1) ** d <= n:
+        k += 1
+    best = None
+    for deltas in itertools.product((0, 1), repeat=d):
+        sides = tuple(k + dd for dd in deltas)
+        vol = math.prod(sides)
+        if vol >= n and (best is None or vol < math.prod(best)):
+            best = sides
+    return best
 
 
 def diagonal_plane_clearance(d):
@@ -358,6 +404,28 @@ def deepest_witness_clearance(p: Packing, violations):
         midpoint = (centers[i] + centers[j]) / 2.0
         best = min(best, abs(float((centers[s] - midpoint) @ normal)))
     return best
+
+
+class StillRunning(Exception):
+    """A block outlasted within_seconds.  Not an OSError, unlike
+    TimeoutError, so the CLI's error handler cannot swallow it."""
+
+
+@contextlib.contextmanager
+def within_seconds(seconds):
+    """Fail with StillRunning when the block runs longer than ``seconds``
+    (whole seconds, by SIGALRM), so a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise StillRunning(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @contextlib.contextmanager

@@ -7,7 +7,9 @@ verdict against the closed-form clearance of its diagonal tangent planes
 certifier): at d = 2 the planes graze at the radius 1 and the window is
 certified; at d = 3 and d = 4 they cut sibling-branch spheres, so the
 certifier must report a violation whose deepest witness sits at exactly
-that clearance (1/3 and 0).
+that clearance (1/3 and 0).  It also checks the family as one orbit spec
+(``diagonal_spec``): turned by 45 degrees, the d = 2 spec is K6, and the
+closed form is a window of the spec within 32 ulps.
 """
 
 import math
@@ -28,19 +30,23 @@ from sepack import (
     check_entry_invariants,
     contains_triangle,
     diagonal_construction,
+    diagonal_spec,
     generate_named,
     interior_regularity_check,
     is_k_regular,
     load_catalog,
-    local_fingerprint,
     min_contact_distance,
     polyomino_oracle,
-    profile_complete_indices,
     quasi_square_packing,
     sep_measure_sequence,
 )
 
-from conftest import deepest_witness_clearance, diagonal_plane_clearance
+from conftest import (
+    deepest_witness_clearance,
+    diagonal_plane_clearance,
+    spec_window_and_closed_form,
+    turned_plane_spec_against_k6,
+)
 
 WINDOWS_BY_DIMENSION = {2: 12.0, 3: 8.0, 4: 6.0}
 # entries whose interior is empty at the nominal window because every
@@ -216,24 +222,26 @@ def test_criterion_7_diagonal_construction():
                     f"d={d}: deepest witness clearance {worst:.9f} != "
                     f"closed form {clearance:.9f}"
                 )
-    deep = diagonal_construction(2, 3)
-    core = profile_complete_indices(deep, 6.0)
-    diag_profiles = local_fingerprint(deep.packing, 6.0, core)
-    k6_profiles = local_fingerprint(generate_named("K6", 16, margin=8.0), 6.0)
-    ref = k6_profiles[0]
-    if not diag_profiles:
-        failures.append("no profile-complete spheres at d=2 depth 3")
-    for profile in diag_profiles + k6_profiles:
-        if len(profile) != len(ref) or max(
-            abs(a - b) for a, b in zip(profile, ref)
-        ) > 1e-9:
-            failures.append("d=2 depth-3 fingerprint differs from the K6 window")
-            break
+    # the family is one orbit spec: at d = 2 it is K6 turned by 45 degrees,
+    # and the closed form is its window within ulps (bit for bit at d = 4)
+    motif, k6_motif, u = turned_plane_spec_against_k6(diagonal_spec(2))
+    if not np.array_equal(motif, k6_motif):
+        failures.append("d=2: the turned spec's motif differs from K6's")
+    if np.abs(u - np.rint(u)).max() > 1e-12 or abs(round(np.linalg.det(np.rint(u)))) != 1:
+        failures.append(f"d=2: the turned spec's lattice is not K6's: U = {u.tolist()}")
+    for d, depth in [(2, 3), (3, 2), (4, 2)]:
+        window, closed, match = spec_window_and_closed_form(d, depth)
+        ulps = np.abs(window - closed[match]) / np.spacing(np.abs(closed[match]))
+        if not np.array_equal(np.sort(match), np.arange(len(closed))) or ulps.max() > 32:
+            failures.append(f"d={d} depth {depth}: the spec window is not the closed form")
+        elif d == 4 and not np.array_equal(window, closed):
+            failures.append("d=4 depth 2: the spec window is not bit-identical")
     elapsed = time.perf_counter() - start
     _report(7, not failures and elapsed < 120, elapsed,
             "diagonal construction: counts 20/72/272, degree d+1, min distance 2, "
             "certified at d=2, violations at the closed-form clearance "
-            "1/3 and 0 at d=3/4, d=2 fingerprint = K6")
+            "1/3 and 0 at d=3/4, d=2 spec = K6 turned 45 deg (integer U, |det U| = 1), "
+            "closed form = spec window within 32 ulps")
     assert not failures, failures
     assert elapsed < 120
 

@@ -11,7 +11,7 @@ import pytest
 import sepack
 from sepack.cli import build_parser, main
 
-from conftest import traced_peak
+from conftest import bad_packing_files, traced_peak, within_seconds
 
 
 # child processes import sepack from the same sources as this process
@@ -94,6 +94,15 @@ class TestGenVerifyPipeline:
         assert not rep.exists()
 
 
+    @pytest.mark.parametrize("case", sorted(bad_packing_files()))
+    def test_malformed_file_exits_2_without_report(self, tmp_path, capsys, case):
+        pack, rep = tmp_path / "p.json", tmp_path / "r.json"
+        pack.write_bytes(bad_packing_files()[case])
+        assert run("verify", str(pack), "--report", str(rep)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not rep.exists()
+
+
 class TestOtherCommands:
     def test_measure(self, tmp_path, capsys):
         pack = tmp_path / "tri.json"
@@ -153,6 +162,17 @@ class TestOtherCommands:
         assert peak[0] < 1_000_000
         assert "budget" in capsys.readouterr().err
         assert not pack.exists()
+
+    def test_contact_opt_in_forty_dimensions_is_an_error(self, tmp_path, capsys):
+        # 5 cells in 37 sides of 1 and 3 of 2: the padded box of 3^37 * 4^3
+        # cells has no int64 codes; at d = 30 it has
+        pack = tmp_path / "x.json"
+        with within_seconds(10):
+            assert run("contact-opt", "--n", "5", "--d", "40", "--out", str(pack)) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not pack.exists()
+            assert run("contact-opt", "--n", "5", "--d", "30", "--out", str(pack)) == 0
+        assert sepack.load_packing(pack).n_spheres == 5
 
     def test_formulas_at_huge_n(self, capsys):
         n = 10**400

@@ -22,6 +22,7 @@ from sepack.errors import EnumerationLimitError, SizeLimitError
 
 from conftest import (
     brute_force_cd_upper_bound,
+    brute_force_choose_box,
     brute_force_perimeter,
     brute_force_polyforms,
     brute_force_shared_faces,
@@ -146,6 +147,11 @@ class TestBoxPacking:
         assert spec.remainder == 0
         spec = choose_box(5, 2)
         assert math.prod(spec.sides) >= 5
+
+    def test_box_spec_matches_the_delta_walk(self):
+        for d in range(2, 9):
+            for n in range(1, 300):
+                assert choose_box(n, d).sides == brute_force_choose_box(n, d), (n, d)
 
     def test_bound_never_exceeded_on_random_inputs(self, rng):
         for _ in range(100):

@@ -15,6 +15,7 @@ from sepack import catalog
 from sepack.contact_numbers import (
     BoxSpec,
     Polyomino,
+    box_packing,
     c2_formula,
     cd_upper_bound,
     choose_box,
@@ -27,7 +28,7 @@ from sepack.errors import MalformedInputError, SepackError, UndefinedDistanceErr
 from sepack.generators import generate_named, signed_permutation_orbit
 from sepack.separability import sep_measure_sequence
 
-from conftest import brute_force_min_distance, random_rotation, transformed
+from conftest import brute_force_min_distance, random_rotation, transformed, within_seconds
 
 SQRT2 = math.sqrt(2.0)
 
@@ -224,24 +225,36 @@ def _load_later_catalog():
         lambda: cd_upper_bound(1, 1),
         lambda: Polyomino(2, [(0, 0, 0)]),
         lambda: Polyomino(2, [(0, 0), (2**32, 2**32)]),
+        lambda: Polyomino(2, [(0, 0), (2**63, 0)]),
+        lambda: Polyomino(2, [(0, 0), (1,)]),
         lambda: BoxSpec(2, (0, 2), 0),
         lambda: BoxSpec(2, (1, 2), 3),
         lambda: choose_box(0, 2),
+        lambda: box_packing(5, 40),
         lambda: quasi_square_packing(0),
         lambda: enumerate_fixed_polyforms(0),
         lambda: polyomino_oracle(0),
         lambda: diagonal_construction(2, -1),
+        lambda: generate_named("K6", "x"),
         lambda: sep_measure_sequence(partial(generate_named, "P1"), [10, 6]),
         _load_later_catalog,
     ],
     ids=[
         "c2_formula", "cd_upper_bound-n", "cd_upper_bound-d", "Polyomino", "Polyomino-box",
-        "BoxSpec-sides", "BoxSpec-cells", "choose_box", "quasi_square_packing",
-        "enumerate_fixed_polyforms", "polyomino_oracle", "diagonal_construction",
+        "Polyomino-int64", "Polyomino-ragged", "BoxSpec-sides", "BoxSpec-cells", "choose_box",
+        "box_packing-d40", "quasi_square_packing", "enumerate_fixed_polyforms",
+        "polyomino_oracle", "diagonal_construction", "generate_named-window",
         "sep_measure_sequence", "load_catalog",
     ],
 )
 def test_out_of_range_values_raise_a_typed_value_error(call):
-    with pytest.raises(SepackError) as info:
+    with within_seconds(10), pytest.raises(SepackError) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+def test_choose_box_in_forty_dimensions_returns():
+    # the closed form; walking the 2^40 delta vectors never ends
+    with within_seconds(10):
+        spec = choose_box(5, 40)
+    assert spec.sides == (1,) * 37 + (2, 2, 2)

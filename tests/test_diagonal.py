@@ -10,26 +10,23 @@ from sepack import (
     certify_total_separability,
     contains_triangle,
     diagonal_construction,
-    generate_named,
+    diagonal_spec,
     interior_regularity_check,
-    local_fingerprint,
     min_contact_distance,
     min_pairwise_distance,
-    profile_complete_indices,
 )
 from sepack import core
 from sepack.diagonal import SPHERE_BUDGET, cube_count_exact
 from sepack.errors import SizeLimitError, UnsupportedDimensionError
 
 from conftest import (
-    brute_force_profile_complete,
     deepest_witness_clearance,
     diagonal_plane_clearance,
     is_cube_spawned,
-    random_rotation,
     spawned_diagonal_cubes,
+    spec_window_and_closed_form,
     traced_peak,
-    transformed,
+    turned_plane_spec_against_k6,
 )
 
 
@@ -67,6 +64,8 @@ class TestGrowth:
     def test_rejects_d1(self):
         with pytest.raises(UnsupportedDimensionError):
             diagonal_construction(1, 1)
+        with pytest.raises(UnsupportedDimensionError):
+            diagonal_spec(1)
 
 
 class TestClosedFormMatchesSpawning:
@@ -100,16 +99,6 @@ class TestClosedFormMatchesSpawning:
             spheres = by_center[sphere_generation[by_center] <= t]
             np.testing.assert_array_equal(result.packing.centers, centers[spheres])
             np.testing.assert_array_equal(result.saturated, partner_generation[spheres] <= t)
-
-    @pytest.mark.parametrize("d,depths", [(2, (2, 4, 8)), (3, (2, 3)), (4, (2,))])
-    def test_profile_complete_indices_match_scan(self, d, depths):
-        for t in depths:
-            result = diagonal_construction(d, t)
-            for radius in (2.0, 4.0, 6.0, 8.0):
-                np.testing.assert_array_equal(
-                    profile_complete_indices(result, radius),
-                    brute_force_profile_complete(result, radius),
-                )
 
 
 class TestRegularityAndValidity:
@@ -189,40 +178,21 @@ class TestSeparabilityByDimension:
         assert diagonal_plane_clearance(d) == pytest.approx(clearance, abs=1e-12)
 
 
-class TestFingerprint:
-    def test_d2_matches_truncated_square_tiling(self):
-        result = diagonal_construction(2, 3)
-        core = profile_complete_indices(result, 6.0)
-        assert len(core) > 0
-        diag_profiles = local_fingerprint(result.packing, 6.0, core)
-        k6 = generate_named("K6", 16, margin=8.0)
-        k6_profiles = local_fingerprint(k6, 6.0)
-        ref = k6_profiles[0]
-        for profile in diag_profiles + k6_profiles:
-            assert len(profile) == len(ref)
-            assert max(abs(a - b) for a, b in zip(profile, ref)) < 1e-9
+class TestSpec:
+    def test_plane_spec_is_k6_turned(self):
+        # turned by 45 degrees, the d = 2 spec has K6's motif, and its
+        # lattice is K6's times an integer matrix of determinant -1
+        motif, k6_motif, u = turned_plane_spec_against_k6(diagonal_spec(2))
+        np.testing.assert_array_equal(motif, k6_motif)
+        assert np.abs(u - np.rint(u)).max() < 1e-12
+        np.testing.assert_array_equal(np.rint(u), [[0, 1], [1, 1]])
 
-    def test_p1_and_k6_profiles_differ(self):
-        p1 = generate_named("P1", 12, margin=7.0)
-        k6 = generate_named("K6", 12, margin=7.0)
-        fp1 = local_fingerprint(p1, 4.0)
-        fp6 = local_fingerprint(k6, 4.0)
-        assert fp1[0] != fp6[0]
-        assert len(fp1[0]) != len(fp6[0])  # degree-4 vs degree-3 neighborhoods
-
-    def test_invariant_under_isometry(self, rng):
-        from scipy.spatial import cKDTree
-
-        from sepack import interior_indices
-
-        p = generate_named("K6", 10, margin=5.0)
-        idx = interior_indices(p)
-        base = local_fingerprint(p, 4.0, idx)
-        rot, shift = random_rotation(2, rng), rng.uniform(-3, 3, 2)
-        q = transformed(p, rot, shift)
-        # locate the images of the same spheres in q's canonical order
-        _, moved_idx = cKDTree(q.centers).query(p.centers[idx] @ rot.T + shift)
-        moved = local_fingerprint(q, 4.0, moved_idx)
-        for a, b in zip(base, moved):
-            assert len(a) == len(b)
-            assert max(abs(x - y) for x, y in zip(a, b)) < 1e-9
+    @pytest.mark.parametrize(
+        "d,depth", [(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+    )
+    def test_closed_form_is_a_window_of_the_spec(self, d, depth):
+        window, closed, match = spec_window_and_closed_form(d, depth)
+        np.testing.assert_array_equal(np.sort(match), np.arange(len(closed)))
+        np.testing.assert_array_max_ulp(window, closed[match], maxulp=32)
+        if d == 4:  # the step 3 is exact
+            np.testing.assert_array_equal(window, closed)

@@ -29,7 +29,7 @@ from sepack.errors import (
 from sepack import packio
 from sepack.packio import _BULK, write_report
 
-from conftest import oracle_encode_packing, oracle_write_report, traced_peak
+from conftest import bad_packing_files, oracle_encode_packing, oracle_write_report, traced_peak
 
 
 class TestRoundTrip:
@@ -114,6 +114,14 @@ class TestDecodeErrors:
         parent[path[-1]] = True
         with pytest.raises(error):
             decode_packing(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("case", sorted(bad_packing_files()))
+    def test_malformed_scalars_and_nesting_are_parse_errors(self, case):
+        # a string radius or margin read as a number, an object label was
+        # written back as its repr, and the nesting and the huge integer
+        # raised RecursionError and OverflowError
+        with pytest.raises(PackingParseError):
+            decode_packing(bad_packing_files()[case])
 
     def test_true_in_a_label_still_decodes(self):
         # the bool check runs when the bytes spell true or false anywhere
