@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import POINT_BUDGET, TOL, Packing, Window
-from .errors import EnumerationLimitError, InvalidValueError, SizeLimitError
+from .errors import EnumerationLimitError, InvalidValueError, SizeLimitError, integer
 
 # exhaustive enumeration limits: the largest cases are the 36,446 fixed
 # polyominoes of n=10 and the 162,913 fixed polycubes of n=8, which
@@ -35,6 +35,7 @@ ORACLE_LIMITS = {2: 10, 3: 8}
 def c2_formula(n: int) -> int:
     """Maximum contact number of a totally separable packing of n unit
     circles: floor(2(n - sqrt(n))), exact at perfect squares."""
+    n = integer(n, "n")
     if n < 1:
         raise InvalidValueError(f"n must be >= 1, got {n}")
     k = math.isqrt(n)
@@ -66,6 +67,7 @@ def cd_upper_bound(n: int, d: int) -> int:
     """Upper bound floor(d(n - n^((d-1)/d))) on the contact number of a
     totally separable packing of n unit spheres in R^d; an equality when
     n is a perfect d-th power."""
+    n, d = integer(n, "n"), integer(d, "d")
     if n < 1:
         raise InvalidValueError(f"n must be >= 1, got {n}")
     if d < 2:
@@ -108,23 +110,29 @@ class Polyomino:
     2*shared_faces ties them together.  The lookup codes each cell as one
     int64 over the cells' bounding box padded by one cell, so a set whose
     padded box holds 2^63 or more cells raises InvalidValueError (a
-    ValueError), as do ragged cells and coordinates outside int64.
+    ValueError), as do ragged cells, non-integer cells (floats, bools)
+    and coordinates outside int64.
     """
 
     dimension: int
     cells: np.ndarray
 
     def __post_init__(self):
+        dimension = integer(self.dimension, "dimension")
         cells = self.cells
         if not isinstance(cells, np.ndarray):
             cells = list(cells)
         try:
-            cells = np.asarray(cells, dtype=np.int64)
-        except (OverflowError, ValueError) as exc:  # outside int64, or ragged
+            cells = np.asarray(cells)  # ragged cells raise ValueError
+            if cells.size and cells.dtype.kind not in "iu":
+                raise TypeError(f"{cells.dtype} values")
+            # uint64, which Python ints past int64 can give, has no safe cast
+            cells = cells.astype(np.int64, casting="safe" if cells.size else "unsafe")
+        except (TypeError, ValueError) as exc:
             raise InvalidValueError(f"cells must be d-tuples of int64 integers: {exc}") from exc
         if cells.size == 0:
-            cells = cells.reshape(0, self.dimension)
-        if cells.ndim != 2 or cells.shape[1] != self.dimension:
+            cells = cells.reshape(0, dimension)
+        if cells.ndim != 2 or cells.shape[1] != dimension:
             raise InvalidValueError("cell arity does not match dimension")
         if len(cells):
             codes = _padded_codes(cells)[0]
@@ -132,6 +140,7 @@ class Polyomino:
             codes = codes[order]
             cells = cells[order[np.r_[True, codes[1:] != codes[:-1]]]]
         cells.setflags(write=False)
+        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "cells", cells)
 
     @property
@@ -185,6 +194,8 @@ class BoxSpec:
     cells_used: int
 
     def __post_init__(self):
+        for value in (self.dimension, *self.sides, self.cells_used):
+            integer(value, "a box dimension, side or cell count")
         if any(s < 1 for s in self.sides):
             raise InvalidValueError("box sides must be >= 1")
         if math.prod(self.sides) < self.cells_used:
@@ -203,6 +214,7 @@ def choose_box(n: int, d: int) -> BoxSpec:
     k^(d-j) (k+1)^j, which grows with j, so the smallest box takes the
     least j that holds n, and the smallest delta puts its j ones last.
     """
+    n, d = integer(n, "n"), integer(d, "d")
     if n < 1 or d < 2:
         raise InvalidValueError("need n >= 1 and d >= 2")
     k = _floor_root(n, d)
@@ -224,6 +236,7 @@ def quasi_square_packing(n: int) -> tuple[Polyomino, Packing]:
     plus one contiguous remainder row, and keep the variant with more
     shared faces; its contact count is exactly c2_formula(n).
     """
+    n = integer(n, "n")
     if n < 1:
         raise InvalidValueError(f"n must be >= 1, got {n}")
     _check_size(n)
@@ -246,6 +259,7 @@ def box_packing(n: int, d: int) -> tuple[Polyomino, Packing]:
     count never exceeds cd_upper_bound(n, d) and attains it when n is a
     perfect d-th power.
     """
+    n, d = integer(n, "n"), integer(d, "d")
     _check_size(n)
     spec = choose_box(n, d)
     omino = Polyomino(d, np.column_stack(np.unravel_index(np.arange(n), spec.sides)))
@@ -266,6 +280,7 @@ def enumerate_fixed_polyforms(n: int, d: int = 2) -> list:
     grows by the number of a new cell's 2d neighbours already in the
     shape.  len() of the result is OEIS A001168 (d = 2) / A001931 (d = 3).
     """
+    n, d = integer(n, "n"), integer(d, "d")
     if n < 1:
         raise InvalidValueError(f"n must be >= 1, got {n}")
     # cell c is the integer sum((c_i + n) * side**i): no coordinate of a
@@ -303,6 +318,7 @@ def polyomino_oracle(n: int, d: int = 2) -> int:
     constructions: one enumerate_fixed_polyforms call per oracle, limited
     by ORACLE_LIMITS.
     """
+    n, d = integer(n, "n"), integer(d, "d")
     if n < 1:
         raise InvalidValueError(f"n must be >= 1, got {n}")
     limit = ORACLE_LIMITS.get(d)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .contact import ContactGraph, RegularityVerdict, build_contact_graph, is_k_regular
 from .core import TOL, Packing, Window
-from .errors import InvalidValueError, SizeLimitError, UnsupportedDimensionError
+from .errors import InvalidValueError, SizeLimitError, UnsupportedDimensionError, integer
 from .generators import OrbitSpec
 
 # most spheres a construction may hold; checked before any allocation
@@ -82,6 +82,7 @@ class DiagonalConstruction:
 def cube_count_exact(d: int, depth: int) -> int:
     """Number of distinct cubes after closure: all-even vectors plus
     all-odd vectors in the L-infinity ball of radius depth."""
+    d, depth = integer(d, "d"), integer(depth, "depth")
     even = (2 * (depth // 2) + 1) ** d
     odd = (2 * ((depth + 1) // 2)) ** d
     return even + odd
@@ -97,6 +98,7 @@ def _equal_parity_ball(d: int, t: int) -> np.ndarray:
 def diagonal_spec(d: int) -> OrbitSpec:
     """The infinite packing: the orbit {-1, 1}^d of the seed 1 on the
     lattice (2 + 2/sqrt(d)) * B_d, B_d with rows 1, 2e_1, ..., 2e_(d-1)."""
+    d = integer(d, "d")
     if d < 2:
         raise UnsupportedDimensionError(f"the diagonal family needs d >= 2, got {d}")
     basis = np.vstack([np.ones(d), 2.0 * np.eye(d)[:-1]])
@@ -113,6 +115,7 @@ def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
     sphere at corner s of cube k is saturated iff ||k + s||_inf <= t,
     since its diagonal partner is corner -s of cube k + s.
     """
+    d, depth = integer(d, "d"), integer(depth, "depth")
     if d < 2:
         raise UnsupportedDimensionError(f"diagonal construction needs d >= 2, got {d}")
     if depth < 0:

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An integer argument (a count, a dimension, a depth, a cell coordinate)
+that is not an integer raises InvalidValueError, as one out of range
+does: a float, even 2.0, is not an integer, nor is a bool; a numpy
+integer is.
+"""
+
+import numbers
 
 
 class SepackError(Exception):
@@ -66,3 +74,10 @@ class PackingVersionError(SepackError):
 class InconsistentVerdictError(SepackError):
     """Two checks of one packing contradict each other (a triangle in the
     contact graph, yet no separability violation)."""
+
+
+def integer(value, name: str) -> int:
+    """value as a Python int; InvalidValueError when it is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -14,16 +14,18 @@ Two construction routes cover the whole catalog:
 An orbit spec is generated in proportion to its window.  One rule
 merges near duplicates (points within TOL / 2): a survivor mask over
 (lattice cell, cell point) keeps the lowest point of its component of
-near pairs inside the box.  The scale is taken, to the last bit, from the
-closest pair of the surviving points of a window padded by lattice
-periods all round; a sweep of the contact pair types over the padded
-window's cells finds that pair without building the padded window's
-points.  Both passes form raw coordinates one at a time, from
-coordinate-major tables of the cell points; the sweep computes only the
-(cell, pair type) pairs with both ends surviving.  Then only the cells
-whose bounding ball meets the window are tiled, and their surviving
-points are scaled so the closest pair sits at distance exactly 2, and
-cropped.
+near pairs inside the box.  One rule finds the closest pair of the
+survivors, to the last bit: a sweep of the pair types over a grid of
+lattice cells, widened until no type left out can come closer, which
+never builds the grid's points.  It runs twice: on the probe, the 3^d
+cells around the origin, whose contact distance sizes a window padded
+by lattice periods all round, and on that padded window, whose closest
+pair gives the scale.  Both passes form raw coordinates one at a time,
+from coordinate-major tables of the cell points; the sweep computes only
+the (cell, pair type) pairs with both ends surviving.  Then only the
+cells whose bounding ball meets the window are tiled, and their
+surviving points are scaled so the closest pair sits at distance
+exactly 2, and cropped.
 """
 
 from __future__ import annotations
@@ -96,15 +98,30 @@ def _slabs(dims: tuple, delta) -> tuple:
 # orbit generation
 
 def signed_permutation_orbit(seed: np.ndarray) -> np.ndarray:
-    """Distinct images of seed under coordinate permutations and sign flips."""
+    """Distinct images of seed under coordinate permutations and sign flips,
+    in lexicographic order.
+
+    They are the distinct arrangements of |seed| (a multinomial count) with
+    every sign pattern of the nonzero entries, so each zero entry is +0.0;
+    over POINT_BUDGET images raises SizeLimitError before any is built.
+    """
     seed = np.asarray(seed, dtype=float)
-    d = len(seed)
-    images = []
-    for perm in itertools.permutations(range(d)):
-        permuted = seed[list(perm)]
-        for signs in itertools.product((1.0, -1.0), repeat=d):
-            images.append(permuted * np.array(signs))
-    return np.unique(np.array(images), axis=0)
+    values, counts = np.unique(np.abs(seed), return_counts=True)
+    nonzero = np.count_nonzero(seed)
+    count = math.factorial(len(seed)) // math.prod(map(math.factorial, counts)) * 2**nonzero
+    if count > POINT_BUDGET:
+        raise SizeLimitError(f"the seed has {count} images, over the budget of {POINT_BUDGET}")
+    # each distinct value in turn takes every choice of the positions still free
+    labels = np.full((1, len(seed)), -1)
+    for label, repeats in enumerate(counts):
+        free = np.nonzero(labels < 0)[1].reshape(len(labels), -1)
+        picks = np.array(list(itertools.combinations(range(free.shape[1]), repeats)))
+        labels = np.repeat(labels, len(picks), axis=0)
+        np.put_along_axis(labels, free[:, picks].reshape(len(labels), -1), label, axis=1)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=nonzero)))
+    images = np.repeat(values[labels], len(signs), axis=0)
+    images[np.nonzero(images)] *= np.tile(signs, (len(labels), 1)).ravel()
+    return np.unique(images, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,75 +304,72 @@ def _contact_sweep(grid: np.ndarray, tables: tuple, alive: np.ndarray, types: np
     return float(np.sqrt(least))  # sqrt is monotone: the root of the least square
 
 
-def _scale_and_window(lattice: np.ndarray, tables: tuple, window: Window, contact: float) -> tuple:
-    """The scale of an orbit window and its raw points: the survivors of
-    the cells whose bounding ball meets the window.
-
-    The scale is 2 over the closest pair of the surviving raw points of
-    the lattice cells covering the window padded by one lattice period (at
-    the probe's scale), inside the box padded once more.  Those points are
-    never built: the pair types within the probe's contact distance are
-    evaluated at every grid cell where both ends survive.  When the closest
-    of them lies further out (a motif wider than the padding leaves few of
-    its points in the box), the types out to it are swept too, so no type
-    left out can come closer.  The padded box holds the window, so its
-    survivors are the window's points too.
-    """
-    d = len(lattice)
-    own = _at(tables, np.zeros(d))
-    probe_scale = 2.0 / contact
-    pad = float(np.linalg.norm(lattice, axis=1).max())
-    lo = window.lower / probe_scale - pad
-    hi = window.upper / probe_scale + pad
-    grid = _lattice_translates(lattice, lo, hi, len(own))
-    dims = grid.shape[:-1]
-    near, contacts = _pair_types(tables, lattice, dims, contact)
-    alive = _survivors(grid, tables, lo - pad, hi + pad, near)
-    closest, reach = _contact_sweep(grid, tables, alive, contacts), contact
-    diameter = float(np.linalg.norm(hi - lo)) + 4 * pad  # of the padded box
-    while closest > reach * (1 + TOL / 2) + TOL / 2 and reach <= diameter:
+def _closest(grid: np.ndarray, tables: tuple, lattice: np.ndarray, low, high, reach: float) -> tuple:
+    """The closest pair of the grid's surviving raw points inside the box
+    [low, high], to the last bit (inf for fewer than two), and the survivor
+    mask.  The pair types within reach (> 0) are swept over every grid cell
+    where both ends survive; while the closest lies further out, the types
+    out to it (out to twice the reach while none is found, up to the grid's
+    span) are swept too, so no type left out can come closer."""
+    dims, d = grid.shape[:-1], grid.shape[-1]
+    near, types = _pair_types(tables, lattice, dims, reach)
+    alive = _survivors(grid, tables, low, high, near)
+    closest = _contact_sweep(grid, tables, alive, types)
+    span = np.linalg.norm(np.ptp(grid.reshape(-1, d), axis=0))
+    span += 2 * np.linalg.norm(tables[0] + tables[1], axis=0).max()  # no pair is further apart
+    while closest > reach * (1 + TOL / 2) + TOL / 2 and reach <= span:
         reach = closest if closest < np.inf else 2 * reach
         closest = _contact_sweep(grid, tables, alive, _pair_types(tables, lattice, dims, reach)[1])
-    scale = 2.0 / closest
-
-    low, high = (window.lower - TOL) / scale, (window.upper + TOL) / scale
-    gap = np.zeros(dims)
-    for k in range(d):
-        gap += np.maximum(0.0, np.maximum(low[k] - grid[..., k], grid[..., k] - high[k])) ** 2
-    # the slack covers the rounding of a point's coordinates and of the crop
-    ball = np.linalg.norm(own, axis=1).max() + TOL * (1 + np.abs([low, high]).max())
-    cells = gap <= ball**2
-    return scale, _at(tables, grid[cells])[alive[cells]]
+    return closest, alive
 
 
 def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     """Generate {g . seed + c + t} over the window, normalized to contact 2.
 
-    The probe (the cells within one lattice step of the origin, each
-    point's near duplicates merged by _survivors) sizes a padded window,
-    and a sweep of the pair types at the probe's contact distance over
-    that window's lattice cells gives the scale, to the last bit of the
-    closest pair among its surviving points (see _scale_and_window).  Then
-    only the cells whose bounding ball meets the window are tiled; their
-    surviving points are scaled and cropped.
+    The probe (the 3^d cells within one lattice step of the origin, none
+    cropped) gives a contact distance by _closest, which sizes a window
+    padded by one lattice period all round; _closest over that window's
+    cells, inside the box padded once more, gives the scale, to the last
+    bit.  The padded box holds the window, so its survivors are the
+    window's points: only the cells whose bounding ball meets the window
+    are tiled, and their surviving points are scaled and cropped.
 
     The caller is responsible for validating regularity/separability of
     the result.  Raises SizeLimitError when the padded window's cells hold
-    more than POINT_BUDGET raw points.
+    more than POINT_BUDGET raw points, or when the n raw points of the
+    probe all lie within n * TOL / 2 of its first, too close to scale.
     """
-    lattice = spec.lattice
-    d = spec.dimension
+    lattice, d = spec.lattice, spec.dimension
     tables = _cell_points(spec.centering, spec.motif())
+    own = _at(tables, np.zeros(d))
 
-    # the raw contact distance of one cell plus its neighbors sizes the window
-    cells = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice
-    cells = cells.reshape((3,) * d + (d,))
-    near = _pair_types(tables, lattice, cells.shape[:-1], 0.0)[0]
+    probe = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice
+    probe = probe.reshape((3,) * d + (d,))
+    # the probe's sweep starts at the distance from raw point 0 to the nearest
+    # raw point outside its near component (one of n points is shorter than n * TOL / 2)
+    raw = _at(tables, probe).reshape(-1, d)
+    gaps = np.linalg.norm(raw - raw[0], axis=1)
+    gaps = gaps[gaps > len(raw) * TOL / 2]
+    if not len(gaps):
+        raise SizeLimitError(f"the probe's {len(raw)} raw points lie too close together to scale")
     everywhere = np.full(d, np.inf)
-    probe = _at(tables, cells)[_survivors(cells, tables, -everywhere, everywhere, near)]
-    contact = float(cKDTree(probe).query(probe, k=2)[0][:, 1].min())
-    scale, raw = _scale_and_window(lattice, tables, window, contact)
-    centers = raw * scale
+    contact = _closest(probe, tables, lattice, -everywhere, everywhere, float(gaps.min()))[0]
+
+    probe_scale, pad = 2.0 / contact, float(np.linalg.norm(lattice, axis=1).max())
+    lo = window.lower / probe_scale - pad
+    hi = window.upper / probe_scale + pad
+    grid = _lattice_translates(lattice, lo, hi, len(own))
+    closest, alive = _closest(grid, tables, lattice, lo - pad, hi + pad, contact)
+    scale = 2.0 / closest
+
+    low, high = (window.lower - TOL) / scale, (window.upper + TOL) / scale
+    gap = np.zeros(grid.shape[:-1])
+    for k in range(d):
+        gap += np.maximum(0.0, np.maximum(low[k] - grid[..., k], grid[..., k] - high[k])) ** 2
+    # the slack covers the rounding of a point's coordinates and of the crop
+    ball = np.linalg.norm(own, axis=1).max() + TOL * (1 + np.abs([low, high]).max())
+    cells = gap <= ball**2
+    centers = _at(tables, grid[cells])[alive[cells]] * scale
     return Packing(centers[window.contains(centers)], window, 1.0, label)
 
 

@@ -92,6 +92,19 @@ def brute_force_witnesses(centers, full_audit, radius=1.0, tol=1e-9):
     return clean, witnesses
 
 
+def brute_force_signed_permutation_orbit(seed):
+    """Images of seed under every coordinate permutation and sign flip,
+    all d! * 2^d of them, deduplicated by np.unique."""
+    seed = np.asarray(seed, dtype=float)
+    d = len(seed)
+    images = []
+    for perm in itertools.permutations(range(d)):
+        permuted = seed[list(perm)]
+        for signs in itertools.product((1.0, -1.0), repeat=d):
+            images.append(permuted * np.array(signs))
+    return np.unique(np.array(images), axis=0)
+
+
 def oracle_dedup(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Merge points closer than TOL / 2, each connected chain of such near
     pairs keeping its lowest point; return them and their closest distance."""

@@ -240,6 +240,21 @@ class TestFacetCountsMatchSetLookup:
         with pytest.raises(ValueError):
             Polyomino(3, frozenset({(0, 0)}))
 
+    def test_integer_arrays_and_empty_sets_are_cells(self):
+        # any integer dtype that fits int64, and an empty set of any kind
+        cells = {(0, 0), (1, 0), (1, 1)}
+        for dtype in (np.int8, np.uint8, np.int32, np.uint32, np.int64):
+            self.check(Polyomino(2, np.array(sorted(cells), dtype=dtype)), cells)
+        for empty in ([], frozenset(), np.zeros((0, 2)), np.array([])):
+            self.check(Polyomino(2, empty), set())
+        assert Polyomino(np.int64(2), []).dimension == 2
+
+
+def test_numpy_integers_are_integer_arguments():
+    assert c2_formula(np.int64(9)) == c2_formula(9) == 12
+    assert cd_upper_bound(np.int64(8), np.int32(3)) == cd_upper_bound(8, 3) == 12
+    assert quasi_square_packing(np.uint8(5))[0].shared_faces == 5
+
 
 class TestPolyominoOracle:
     def test_single_cell(self):

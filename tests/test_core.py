@@ -235,6 +235,14 @@ def _load_later_catalog():
         lambda: enumerate_fixed_polyforms(0),
         lambda: polyomino_oracle(0),
         lambda: diagonal_construction(2, -1),
+        lambda: diagonal_construction(2.5, 1),
+        lambda: quasi_square_packing(2.5),
+        lambda: polyomino_oracle(3, 2.0),
+        lambda: c2_formula(2.5),
+        lambda: box_packing(5.5, 2),
+        lambda: cd_upper_bound(5, 2.5),
+        lambda: Polyomino(2, [(0.5, 0), (1.9, 0)]),
+        lambda: Polyomino(2, np.array([[0, 0], [2**64 - 1, 0]], dtype=np.uint64)),
         lambda: generate_named("K6", "x"),
         lambda: sep_measure_sequence(partial(generate_named, "P1"), [10, 6]),
         _load_later_catalog,
@@ -243,7 +251,10 @@ def _load_later_catalog():
         "c2_formula", "cd_upper_bound-n", "cd_upper_bound-d", "Polyomino", "Polyomino-box",
         "Polyomino-int64", "Polyomino-ragged", "BoxSpec-sides", "BoxSpec-cells", "choose_box",
         "box_packing-d40", "quasi_square_packing", "enumerate_fixed_polyforms",
-        "polyomino_oracle", "diagonal_construction", "generate_named-window",
+        "polyomino_oracle", "diagonal_construction", "diagonal_construction-float-d",
+        "quasi_square_packing-float", "polyomino_oracle-float-d", "c2_formula-float",
+        "box_packing-float", "cd_upper_bound-float-d", "Polyomino-float-cells", "Polyomino-uint64",
+        "generate_named-window",
         "sep_measure_sequence", "load_catalog",
     ],
 )

@@ -33,12 +33,18 @@ from sepack.errors import (
 )
 from sepack import core
 from sepack.core import POINT_BUDGET, TOL
-from sepack.diagonal import diagonal_construction
+from sepack.diagonal import diagonal_construction, diagonal_spec
 from sepack import generators, packio
 from sepack.generators import APEIROGON, TRIANGULAR
 from sepack.packio import build_verify_report, encode_packing, write_report
 
-from conftest import brute_force_edges, oracle_orbit_generate, traced_peak
+from conftest import (
+    brute_force_edges,
+    brute_force_signed_permutation_orbit,
+    oracle_orbit_generate,
+    traced_peak,
+    within_seconds,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -233,6 +239,22 @@ class TestProductPacking:
         assert peak[0] < 1_000_000
 
 
+# every catalog seed, the diagonal family's seed 1 for d = 2..6, and seeds
+# with zero entries (the loop's zero signs vary) and repeated values
+ORBIT_SEEDS = {
+    **{
+        f"{entry.id}-{i}": seed
+        for entry in load_catalog().values()
+        if entry.kind == "orbit"
+        for i, seed in enumerate(entry.seeds)
+    },
+    **{f"ones-{d}": np.ones(d) for d in range(2, 7)},
+    "one-two-zeros": np.array([1.0, 0.0, 0.0]),
+    "signed-zeros": np.array([-0.0, 3.0, -3.0, 0.0]),
+    "origin": np.zeros(2),
+}
+
+
 class TestOrbitGeneration:
     def test_orbit_of_seed_012_matches_bitruncated_motif(self):
         spec = OrbitSpec(
@@ -250,6 +272,23 @@ class TestOrbitGeneration:
         assert len(orbit) == 48
         collapsed = signed_permutation_orbit(np.array([0.0, 1.0, 2.0]))
         assert len(collapsed) == 24
+
+    @pytest.mark.parametrize("seed", ORBIT_SEEDS.values(), ids=ORBIT_SEEDS.keys())
+    def test_orbit_matches_the_permutation_loop(self, seed):
+        got, loop = signed_permutation_orbit(seed), brute_force_signed_permutation_orbit(seed)
+        assert np.array_equal(got, loop)
+        # every zero entry is +0.0; the loop keeps -0.0 in the rows where
+        # np.unique's sort happens to put a flipped zero first
+        assert not np.signbit(got[got == 0]).any()
+        if np.all(seed != 0):
+            assert np.array_equal(got.view(np.uint64), loop.view(np.uint64))
+
+    def test_orbit_is_counted_before_it_is_built(self):
+        # 10! * 2^10 images; the permutation loop runs 3.7e9 iterations
+        with within_seconds(10), pytest.raises(SizeLimitError):
+            signed_permutation_orbit(np.arange(1.0, 11.0))
+        with within_seconds(10):
+            assert len(diagonal_spec(8).motif()) == 2**8
 
     def test_axis_seed_lands_on_square_grid(self):
         # orbit of (1,0) over 4Z^2: disjoint 2x2 blocks whose points all lie
@@ -310,7 +349,9 @@ NEAR = 1.0 + 0.2 * TOL  # a seed coordinate whose orbit copies sit 0.4 TOL apart
 # copies just over TOL / 2 apart (the closest pair is then within
 # rounding of its own size), a window off the origin, and a chain of five
 # near duplicates 0.3 TOL apart whose ends are 1.2 TOL apart, which keeps
-# only its lowest point
+# only its lowest point, and chains of eleven centering offsets 0.4 TOL
+# apart whose survivors sit 4 TOL below the probe's raw point 0 and below
+# the raw point nearest it, so the probe's first sweep finds no pair and widens
 ORBIT_CASES = {
     **{
         f"{name}-L{l}": (lambda name=name: _catalog_spec(name), l, None)
@@ -337,6 +378,9 @@ ORBIT_CASES = {
         lambda: OrbitSpec([[5.0, 0.0], [5.0, 0.3 * TOL], [5.0, 0.6 * TOL]], 30.0 * np.eye(2)),
         40, 324,
     ),
+    "near-chain-probe": (
+        lambda: OrbitSpec([0.5], [[3.0]], [[-0.4 * TOL * i] for i in range(11)]), 10, 6
+    ),
     "far-motif": (lambda: OrbitSpec([10.3, 0.0], 2.0 * np.eye(2)), 10, 24),
     "wide-motif-sparse-box": (
         lambda: OrbitSpec([[5.5], [7.5]], [[1.5]]), Window([-5.6], [-4.5]), 1
@@ -355,9 +399,17 @@ def test_orbit_window_matches_padded_oracle(case):
     spec = make()
     if not isinstance(window, Window):
         window = Window.cube(window, spec.dimension)
-    packing = orbit_generate(spec, window)
-    assert encode_packing(packing) == encode_packing(oracle_orbit_generate(spec, window))
+    with within_seconds(30):  # O103-L9 takes about 2 s, most of it in the oracle
+        packing = orbit_generate(spec, window)
+        assert encode_packing(packing) == encode_packing(oracle_orbit_generate(spec, window))
     assert count in (None, packing.n_spheres)
+
+
+def test_probe_too_fine_to_scale_is_a_size_limit():
+    # the three raw points of the probe lie within 2e-11 of each other:
+    # no contact distance sizes the window
+    with pytest.raises(SizeLimitError):
+        orbit_generate(OrbitSpec([0.0], [[1e-11]]), Window.cube(3, 1))
 
 
 @pytest.mark.parametrize(
@@ -371,8 +423,8 @@ def test_small_sweep_chunks_keep_the_bytes(case, monkeypatch):
 
 
 def test_generation_kdtree_builds(monkeypatch):
-    # an orbit window builds three: the probe's near pair types and closest
-    # pair, and the padded window's pair types; a product builds its factors'
+    # an orbit window builds two, for the pair types of the probe and of the
+    # padded window (none widens at these windows); a product builds its factors'
     builds = []
     tree_class = generators.cKDTree
 
@@ -386,7 +438,7 @@ def test_generation_kdtree_builds(monkeypatch):
         builds.clear()
         generate_named(name, 4)
         product = name in catalog and catalog[name].kind == "product"
-        assert len(builds) == (6 if product else 3), name
+        assert len(builds) == (4 if product else 2), name
 
 
 def test_orbit_generation_is_window_local():

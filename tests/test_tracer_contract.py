@@ -19,8 +19,9 @@ def test_tree_builds_are_counted_not_traced(tmp_path):
     names = {span.name for span in tracer.spans}
     assert {"generators.generate_named", "contact.build_contact_graph"} <= names
     assert not [name for name in names if name.endswith("cKDTree")]
-    # an orbit window builds three trees, a verify one
-    assert [module for _, module in tracer.kdtree_builds] == ["generators"] * 3 + ["core"]
+    # an orbit window builds two trees (the pair types of the probe and of
+    # the padded window), a verify one
+    assert [module for _, module in tracer.kdtree_builds] == ["generators"] * 2 + ["core"]
 
 
 def test_measure_runs_under_the_certifier_span(tmp_path):
