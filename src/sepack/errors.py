@@ -4,6 +4,12 @@ An integer argument (a count, a dimension, a depth, a cell coordinate)
 that is not an integer raises InvalidValueError, as one out of range
 does: a float, even 2.0, is not an integer, nor is a bool; a numpy
 integer is.
+
+Every size that an argument sets is counted against its budget before
+the work starts, and one over it raises SizeLimitError: the images of an
+orbit seed, the probe and the padded window of an orbit window, a
+product, a diagonal construction, the cells of a contact-number
+construction.  The exact power in cd_upper_bound is not yet bounded.
 """
 
 import numbers

@@ -20,12 +20,11 @@ lattice cells, widened until no type left out can come closer, which
 never builds the grid's points.  It runs twice: on the probe, the 3^d
 cells around the origin, whose contact distance sizes a window padded
 by lattice periods all round, and on that padded window, whose closest
-pair gives the scale.  Both passes form raw coordinates one at a time,
-from coordinate-major tables of the cell points; the sweep computes only
-the (cell, pair type) pairs with both ends surviving.  Then only the
-cells whose bounding ball meets the window are tiled, and their
-surviving points are scaled so the closest pair sits at distance
-exactly 2, and cropped.
+pair gives the scale.  One kernel, _live_pairs, walks the (cell, pair
+type) pairs with both ends in a mask for both rules; each pair type is
+listed one way.  Then only the cells whose bounding ball meets the
+window are tiled, and their surviving points are scaled so the closest
+pair sits at distance exactly 2, and cropped.
 """
 
 from __future__ import annotations
@@ -54,19 +53,20 @@ SQRT3 = math.sqrt(3.0)
 # inseparable packing (every contact's tangent line meets a third circle)
 TRIANGULAR_ID = "TRI"
 
-# most values one step of the survivor mask or the contact sweep holds in
-# one array: the mask tests every raw point of the padded window (at most
-# POINT_BUDGET), a coordinate at a time, and the sweep every (cell, pair
-# type) pair with both ends alive; only the cells that meet the window are tiled
+# most values one step of the box test or of the pair kernel holds in one
+# array: the box test takes the raw points of the padded window (at most
+# POINT_BUDGET) a coordinate at a time, and _live_pairs the (cell, pair
+# type) pairs of one offset; only the cells that meet the window are tiled
 _SWEEP_CHUNK = 1 << 17
 
 
 def _lattice_translates(
     basis: np.ndarray, lo: np.ndarray, hi: np.ndarray, points_per_translate: int
 ) -> np.ndarray:
-    """Integer lattice combinations covering the box [lo, hi], as a grid:
-    entry [i_1, ..., i_d] is the translate of the i_k-th coefficient on
-    each axis k, so a fixed coefficient offset is a fixed index shift.
+    """Integer lattice combinations covering the box [lo, hi], as a
+    coordinate-major grid: entry [k, i_1, ..., i_d] is coordinate k of the
+    translate of the i_j-th coefficient on each axis j, so a fixed
+    coefficient offset is a fixed index shift.
 
     The number of raw points, points_per_translate per translate, is
     counted in floats first and raises SizeLimitError over POINT_BUDGET.
@@ -81,17 +81,8 @@ def _lattice_translates(
             f"the window needs {count:.3g} raw points, over the budget of {POINT_BUDGET}"
         )
     ranges = [np.arange(a, b + 1) for a, b in zip(n0.astype(int), n1.astype(int))]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    coeffs = np.stack([g.ravel() for g in grids], axis=1)
-    return (coeffs @ basis).reshape(grids[0].shape + (len(basis),))
-
-
-def _slabs(dims: tuple, delta) -> tuple:
-    """Index slices of the grid cells idx and idx + delta, over every idx
-    for which both lie in a grid of shape dims."""
-    here = tuple(slice(min(n, max(0, -k)), max(0, n - max(0, k))) for k, n in zip(delta, dims))
-    there = tuple(slice(min(n, max(0, k)), max(0, n - max(0, -k))) for k, n in zip(delta, dims))
-    return here, there
+    coeffs = np.stack([g.ravel() for g in np.meshgrid(*ranges, indexing="ij")], axis=1)
+    return (coeffs @ basis).T.reshape((len(basis),) + tuple(map(len, ranges)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,47 +156,74 @@ class OrbitSpec:
 def _cell_points(centering: np.ndarray, motif: np.ndarray) -> tuple:
     """Coordinate-major (d, kinds) tables (c, m) of the cell points: cell
     point p is centering offset p // len(motif) plus motif point p % len(motif).
-    Coordinate k of cell point p at translate t is (t_k + c[k, p]) + m[k, p]:
-    every raw coordinate of an orbit window comes from these tables in that
-    order, so the same point always has the same bits."""
+    Every raw coordinate of an orbit window is formed from these tables by
+    _coordinate, in one order, so the same point always has the same bits."""
     offset, point = np.divmod(np.arange(len(centering) * len(motif)), len(motif))
     return centering[offset].T.copy(), motif[point].T.copy()
 
 
-def _at(tables: tuple, translates: np.ndarray, kinds=slice(None)) -> np.ndarray:
-    """Cell points ``kinds`` at each translate, shape translates.shape[:-1] + (len(kinds), d)."""
-    return (translates[..., None, :] + tables[0].T[kinds]) + tables[1].T[kinds]
+def _coordinate(tables: tuple, k: int, t: np.ndarray, kinds=slice(None)) -> np.ndarray:
+    """(t + c[k, kinds]) + m[k, kinds]: coordinate k of cell points ``kinds``
+    at translate coordinates t, the one spelling of a raw coordinate."""
+    x = t + tables[0][k][kinds]
+    x += tables[1][k][kinds]
+    return x
 
 
-def _coordinate(tables: tuple, k: int, t: np.ndarray, kinds) -> np.ndarray:
-    """(t + c[k, kinds]) + m[k, kinds], in place on t: coordinate k of cell points ``kinds``."""
-    t += tables[0][k][kinds]
-    t += tables[1][k][kinds]
-    return t
+def _at(tables: tuple, translates: np.ndarray) -> np.ndarray:
+    """Every cell point at each of the (d, n) translates, shape (n, kinds, d)."""
+    return np.stack([_coordinate(tables, k, t[:, None]) for k, t in enumerate(translates)], -1)
 
 
-def _pair_types(tables: tuple, lattice: np.ndarray, dims: tuple, reach: float) -> tuple:
-    """The near-duplicate pair types (within TOL / 2), listed both ways, and
-    every pair type within reach, listed one way; reach is widened to
-    reach * (1 + TOL) + TOL, beyond the rounding of any coordinate.  The
-    near types are among the latter, but _survivors never leaves both ends
-    of one alive, so the contact sweep never measures one.
+def _live_pairs(on: np.ndarray, types: np.ndarray):
+    """Every (grid cell, pair type) pair whose two ends are set in the mask
+    on, over (grid cell, cell point), exactly once: chunks of flat cell
+    indices i, j (cell j lies the type's offset away from cell i) and cell
+    points a, b.  Each offset must fit in the grid.  The types are taken an
+    offset at a time, over blocks of rows of cells along the first axis; no
+    chunk's mask holds more than _SWEEP_CHUNK values, unless one row does."""
+    dims = on.shape[:-1]
+    cells = np.arange(math.prod(dims)).reshape(dims)
+    strides = np.array(cells.strides) // cells.itemsize
+    for delta in np.unique(types[:, 2:], axis=0):
+        ends = types[np.all(types[:, 2:] == delta, axis=1), :2]
+        here = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(delta, dims))
+        there = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(delta, dims))
+        slab, on_a, on_b, shift = cells[here], on[here], on[there], int(delta @ strides)
+        width = max(1, _SWEEP_CHUNK // slab.size)
+        rows = max(1, _SWEEP_CHUNK // (slab[0].size * width))
+        for first in range(0, len(slab), rows):
+            i = slab[first : first + rows].ravel()
+            block_a, block_b = on_a[first : first + rows], on_b[first : first + rows]
+            for start in range(0, len(ends), width):
+                a, b = ends[start : start + width].T
+                cell, end = np.nonzero((block_a[..., a] & block_b[..., b]).reshape(len(i), -1))
+                yield i[cell], i[cell] + shift, a[end], b[end]
+
+
+def _pair_types(tables: tuple, lattice: np.ndarray, radius: float, dims: tuple, reach) -> tuple:
+    """The near-duplicate pair types (within TOL / 2) and every pair type
+    within reach, widened to reach * (1 + TOL) + TOL, beyond the rounding of
+    any coordinate.  The near types are among the latter, but _survivors
+    never leaves both ends of one alive, so the contact sweep never
+    measures one.
 
     A pair type is a row (a, b, delta): cell point a of one cell and cell
-    point b of the cell delta coefficients away; (b, a, -delta) is the
-    same type read the other way.  Every offset that a grid of shape dims
-    holds and that can bring two cell points within reach is looked at.
+    point b of the cell delta coefficients away.  Each is listed one way,
+    as it sorts before (b, a, -delta), the same type read the other way.
+    Every offset that a grid of shape dims holds and that can bring two
+    cell points within reach is looked at.
     """
     d = len(lattice)
-    own = _at(tables, np.zeros(d))
+    own = _at(tables, np.zeros((d, 1)))[0]
     kinds = np.arange(len(own))
     radii = (TOL / 2, reach * (1 + TOL) + TOL)
-    span = 2 * np.linalg.norm(own, axis=1).max() + radii[1]
+    span = 2 * radius + radii[1]
     limit = np.minimum(span * np.linalg.norm(np.linalg.inv(lattice), axis=0), np.subtract(dims, 1))
     axes = np.meshgrid(*[np.arange(-n, n + 1) for n in limit.astype(int)], indexing="ij")
     offsets = np.stack([g.ravel() for g in axes], axis=1)
     offsets = offsets[np.linalg.norm(offsets @ lattice, axis=1) <= span]
-    tree = cKDTree(_at(tables, offsets @ lattice).reshape(-1, d))
+    tree = cKDTree(_at(tables, (offsets @ lattice).T).reshape(-1, d))
     found = []
     for r in radii:
         hits = tree.query_ball_point(own, r)
@@ -213,11 +231,11 @@ def _pair_types(tables: tuple, lattice: np.ndarray, dims: tuple, reach: float) -
         rows = np.column_stack(
             [np.repeat(kinds, [len(h) for h in hits]), j % len(kinds), offsets[j // len(kinds)]]
         )
-        itself = (rows[:, 0] == rows[:, 1]) & ~rows[:, 2:].any(axis=1)
-        found.append(np.unique(rows[~itself], axis=0))
-    near, within = found
-    flipped = np.column_stack([within[:, 1], within[:, 0], -within[:, 2:]])
-    return near, within[lex_less(within, flipped)]
+        flipped = np.column_stack([rows[:, 1], rows[:, 0], -rows[:, 2:]])
+        # a point paired with itself reads the same both ways, and drops out
+        rows = np.concatenate([rows[lex_less(rows, flipped)], flipped[lex_less(flipped, rows)]])
+        found.append(np.unique(rows, axis=0))
+    return tuple(found)
 
 
 def _survivors(grid: np.ndarray, tables: tuple, low, high, near: np.ndarray) -> np.ndarray:
@@ -229,34 +247,22 @@ def _survivors(grid: np.ndarray, tables: tuple, low, high, near: np.ndarray) -> 
     lexicographically, ties to the lower (grid cell, cell point) label, as
     one bit-identical copy stands for all.
     """
-    dims, d = grid.shape[:-1], grid.shape[-1]
-    flat = grid.reshape(-1, d)
-    kinds = tables[0].shape[1]
-    inside = np.ones((len(flat), kinds), dtype=bool)
+    kinds, columns = tables[0].shape[1], grid.reshape(len(grid), -1)
+    inside = np.ones((columns.shape[1], kinds), dtype=bool)
     step = max(1, _SWEEP_CHUNK // kinds)
-    for first in range(0, len(flat), step):
+    for first in range(0, len(inside), step):
         block = inside[first : first + step]
-        for k in range(d):
-            x = (flat[first : first + step, k, None] + tables[0][k]) + tables[1][k]
+        for k, t in enumerate(columns):
+            x = _coordinate(tables, k, t[first : first + step, None])
             block &= (x >= low[k]) & (x <= high[k])
-    inside = inside.reshape(dims + (kinds,))
+    inside = inside.reshape(grid.shape[1:] + (kinds,))
     if not len(near):
         return inside
-    labels = np.arange(inside.size).reshape(inside.shape)
-    pairs = []
-    for delta in np.unique(near[:, 2:], axis=0):
-        ends = near[np.all(near[:, 2:] == delta, axis=1), :2]
-        here, there = _slabs(dims, delta)
-        inside_a, inside_b = inside[here], inside[there]
-        step = max(1, _SWEEP_CHUNK // math.prod(inside_a.shape[:-1]))
-        for start in range(0, len(ends), step):
-            a, b = ends[start : start + step].T
-            *cell, end = np.nonzero(inside_a[..., a] & inside_b[..., b])
-            pairs.append([labels[here][(*cell, a[end])], labels[there][(*cell, b[end])]])
-    nodes, index = np.unique(np.concatenate(pairs, axis=1), return_inverse=True)
+    i, j, a, b = map(np.concatenate, zip(*_live_pairs(inside, near)))
+    nodes, index = np.unique(np.concatenate([i * kinds + a, j * kinds + b]), return_inverse=True)
     u, v = index.reshape(2, -1)
     cell, kind = np.divmod(nodes, kinds)
-    keys = [_coordinate(tables, k, flat[cell, k], kind) for k in reversed(range(d))]
+    keys = [_coordinate(tables, k, t[cell], kind) for k, t in enumerate(columns)][::-1]
     rank = np.argsort(np.lexsort(keys))  # stable: ties keep the label order
     # spread the least rank over the pairs until nothing moves: the lowest
     # point of a component is the one that keeps its own rank
@@ -272,54 +278,37 @@ def _survivors(grid: np.ndarray, tables: tuple, low, high, near: np.ndarray) -> 
     return inside
 
 
-def _contact_sweep(grid: np.ndarray, tables: tuple, alive: np.ndarray, types: np.ndarray) -> float:
+def _contact_sweep(grid: np.ndarray, tables: tuple, alive: np.ndarray, types) -> float:
     """Least distance of the pair types over every grid cell where both
     ends are alive, in the float arithmetic of cKDTree's Euclidean kernel:
-    squared differences summed coordinate by coordinate, then sqrt.  Each
-    step takes the (cell, type) pairs with both ends alive and forms their
-    coordinates one at a time from the cell point tables; no step holds
-    more than _SWEEP_CHUNK values in one array."""
-    dims, d = grid.shape[:-1], grid.shape[-1]
-    least = np.inf
-    for delta in np.unique(types[:, 2:], axis=0):
-        ends = types[np.all(types[:, 2:] == delta, axis=1), :2]
-        here, there = _slabs(dims, delta)
-        grid_a, grid_b, alive_a, alive_b = grid[here], grid[there], alive[here], alive[there]
-        rows = max(1, _SWEEP_CHUNK // (math.prod(grid_a.shape[1:-1]) * d))
-        for first in range(0, len(grid_a), rows):
-            block = slice(first, first + rows)
-            t_a, t_b = grid_a[block].reshape(-1, d), grid_b[block].reshape(-1, d)
-            on_a = alive_a[block].reshape(len(t_a), -1)
-            on_b = alive_b[block].reshape(len(t_b), -1)
-            step = max(1, _SWEEP_CHUNK // len(t_a))
-            for start in range(0, len(ends), step):
-                a, b = ends[start : start + step].T
-                cell, end = np.nonzero(on_a[:, a] & on_b[:, b])
-                a, b, squares = a[end], b[end], np.zeros(len(cell))
-                for k in range(d):
-                    diff = _coordinate(tables, k, t_a[:, k][cell], a)
-                    diff -= _coordinate(tables, k, t_b[:, k][cell], b)
-                    squares += diff * diff
-                least = min(least, float(squares.min(initial=np.inf)))
+    squared differences summed coordinate by coordinate, then sqrt."""
+    least, columns = np.inf, grid.reshape(len(grid), -1)
+    for i, j, a, b in _live_pairs(alive, types):
+        squares = np.zeros(len(i))
+        for k, t in enumerate(columns):
+            diff = _coordinate(tables, k, t[i], a)
+            diff -= _coordinate(tables, k, t[j], b)
+            squares += diff * diff
+        least = min(least, float(squares.min(initial=np.inf)))
     return float(np.sqrt(least))  # sqrt is monotone: the root of the least square
 
 
-def _closest(grid: np.ndarray, tables: tuple, lattice: np.ndarray, low, high, reach: float) -> tuple:
+def _closest(grid, tables: tuple, lattice: np.ndarray, radius: float, low, high, reach) -> tuple:
     """The closest pair of the grid's surviving raw points inside the box
     [low, high], to the last bit (inf for fewer than two), and the survivor
     mask.  The pair types within reach (> 0) are swept over every grid cell
     where both ends survive; while the closest lies further out, the types
     out to it (out to twice the reach while none is found, up to the grid's
     span) are swept too, so no type left out can come closer."""
-    dims, d = grid.shape[:-1], grid.shape[-1]
-    near, types = _pair_types(tables, lattice, dims, reach)
+    near, types = _pair_types(tables, lattice, radius, grid.shape[1:], reach)
     alive = _survivors(grid, tables, low, high, near)
     closest = _contact_sweep(grid, tables, alive, types)
-    span = np.linalg.norm(np.ptp(grid.reshape(-1, d), axis=0))
-    span += 2 * np.linalg.norm(tables[0] + tables[1], axis=0).max()  # no pair is further apart
+    # no pair is further apart than the span of the translates plus a cell's diameter
+    span = np.linalg.norm(np.ptp(grid.reshape(len(grid), -1), axis=1)) + 2 * radius
     while closest > reach * (1 + TOL / 2) + TOL / 2 and reach <= span:
         reach = closest if closest < np.inf else 2 * reach
-        closest = _contact_sweep(grid, tables, alive, _pair_types(tables, lattice, dims, reach)[1])
+        types = _pair_types(tables, lattice, radius, grid.shape[1:], reach)[1]
+        closest = _contact_sweep(grid, tables, alive, types)
     return closest, alive
 
 
@@ -335,41 +324,48 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     are tiled, and their surviving points are scaled and cropped.
 
     The caller is responsible for validating regularity/separability of
-    the result.  Raises SizeLimitError when the padded window's cells hold
-    more than POINT_BUDGET raw points, or when the n raw points of the
-    probe all lie within n * TOL / 2 of its first, too close to scale.
+    the result.  Raises SizeLimitError, before building it, when the probe
+    or the padded window's cells hold more than POINT_BUDGET raw points,
+    and when the n raw points of the probe all lie within n * TOL / 2 of
+    its first, too close to scale.
     """
-    lattice, d = spec.lattice, spec.dimension
-    tables = _cell_points(spec.centering, spec.motif())
-    own = _at(tables, np.zeros(d))
+    lattice, d, motif = spec.lattice, spec.dimension, spec.motif()
+    count = 3.0**d * len(spec.centering) * len(motif)
+    if count > POINT_BUDGET:
+        raise SizeLimitError(
+            f"the probe needs {count:.3g} raw points, over the budget of {POINT_BUDGET}"
+        )
+    tables = _cell_points(spec.centering, motif)
+    # the cell points lie within radius of their cell's translate
+    radius = float(np.linalg.norm(_at(tables, np.zeros((d, 1)))[0], axis=1).max())
 
     probe = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice
-    probe = probe.reshape((3,) * d + (d,))
+    probe = probe.T.reshape((d,) + (3,) * d)
     # the probe's sweep starts at the distance from raw point 0 to the nearest
     # raw point outside its near component (one of n points is shorter than n * TOL / 2)
-    raw = _at(tables, probe).reshape(-1, d)
+    raw = _at(tables, probe.reshape(d, -1)).reshape(-1, d)
     gaps = np.linalg.norm(raw - raw[0], axis=1)
     gaps = gaps[gaps > len(raw) * TOL / 2]
     if not len(gaps):
         raise SizeLimitError(f"the probe's {len(raw)} raw points lie too close together to scale")
-    everywhere = np.full(d, np.inf)
-    contact = _closest(probe, tables, lattice, -everywhere, everywhere, float(gaps.min()))[0]
+    everywhere, reach = np.full(d, np.inf), float(gaps.min())
+    contact = _closest(probe, tables, lattice, radius, -everywhere, everywhere, reach)[0]
 
     probe_scale, pad = 2.0 / contact, float(np.linalg.norm(lattice, axis=1).max())
     lo = window.lower / probe_scale - pad
     hi = window.upper / probe_scale + pad
-    grid = _lattice_translates(lattice, lo, hi, len(own))
-    closest, alive = _closest(grid, tables, lattice, lo - pad, hi + pad, contact)
+    grid = _lattice_translates(lattice, lo, hi, tables[0].shape[1])
+    closest, alive = _closest(grid, tables, lattice, radius, lo - pad, hi + pad, contact)
     scale = 2.0 / closest
 
     low, high = (window.lower - TOL) / scale, (window.upper + TOL) / scale
-    gap = np.zeros(grid.shape[:-1])
+    gap = np.zeros(grid.shape[1:])
     for k in range(d):
-        gap += np.maximum(0.0, np.maximum(low[k] - grid[..., k], grid[..., k] - high[k])) ** 2
+        gap += np.maximum(0.0, np.maximum(low[k] - grid[k], grid[k] - high[k])) ** 2
     # the slack covers the rounding of a point's coordinates and of the crop
-    ball = np.linalg.norm(own, axis=1).max() + TOL * (1 + np.abs([low, high]).max())
+    ball = radius + TOL * (1 + np.abs([low, high]).max())
     cells = gap <= ball**2
-    centers = _at(tables, grid[cells])[alive[cells]] * scale
+    centers = _at(tables, grid[:, cells])[alive[cells]] * scale
     return Packing(centers[window.contains(centers)], window, 1.0, label)
 
 

@@ -162,6 +162,16 @@ def _holds_bool(value) -> bool:
     return False
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """A JSON array of numbers as floats.  numpy reads it in one pass; a
+    string reads as text and an integer no 64 bits hold as an object, and
+    neither is a number here (a bool reads as a number: see _holds_bool)."""
+    array = np.array(value)
+    if array.dtype.kind not in "iuf":
+        raise PackingParseError(f"{name} must hold JSON numbers, not {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def decode_packing(data: bytes) -> Packing:
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -200,11 +210,11 @@ def decode_packing(data: bytes) -> Packing:
                 if _holds_bool(value):
                     raise PackingParseError(f"{name} must hold numbers, not JSON booleans")
         window = Window(
-            np.array(doc["window"]["lower"], dtype=float),
-            np.array(doc["window"]["upper"], dtype=float),
+            _numbers(doc["window"]["lower"], "lower"),
+            _numbers(doc["window"]["upper"], "upper"),
             float(doc["window"]["margin"]),
         )
-        centers = np.array(doc["centers"], dtype=float)
+        centers = _numbers(doc["centers"], "centers")
         if centers.shape[1:] != (doc["dimension"],) and centers.shape != (0,):
             raise PackingParseError(f"centers must be a list of {doc['dimension']}-long rows")
         centers = centers.reshape(-1, doc["dimension"])

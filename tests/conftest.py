@@ -169,7 +169,8 @@ def oracle_orbit_generate(spec, window, label=""):
 def bad_packing_files() -> dict:
     """Packing files, by case, that decode_packing must turn away with a
     PackingParseError: a scalar of the wrong JSON type, centers nested
-    past the parser's recursion limit, and a coordinate no float holds."""
+    past the parser's recursion limit, a coordinate no float holds, and a
+    string where a number belongs (it would re-encode as other bytes)."""
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": 2,
@@ -184,6 +185,8 @@ def bad_packing_files() -> dict:
         "label-object": {"label": {"name": "two"}},
         "deep-centers": {"centers": "DEEP"},
         "huge-integer": {"centers": [[10**400, 0.0], [2.0, 0.0]]},
+        "lower-string": {"window": {**doc["window"], "lower": ["-4", -4.0]}},
+        "center-string": {"centers": [["-6.0", 0.0], [2.0, 0.0]]},
     }
     deep = ("[" * 100_000 + "]" * 100_000).encode()
     return {

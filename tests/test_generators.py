@@ -1,5 +1,8 @@
 import hashlib
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from sepack.errors import (
     UnsupportedConstructionError,
 )
 from sepack import core
+from sepack.cli import build_parser
 from sepack.core import POINT_BUDGET, TOL
 from sepack.diagonal import diagonal_construction, diagonal_spec
 from sepack import generators, packio
@@ -422,6 +426,42 @@ def test_small_sweep_chunks_keep_the_bytes(case, monkeypatch):
     test_orbit_window_matches_padded_oracle(case)
 
 
+@pytest.mark.parametrize("chunk", [64, generators._SWEEP_CHUNK])
+@pytest.mark.parametrize("dims", [(7, 4, 3), (150,)])
+def test_live_pairs_yields_each_live_pair_once(dims, chunk, monkeypatch, rng):
+    # at 64 values a step the rows of the larger offsets' cells come in
+    # several blocks and the small offsets' types in several steps
+    monkeypatch.setattr(generators, "_SWEEP_CHUNK", chunk)
+    kinds = 4
+    on = rng.random(dims + (kinds,)) < 0.6
+    offsets = np.array(list(itertools.product(*[range(1 - n, n) for n in dims])))
+    offsets = offsets[rng.choice(len(offsets), 30, replace=False)]
+    ends = list(itertools.product(range(kinds), repeat=2))
+    types = np.array([(a, b, *delta) for delta in offsets for a, b in ends])
+    types = types[rng.random(len(types)) < 0.5]
+    expected = []
+    for cell in itertools.product(*map(range, dims)):
+        for a, b, *delta in types.tolist():
+            other = tuple(np.add(cell, delta))
+            if all(0 <= x < n for x, n in zip(other, dims)) and on[cell][a] and on[other][b]:
+                i, j = (int(np.ravel_multi_index(c, dims)) for c in (cell, other))
+                expected.append((i, j, a, b))
+    got = np.concatenate([np.column_stack(c) for c in generators._live_pairs(on, types)])
+    assert sorted(map(tuple, got.tolist())) == sorted(expected)
+    assert len(expected) > 100
+
+
+def test_probe_is_counted_before_it_is_built():
+    # diagonal_spec(9)'s probe holds 3^9 * 512 = 10,077,696 raw points
+    # (725 MB of coordinates); the probe of 3^20 translates of the origin
+    # was 3.5e9 tuples before any budget check
+    for spec in (diagonal_spec(9), OrbitSpec(np.zeros(20), 2 * np.eye(20))):
+        window = Window.cube(3, spec.dimension)
+        with within_seconds(10), traced_peak() as peak, pytest.raises(SizeLimitError):
+            orbit_generate(spec, window)
+        assert peak[0] < 1_000_000
+
+
 def test_generation_kdtree_builds(monkeypatch):
     # an orbit window builds two, for the pair types of the probe and of the
     # padded window (none widens at these windows); a product builds its factors'
@@ -507,6 +547,38 @@ def test_packing_file_is_byte_identical(name):
     packing = generate_named(name, 6 if name == "O103" else 4)
     assert packing.n_spheres > 0
     assert hashlib.sha256(encode_packing(packing)).hexdigest() == PINNED_PACKINGS[name]
+
+
+def _golden_packings() -> dict:
+    """The benchmark's golden sha256 of every item that writes a generated
+    or constructed packing file, by its command line."""
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    workloads = json.loads(golden.read_text(encoding="utf-8"))["workloads"]
+    return {
+        item: record["sha256"]
+        for workload in workloads.values()
+        for item, record in workload["items"].items()
+        if item.split()[0] in ("gen", "construct-diagonal")
+    }
+
+
+GOLDEN_PACKINGS = _golden_packings()
+
+
+def test_golden_packings_cover_the_benchmark():
+    commands = [item.split()[0] for item in GOLDEN_PACKINGS]
+    assert (commands.count("gen"), commands.count("construct-diagonal")) == (29, 5)
+
+
+@pytest.mark.parametrize("item", sorted(GOLDEN_PACKINGS))
+def test_benchmark_packing_is_byte_identical(item):
+    # the command line's own arguments, so defaults such as the margin match
+    args = build_parser().parse_args(item.split())
+    if args.command == "gen":
+        packing = generate_named(args.name, args.window, margin=args.margin)
+    else:
+        packing = diagonal_construction(args.d, args.depth).packing
+    assert hashlib.sha256(encode_packing(packing)).hexdigest() == GOLDEN_PACKINGS[item]
 
 
 # sha256 of the written verify report with timing_seconds set to 0, recorded

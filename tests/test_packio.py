@@ -117,9 +117,9 @@ class TestDecodeErrors:
 
     @pytest.mark.parametrize("case", sorted(bad_packing_files()))
     def test_malformed_scalars_and_nesting_are_parse_errors(self, case):
-        # a string radius or margin read as a number, an object label was
-        # written back as its repr, and the nesting and the huge integer
-        # raised RecursionError and OverflowError
+        # a string radius, margin, bound or coordinate read as a number, an
+        # object label was written back as its repr, and the nesting and the
+        # huge integer raised RecursionError and OverflowError
         with pytest.raises(PackingParseError):
             decode_packing(bad_packing_files()[case])
 
