@@ -17,7 +17,6 @@ from .contact import (
     min_contact_distance,
 )
 from .contact_numbers import (
-    BoxSpec,
     Polyomino,
     box_packing,
     c2_formula,
@@ -29,11 +28,8 @@ from .contact_numbers import (
 from .core import (
     TOL,
     Packing,
-    ValidationResult,
     Window,
-    interior_indices,
     min_pairwise_distance,
-    validate_packing,
 )
 from .diagonal import (
     DiagonalConstruction,
@@ -43,9 +39,7 @@ from .diagonal import (
 )
 from .generators import (
     OrbitSpec,
-    generate_apeirogon,
     generate_named,
-    generate_triangular,
     orbit_generate,
     product_packing,
     signed_permutation_orbit,
@@ -69,7 +63,6 @@ from .svgfig import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxSpec",
     "CatalogEntry",
     "ContactGraph",
     "DiagonalConstruction",
@@ -80,7 +73,6 @@ __all__ = [
     "SepSequenceReport",
     "SeparabilityReport",
     "TOL",
-    "ValidationResult",
     "Window",
     "box_packing",
     "build_contact_graph",
@@ -96,10 +88,7 @@ __all__ = [
     "diagonal_construction",
     "diagonal_spec",
     "encode_packing",
-    "generate_apeirogon",
     "generate_named",
-    "generate_triangular",
-    "interior_indices",
     "interior_regularity_check",
     "is_k_regular",
     "load_catalog",
@@ -114,5 +103,4 @@ __all__ = [
     "save_packing",
     "sep_measure_sequence",
     "signed_permutation_orbit",
-    "validate_packing",
 ]

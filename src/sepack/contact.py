@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kdtree import cKDTree  # noqa: F401  (perfbench/tracer.py counts tree builds through this name)
-from .core import TOL, Packing, interior_indices, valid_pairs_within
+from .core import TOL, Packing, valid_pairs_within
+from .errors import InvalidValueError, integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,13 +39,6 @@ class ContactGraph:
     @property
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.vertex_count)
-
-    def adjacency_sets(self) -> list[set]:
-        adj = [set() for _ in range(self.vertex_count)]
-        for i, j in self.edges:
-            adj[i].add(int(j))
-            adj[j].add(int(i))
-        return adj
 
 
 def build_contact_graph(p: Packing) -> ContactGraph:
@@ -89,10 +83,21 @@ def is_k_regular(g: ContactGraph, p: Packing, k: int | None = None, indices=None
     """Check that every judged vertex has degree exactly k (by default the
     degree of the first judged vertex).
 
-    The judged vertices are ``indices``, by default the interior ones: the
-    window truncates the neighbor sets of boundary vertices.
+    The judged vertices are ``indices``, vertex numbers of g, by default the
+    interior ones of p: the window truncates the neighbor sets of boundary
+    vertices.  A k or an index that is not an integer, or a judged vertex
+    that is not one of g's, raises InvalidValueError.
     """
-    judged = interior_indices(p) if indices is None else np.asarray(indices, dtype=np.intp)
+    k = None if k is None else integer(k, "k")
+    if indices is None:
+        judged = np.flatnonzero(p.window.interior_mask(p.centers))
+    else:
+        judged = np.asarray(indices)
+        if judged.size and judged.dtype.kind not in "iu":
+            raise InvalidValueError(f"indices must be integers, got {judged.dtype} values")
+        judged = judged.astype(np.intp)
+    if np.any((judged < 0) | (judged >= g.vertex_count)):
+        raise InvalidValueError(f"the judged vertices must be g's, 0 .. {g.vertex_count - 1}")
     if len(judged) == 0:
         return RegularityVerdict("inconclusive", k)
     deg = g.degrees[judged]

@@ -119,6 +119,8 @@ class Polyomino:
 
     def __post_init__(self):
         dimension = integer(self.dimension, "dimension")
+        if dimension < 1:
+            raise InvalidValueError(f"dimension must be >= 1, got {dimension}")
         cells = self.cells
         if not isinstance(cells, np.ndarray):
             cells = list(cells)
@@ -185,30 +187,10 @@ class Polyomino:
         return Packing(centers, Window(lo - TOL, hi + TOL, 0.0), 1.0, label)
 
 
-@dataclass(frozen=True)
-class BoxSpec:
-    """Near-cubical box (k+delta_1) x ... x (k+delta_d) holding n cells."""
-
-    dimension: int
-    sides: tuple
-    cells_used: int
-
-    def __post_init__(self):
-        for value in (self.dimension, *self.sides, self.cells_used):
-            integer(value, "a box dimension, side or cell count")
-        if any(s < 1 for s in self.sides):
-            raise InvalidValueError("box sides must be >= 1")
-        if math.prod(self.sides) < self.cells_used:
-            raise InvalidValueError("box must hold at least n cells")
-
-    @property
-    def remainder(self) -> int:
-        return math.prod(self.sides) - self.cells_used
-
-
-def choose_box(n: int, d: int) -> BoxSpec:
-    """Smallest box of the form (k+delta_i), delta_i in {0,1}, holding n
-    cells; ties broken toward the lexicographically smallest delta.
+def choose_box(n: int, d: int) -> tuple:
+    """Sides of the smallest box of the form (k+delta_i), delta_i in {0,1},
+    holding n cells; ties broken toward the lexicographically smallest
+    delta.
 
     With k = floor(n^(1/d)), a box with j sides of k + 1 has volume
     k^(d-j) (k+1)^j, which grows with j, so the smallest box takes the
@@ -219,7 +201,7 @@ def choose_box(n: int, d: int) -> BoxSpec:
         raise InvalidValueError("need n >= 1 and d >= 2")
     k = _floor_root(n, d)
     j = next(j for j in range(d + 1) if k ** (d - j) * (k + 1) ** j >= n)
-    return BoxSpec(d, (k,) * (d - j) + (k + 1,) * j, n)
+    return (k,) * (d - j) + (k + 1,) * j
 
 
 def _check_size(n: int) -> None:
@@ -261,9 +243,9 @@ def box_packing(n: int, d: int) -> tuple[Polyomino, Packing]:
     """
     n, d = integer(n, "n"), integer(d, "d")
     _check_size(n)
-    spec = choose_box(n, d)
-    omino = Polyomino(d, np.column_stack(np.unravel_index(np.arange(n), spec.sides)))
-    return omino, omino.lift(f"box {'x'.join(map(str, spec.sides))} n={n}")
+    sides = choose_box(n, d)
+    omino = Polyomino(d, np.column_stack(np.unravel_index(np.arange(n), sides)))
+    return omino, omino.lift(f"box {'x'.join(map(str, sides))} n={n}")
 
 
 def enumerate_fixed_polyforms(n: int, d: int = 2) -> list:

@@ -1,13 +1,15 @@
-"""Fundamental packing model: centers, windows, tolerance, validity checks.
+"""Fundamental packing model: centers, windows, tolerance, pair queries.
 
 All packings are unit-sphere packings normalized so that touching spheres
 have center distance exactly 2.  Centers are kept in canonical
 lexicographic order so that generated files and reports are reproducible
 bit for bit.  Values are immutable after construction and safe to share.
 
-The pair queries use scipy's KD-tree, and scipy loads on the first tree
-build (``sepack._kdtree``), so a command that builds no tree never
-imports it.
+The overlap check has one route: valid_pairs_within, the pair query of
+contact.build_contact_graph, raises InvalidPackingError on the first
+overlapping pair.  The pair queries use scipy's KD-tree, and scipy loads
+on the first tree build (``sepack._kdtree``), so a command that builds no
+tree never imports it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kdtree import cKDTree
-from .errors import InvalidPackingError, MalformedInputError, UndefinedDistanceError
+from .errors import (
+    InvalidPackingError,
+    InvalidValueError,
+    MalformedInputError,
+    UndefinedDistanceError,
+    integer,
+)
 
 
 # Float slack for contact detection, the overlap check and the plane
@@ -66,7 +74,9 @@ class Window:
     @classmethod
     def cube(cls, half_width: float, dimension: int, margin: float = 3.0) -> "Window":
         """Symmetric window [-L, L]^d."""
-        l = float(half_width)
+        dimension, l = integer(dimension, "dimension"), float(half_width)
+        if dimension < 1:
+            raise InvalidValueError(f"dimension must be >= 1, got {dimension}")
         return cls(np.full(dimension, -l), np.full(dimension, l), margin)
 
     @property
@@ -112,7 +122,8 @@ class Packing:
 
     Centers are stored as an (n, d) float array in canonical lexicographic
     order.  The non-overlap condition (pairwise distance >= 2*radius) is a
-    checked property, not a constructor guarantee; see validate_packing.
+    checked property, not a constructor guarantee: build_contact_graph
+    raises InvalidPackingError on an overlap.
     """
 
     centers: np.ndarray
@@ -158,64 +169,36 @@ class Packing:
         return self.centers.shape[0]
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    """Outcome of the pairwise non-overlap check."""
-
-    ok: bool
-    pair: tuple | None = None
-    distance: float | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_packing(p: Packing) -> ValidationResult:
-    """Check the packing condition: every pair at distance >= 2*radius - TOL.
-
-    Returns OK, or the lexicographically first violating pair with its
-    distance.  Runs in near-linear time via a fixed-radius pair query.
-    """
-    if p.n_spheres < 2:
-        return ValidationResult(True)
-    threshold = 2.0 * p.radius - TOL
-    return _first_overlap(*_pairs_within(p, threshold), threshold)
-
-
 def valid_pairs_within(p: Packing, reach: float):
     """Pairs (i, j) of centres at distance <= reach, with their distances,
     from the one KD-tree query that also validates the packing.
 
     reach must be at least 2*radius - TOL, so the query holds every
-    overlapping pair; the lexicographically first of them raises
-    InvalidPackingError, with the verdict validate_packing would return.
+    overlapping pair (distance < 2*radius - TOL); the lexicographically
+    first of them raises InvalidPackingError with its pair and distance.
     """
     if p.n_spheres < 2:
         return np.zeros((0, 2), dtype=np.intp), np.zeros(0)
-    pairs, dists = _pairs_within(p, reach)
-    verdict = _first_overlap(pairs, dists, 2.0 * p.radius - TOL)
-    if not verdict:
+    pairs = cKDTree(p.centers).query_pairs(r=reach, output_type="ndarray")
+    dists = np.linalg.norm(p.centers[pairs[:, 0]] - p.centers[pairs[:, 1]], axis=1)
+    overlap = _first_overlap(pairs, dists, 2.0 * p.radius - TOL)
+    if overlap is not None:
+        pair, distance = overlap
         raise InvalidPackingError(
-            f"packing is invalid: pair {verdict.pair} at distance {verdict.distance}",
-            verdict,
+            f"packing is invalid: pair {pair} at distance {distance}", pair, distance
         )
     return pairs, dists
 
 
-def _pairs_within(p: Packing, reach: float):
-    pairs = cKDTree(p.centers).query_pairs(r=reach, output_type="ndarray")
-    dists = np.linalg.norm(p.centers[pairs[:, 0]] - p.centers[pairs[:, 1]], axis=1)
-    return pairs, dists
-
-
-def _first_overlap(pairs: np.ndarray, dists: np.ndarray, threshold: float) -> ValidationResult:
+def _first_overlap(pairs: np.ndarray, dists: np.ndarray, threshold: float):
+    """The lexicographically first pair (i, j), i < j, closer than
+    threshold, with its distance; None when there is none."""
     bad = dists < threshold
     if not np.any(bad):
-        return ValidationResult(True)
+        return None
     pairs = np.sort(pairs[bad], axis=1)
-    dists = dists[bad]
     first = np.lexsort((pairs[:, 1], pairs[:, 0]))[0]
-    return ValidationResult(False, (int(pairs[first, 0]), int(pairs[first, 1])), float(dists[first]))
+    return (int(pairs[first, 0]), int(pairs[first, 1])), float(dists[bad][first])
 
 
 def min_pairwise_distance(p: Packing) -> float:
@@ -225,10 +208,3 @@ def min_pairwise_distance(p: Packing) -> float:
     tree = cKDTree(p.centers)
     dists, _ = tree.query(p.centers, k=2)
     return float(dists[:, 1].min())
-
-
-def interior_indices(p: Packing) -> np.ndarray:
-    """Indices of centers at distance >= window.margin from every face."""
-    if p.n_spheres == 0:
-        return np.arange(0)
-    return np.flatnonzero(p.window.interior_mask(p.centers))

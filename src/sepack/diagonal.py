@@ -75,9 +75,6 @@ class DiagonalConstruction:
     def n_cubes(self) -> int:
         return len(self.cube_lattice)
 
-    def saturated_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.saturated)
-
 
 def cube_count_exact(d: int, depth: int) -> int:
     """Number of distinct cubes after closure: all-even vectors plus
@@ -152,4 +149,5 @@ def interior_regularity_check(
     given, must be the contact graph of ``result.packing``.
     """
     graph = build_contact_graph(result.packing) if graph is None else graph
-    return is_k_regular(graph, result.packing, result.dimension + 1, result.saturated_indices())
+    saturated = np.flatnonzero(result.saturated)
+    return is_k_regular(graph, result.packing, result.dimension + 1, saturated)

@@ -24,11 +24,13 @@ class MalformedInputError(SepackError):
 
 
 class InvalidPackingError(SepackError):
-    """A packing violates the non-overlap condition."""
+    """A packing violates the non-overlap condition: ``pair`` (i, j) is the
+    lexicographically first overlapping pair, at ``distance``."""
 
-    def __init__(self, message, verdict=None):
+    def __init__(self, message, pair=None, distance=None):
         super().__init__(message)
-        self.verdict = verdict
+        self.pair = pair
+        self.distance = distance
 
 
 class InvalidValueError(SepackError, ValueError):

@@ -129,11 +129,16 @@ class OrbitSpec:
     centering: np.ndarray = None  # (m, d) offsets, origin included; default the origin
 
     def __post_init__(self):
-        seeds = np.atleast_2d(np.asarray(self.seeds, dtype=float))
-        d = seeds.shape[1]
-        lattice = np.asarray(self.lattice, dtype=float)
-        centering = np.zeros((1, d)) if self.centering is None else self.centering
-        centering = np.atleast_2d(np.asarray(centering, dtype=float))
+        try:
+            seeds = np.atleast_2d(np.asarray(self.seeds, dtype=float))
+            d = seeds.shape[1]
+            lattice = np.asarray(self.lattice, dtype=float)
+            centering = np.zeros((1, d)) if self.centering is None else self.centering
+            centering = np.atleast_2d(np.asarray(centering, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise MalformedInputError(
+                f"orbit seeds, lattice and centering must be numbers: {exc}"
+            ) from exc
         if seeds.ndim != 2 or seeds.size == 0 or centering.ndim != 2 or centering.shape[1] != d:
             raise MalformedInputError("orbit seeds and centering must be lists of d-vectors")
         if not all(np.isfinite(x).all() for x in (seeds, lattice, centering)):
@@ -327,7 +332,8 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     the result.  Raises SizeLimitError, before building it, when the probe
     or the padded window's cells hold more than POINT_BUDGET raw points,
     and when the n raw points of the probe all lie within n * TOL / 2 of
-    its first, too close to scale.
+    its first, too close to scale; InvalidValueError when they lie so far
+    apart that a squared distance overflows.
     """
     lattice, d, motif = spec.lattice, spec.dimension, spec.motif()
     count = 3.0**d * len(spec.centering) * len(motif)
@@ -336,14 +342,17 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
             f"the probe needs {count:.3g} raw points, over the budget of {POINT_BUDGET}"
         )
     tables = _cell_points(spec.centering, motif)
+    probe = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice
+    probe = probe.T.reshape((d,) + (3,) * d)
+    raw = _at(tables, probe.reshape(d, -1)).reshape(-1, d)
+    extent = float(np.ptp(raw, axis=0).max())
+    if not extent <= math.sqrt(np.finfo(float).max / d):
+        raise InvalidValueError(f"the probe's raw points span {extent:.3g}, too far to measure")
     # the cell points lie within radius of their cell's translate
     radius = float(np.linalg.norm(_at(tables, np.zeros((d, 1)))[0], axis=1).max())
 
-    probe = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice
-    probe = probe.T.reshape((d,) + (3,) * d)
     # the probe's sweep starts at the distance from raw point 0 to the nearest
     # raw point outside its near component (one of n points is shorter than n * TOL / 2)
-    raw = _at(tables, probe.reshape(d, -1)).reshape(-1, d)
     gaps = np.linalg.norm(raw - raw[0], axis=1)
     gaps = gaps[gaps > len(raw) * TOL / 2]
     if not len(gaps):
@@ -369,22 +378,14 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     return Packing(centers[window.contains(centers)], window, 1.0, label)
 
 
-# the triangular lattice and the apeirogon, as orbits of the origin
+# the triangular lattice and the apeirogon (centers on the even integers,
+# the 1-dimensional tiling), as orbits of the origin
 TRIANGULAR = OrbitSpec([0.0, 0.0], [[2.0, 0.0], [1.0, SQRT3]])
 APEIROGON = OrbitSpec([0.0], [[2.0]])
 
 
 # ---------------------------------------------------------------------------
-# products and the apeirogon
-
-def generate_apeirogon(window, margin: float = 3.0) -> Packing:
-    """Evenly spaced centers on a line: the 1-dimensional tiling.
-
-    Centers sit on the even integers inside the window; interior spheres
-    touch exactly 2 neighbors.
-    """
-    return orbit_generate(APEIROGON, _as_window(window, 1, margin), "A")
-
+# products
 
 def product_packing(p: Packing, q: Packing, label: str = "") -> Packing:
     """Cartesian product packing in R^(a+b).
@@ -451,11 +452,6 @@ def _block_window(window: Window, start: int, dim: int) -> Window:
     )
 
 
-def generate_triangular(window, margin: float = 3.0) -> Packing:
-    """Triangular-lattice window: the reference inseparable packing."""
-    return orbit_generate(TRIANGULAR, _as_window(window, 2, margin), TRIANGULAR_ID)
-
-
 def generate_named(name: str, window, margin: float = 3.0) -> Packing:
     """Build a normalized window of a named packing.
 
@@ -464,9 +460,9 @@ def generate_named(name: str, window, margin: float = 3.0) -> Packing:
     ``window`` is a half-width L (giving [-L, L]^d) or an explicit Window.
     """
     if name == TRIANGULAR_ID:
-        return generate_triangular(window, margin)
+        return orbit_generate(TRIANGULAR, _as_window(window, 2, margin), TRIANGULAR_ID)
     if name == "A":
-        return generate_apeirogon(window, margin)
+        return orbit_generate(APEIROGON, _as_window(window, 1, margin), "A")
     entries = load_catalog()
     if name not in entries:
         valid = ", ".join(list(entries) + [TRIANGULAR_ID, "A"])

@@ -21,8 +21,7 @@ _SCALE = 24.0
 
 
 def _fmt(x: float) -> str:
-    out = f"{x:.6f}"
-    return "-0.000000" if out == "-0.000000" else out
+    return f"{x:.6f}"
 
 
 def render_svg(p: Packing, show_edges: bool = False, show_tangents: bool = False) -> str:

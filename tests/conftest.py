@@ -43,6 +43,18 @@ def brute_force_edges(centers, radius=1.0, tol=1e-9):
     return edges
 
 
+def brute_force_first_overlap(centers, radius=1.0, tol=1e-9):
+    """The first pair (i, j), i < j, in loop order closer than 2 * radius -
+    tol, with its distance; None when there is none."""
+    centers = np.asarray(centers, dtype=float)
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            dist = float(np.linalg.norm(centers[i] - centers[j]))
+            if dist < 2.0 * radius - tol:
+                return (i, j), dist
+    return None
+
+
 def brute_force_min_distance(centers):
     centers = np.asarray(centers, dtype=float)
     best = np.inf

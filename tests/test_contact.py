@@ -11,16 +11,15 @@ from sepack import (
     build_contact_graph,
     contains_triangle,
     generate_named,
-    generate_triangular,
     is_k_regular,
     min_contact_distance,
-    validate_packing,
 )
 from sepack import core
 from sepack.errors import InvalidPackingError
 
 from conftest import (
     brute_force_edges,
+    brute_force_first_overlap,
     brute_force_first_triangle,
     random_rotation,
     transformed,
@@ -70,31 +69,25 @@ class TestBuildContactGraph:
 
 class TestOverlapVerdictFromContactQuery:
     """build_contact_graph rejects an invalid packing from its own pair
-    query, with the verdict of the separate validate_packing check."""
+    query, with the first overlapping pair of a double loop and its
+    distance."""
 
-    def test_matches_validate_packing_on_random_overlaps(self, rng):
+    def test_matches_the_first_overlap_on_random_overlaps(self, rng):
         for trial in range(40):
             d = int(rng.integers(2, 5))
             n = int(rng.integers(2, 40))
             base = Packing(rng.uniform(-6.0, 6.0, size=(n, d)))
             p = transformed(base, random_rotation(d, rng), rng.uniform(-1e3, 1e3, size=d))
-            verdict = validate_packing(p)
-            c = p.centers
-            first = next(
-                ((i, j) for i in range(n) for j in range(i + 1, n)
-                 if np.linalg.norm(c[i] - c[j]) < 2.0 - 1e-9),
-                None,
-            )
-            assert verdict.pair == first, trial
-            if verdict:
+            overlap = brute_force_first_overlap(p.centers)
+            if overlap is None:
                 build_contact_graph(p)
                 continue
             with pytest.raises(InvalidPackingError) as caught:
                 build_contact_graph(p)
-            assert caught.value.verdict == verdict, trial
-            assert str(caught.value) == (
-                f"packing is invalid: pair {verdict.pair} at distance {verdict.distance}"
-            )
+            pair, distance = caught.value.pair, caught.value.distance
+            assert pair == overlap[0], trial
+            assert distance == pytest.approx(overlap[1], rel=1e-12), trial
+            assert str(caught.value) == f"packing is invalid: pair {pair} at distance {distance}"
 
     def test_one_overlap_in_a_catalog_window(self, rng):
         p = generate_named("K6", 8)
@@ -104,7 +97,9 @@ class TestOverlapVerdictFromContactQuery:
             q = transformed(Packing(centers), random_rotation(2, rng), rng.uniform(-50, 50, size=2))
             with pytest.raises(InvalidPackingError) as caught:
                 build_contact_graph(q)
-            assert caught.value.verdict == validate_packing(q)
+            pair, distance = brute_force_first_overlap(q.centers)
+            assert caught.value.pair == pair
+            assert caught.value.distance == pytest.approx(distance, rel=1e-12)
 
     def test_one_kdtree_per_graph(self, monkeypatch):
         p = generate_named("P3", 8)
@@ -175,7 +170,7 @@ class TestContainsTriangle:
         assert contains_triangle(build_contact_graph(grid_packing(4, 4))) is None
 
     def test_triangular_lattice_has_triangle(self):
-        p = generate_triangular(8)
+        p = generate_named("TRI", 8)
         triple = contains_triangle(build_contact_graph(p))
         assert triple is not None
         i, j, k = triple
@@ -198,7 +193,7 @@ class TestContainsTriangleAgainstOracle:
     """The wedge-join triangle search against a triple loop."""
 
     def test_triangular_lattice(self):
-        g = build_contact_graph(generate_triangular(10))
+        g = build_contact_graph(generate_named("TRI", 10))
         assert assert_first_triangle_matches_oracle(g) is not None
 
     def test_triangle_free_catalog_windows(self):
@@ -212,7 +207,7 @@ class TestContainsTriangleAgainstOracle:
         # neighbour of vertex 0 removed, so no triangle contains vertex 0
         found = 0
         for _ in range(12):
-            p = generate_triangular(7)
+            p = generate_named("TRI", 7)
             q = transformed(p, random_rotation(2, rng), rng.uniform(-5, 5, 2))
             centers = q.centers[rng.random(q.n_spheres) < 0.7]
             near_first = np.linalg.norm(centers - centers[0], axis=1) < 2.5

@@ -7,13 +7,12 @@ import pytest
 from sepack import (
     Packing,
     Window,
-    interior_indices,
+    build_contact_graph,
+    is_k_regular,
     min_pairwise_distance,
-    validate_packing,
 )
 from sepack import catalog
 from sepack.contact_numbers import (
-    BoxSpec,
     Polyomino,
     box_packing,
     c2_formula,
@@ -24,7 +23,12 @@ from sepack.contact_numbers import (
     quasi_square_packing,
 )
 from sepack.diagonal import diagonal_construction
-from sepack.errors import MalformedInputError, SepackError, UndefinedDistanceError
+from sepack.errors import (
+    InvalidPackingError,
+    MalformedInputError,
+    SepackError,
+    UndefinedDistanceError,
+)
 from sepack.generators import generate_named, signed_permutation_orbit
 from sepack.separability import sep_measure_sequence
 
@@ -113,28 +117,29 @@ class TestPacking:
         assert p.centers.flags.c_contiguous
 
 
-class TestValidatePacking:
+class TestOverlapCheck:
+    """The overlap verdict is build_contact_graph's: it raises on the first
+    overlapping pair."""
+
     def test_exact_tangency_ok(self):
-        assert validate_packing(Packing([[0.0, 0.0], [2.0, 0.0]])).ok
+        assert build_contact_graph(Packing([[0.0, 0.0], [2.0, 0.0]])).edge_count == 1
 
     def test_overlap_reports_pair_and_distance(self):
-        verdict = validate_packing(Packing([[0.0, 0.0], [1.0, 0.0]]))
-        assert not verdict.ok
-        assert verdict.pair == (0, 1)
-        assert verdict.distance == pytest.approx(1.0)
+        with pytest.raises(InvalidPackingError) as caught:
+            build_contact_graph(Packing([[0.0, 0.0], [1.0, 0.0]]))
+        assert caught.value.pair == (0, 1)
+        assert caught.value.distance == pytest.approx(1.0)
 
     def test_empty_and_single_ok(self):
-        assert validate_packing(Packing(np.zeros((0, 2)))).ok
-        assert validate_packing(Packing([[0.0, 0.0]])).ok
+        assert build_contact_graph(Packing(np.zeros((0, 2)))).edge_count == 0
+        assert build_contact_graph(Packing([[0.0, 0.0]])).edge_count == 0
 
     def test_invariant_under_isometry(self, rng):
-        from sepack import generate_named
-
         p = generate_named("K6", 8)
-        assert validate_packing(p).ok
+        contacts = build_contact_graph(p).edge_count
         for _ in range(5):
             q = transformed(p, random_rotation(2, rng), rng.uniform(-9, 9, 2))
-            assert validate_packing(q).ok
+            assert build_contact_graph(q).edge_count == contacts
 
 
 class TestMinPairwiseDistance:
@@ -167,20 +172,20 @@ class TestMinPairwiseDistance:
         )
 
 
-class TestInteriorIndices:
+class TestInteriorBand:
+    """The interior vertices, those is_k_regular judges by default, are the
+    window's interior_mask."""
+
     def test_margin_band(self):
         w = Window([0.0, 0.0], [10.0, 10.0], margin=3)
         p = Packing([[5.0, 5.0], [1.0, 5.0]], w)
-        interior = interior_indices(p)
-        inside = p.centers[interior]
+        inside = p.centers[w.interior_mask(p.centers)]
         assert [5.0, 5.0] in inside.tolist()
         assert [1.0, 5.0] not in inside.tolist()
 
     def test_p1_window_interior_is_inner_grid(self):
-        from sepack import generate_named
-
         p = generate_named("P1", 12)
-        got = p.centers[interior_indices(p)]
+        got = p.centers[p.window.interior_mask(p.centers)]
         expected = np.array(
             sorted(
                 [x, y]
@@ -206,6 +211,12 @@ class _VersionTwoCatalog:
         return '{"format_version": 2, "entries": []}'
 
 
+def _p1_graph_and_packing():
+    # P1 at L = 4: 25 spheres, the graph first, as is_k_regular takes them
+    p = generate_named("P1", 4)
+    return build_contact_graph(p), p
+
+
 def _load_later_catalog():
     # the cached load_catalog keeps the packaged catalog; its wrapped
     # function reads the stand-in
@@ -227,8 +238,8 @@ def _load_later_catalog():
         lambda: Polyomino(2, [(0, 0), (2**32, 2**32)]),
         lambda: Polyomino(2, [(0, 0), (2**63, 0)]),
         lambda: Polyomino(2, [(0, 0), (1,)]),
-        lambda: BoxSpec(2, (0, 2), 0),
-        lambda: BoxSpec(2, (1, 2), 3),
+        lambda: Polyomino(-1, []),
+        lambda: Polyomino(0, [()]),
         lambda: choose_box(0, 2),
         lambda: box_packing(5, 40),
         lambda: quasi_square_packing(0),
@@ -244,17 +255,26 @@ def _load_later_catalog():
         lambda: Polyomino(2, [(0.5, 0), (1.9, 0)]),
         lambda: Polyomino(2, np.array([[0, 0], [2**64 - 1, 0]], dtype=np.uint64)),
         lambda: generate_named("K6", "x"),
+        lambda: Window.cube(3, 2.5),
+        lambda: Window.cube(3, 0),
+        lambda: is_k_regular(*_p1_graph_and_packing(), indices=[0.5]),
+        lambda: is_k_regular(*_p1_graph_and_packing(), indices=[25]),
+        lambda: is_k_regular(*_p1_graph_and_packing(), k=2.5),
+        lambda: is_k_regular(_p1_graph_and_packing()[0], generate_named("P1", 8)),
         lambda: sep_measure_sequence(partial(generate_named, "P1"), [10, 6]),
         _load_later_catalog,
     ],
     ids=[
         "c2_formula", "cd_upper_bound-n", "cd_upper_bound-d", "Polyomino", "Polyomino-box",
-        "Polyomino-int64", "Polyomino-ragged", "BoxSpec-sides", "BoxSpec-cells", "choose_box",
+        "Polyomino-int64", "Polyomino-ragged", "Polyomino-negative-d", "Polyomino-zero-d",
+        "choose_box",
         "box_packing-d40", "quasi_square_packing", "enumerate_fixed_polyforms",
         "polyomino_oracle", "diagonal_construction", "diagonal_construction-float-d",
         "quasi_square_packing-float", "polyomino_oracle-float-d", "c2_formula-float",
         "box_packing-float", "cd_upper_bound-float-d", "Polyomino-float-cells", "Polyomino-uint64",
-        "generate_named-window",
+        "generate_named-window", "Window.cube-float-d", "Window.cube-zero-d",
+        "is_k_regular-float-index", "is_k_regular-index-range", "is_k_regular-float-k",
+        "is_k_regular-other-packing",
         "sep_measure_sequence", "load_catalog",
     ],
 )
@@ -267,5 +287,5 @@ def test_out_of_range_values_raise_a_typed_value_error(call):
 def test_choose_box_in_forty_dimensions_returns():
     # the closed form; walking the 2^40 delta vectors never ends
     with within_seconds(10):
-        spec = choose_box(5, 40)
-    assert spec.sides == (1,) * 37 + (2, 2, 2)
+        sides = choose_box(5, 40)
+    assert sides == (1,) * 37 + (2, 2, 2)

@@ -14,20 +14,17 @@ from sepack import (
     build_contact_graph,
     check_entry_invariants,
     constructible_ids,
-    generate_apeirogon,
     generate_named,
-    generate_triangular,
-    interior_indices,
     is_k_regular,
     load_catalog,
     min_pairwise_distance,
     orbit_generate,
     product_packing,
     signed_permutation_orbit,
-    validate_packing,
 )
 from sepack.errors import (
     InvalidPackingError,
+    InvalidValueError,
     MalformedInputError,
     NormalizationRequiredError,
     SizeLimitError,
@@ -82,17 +79,17 @@ class TestCatalog:
 
 class TestApeirogon:
     def test_window_six(self):
-        p = generate_apeirogon(6)
+        p = generate_named("A", 6)
         assert p.centers[:, 0].tolist() == [-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0]
 
     def test_interior_degree_two(self):
-        p = generate_apeirogon(6)
+        p = generate_named("A", 6)
         g = build_contact_graph(p)
         assert is_k_regular(g, p, 2).is_regular
 
     def test_product_with_p1_gives_cubic_slab(self):
         # P1 x apeirogon on matched windows is exactly the cubic window
-        prod = product_packing(generate_named("P1", 6), generate_apeirogon(6))
+        prod = product_packing(generate_named("P1", 6), generate_named("A", 6))
         cubic = generate_named("J1", 6)
         assert np.array_equal(prod.centers, cubic.centers)
 
@@ -101,14 +98,13 @@ class TestMotifGeometry:
     def test_k6_motif_neighbor_split(self):
         # each diamond vertex: exactly 2 same-motif and 1 cross-motif contact
         p = generate_named("K6", 12)
-        g = build_contact_graph(p)
-        t = 2.0 + 2.0 * SQRT2
-        motif_of = [tuple(np.round(c / t)) for c in p.centers]
-        adj = g.adjacency_sets()
-        for i in interior_indices(p):
-            same = sum(1 for j in adj[i] if motif_of[j] == motif_of[i])
-            cross = sum(1 for j in adj[i] if motif_of[j] != motif_of[i])
-            assert (same, cross) == (2, 1)
+        edges = build_contact_graph(p).edges
+        motif_of = np.round(p.centers / (2.0 + 2.0 * SQRT2))
+        same = np.all(motif_of[edges[:, 0]] == motif_of[edges[:, 1]], axis=1)
+        counts = [np.bincount(edges[kind].ravel(), minlength=p.n_spheres) for kind in (same, ~same)]
+        interior = p.window.interior_mask(p.centers)
+        assert interior.any()
+        assert np.all(counts[0][interior] == 2) and np.all(counts[1][interior] == 1)
 
     def test_k9_motif_has_twelve_points_per_node(self):
         p = generate_named("K9", 12)
@@ -123,9 +119,9 @@ class TestMotifGeometry:
         assert is_k_regular(g, p, 3).is_regular
         # bipartite-ish check: no 4-cycles of length-2 contacts in a hexagon
         # lattice means every interior vertex's neighbors are mutually >2 apart
-        adj = g.adjacency_sets()
-        for i in interior_indices(p)[:20]:
-            nbrs = sorted(adj[i])
+        edges = g.edges
+        for i in np.flatnonzero(p.window.interior_mask(p.centers))[:20]:
+            nbrs = sorted(np.concatenate([edges[edges[:, 0] == i, 1], edges[edges[:, 1] == i, 0]]))
             for a in range(len(nbrs)):
                 for b in range(a + 1, len(nbrs)):
                     dist = np.linalg.norm(p.centers[nbrs[a]] - p.centers[nbrs[b]])
@@ -193,8 +189,8 @@ class TestGenerateNamed:
         assert np.array_equal(a.centers, b.centers)
 
     def test_triangular_reference_family(self):
-        p = generate_triangular(8)
-        assert validate_packing(p).ok
+        p = generate_named("TRI", 8)
+        assert build_contact_graph(p).edge_count > 0  # raises on an overlap
         assert min_pairwise_distance(p) == pytest.approx(2.0, abs=1e-9)
 
 
@@ -218,7 +214,7 @@ class TestProductPacking:
 
     def test_matches_brute_force_contacts(self):
         p = generate_named("P1", 2)
-        q = generate_apeirogon(2)
+        q = generate_named("A", 2)
         prod = product_packing(p, q)
         got = {(int(i), int(j)) for i, j in build_contact_graph(prod).edges}
         assert got == brute_force_edges(prod.centers)
@@ -226,7 +222,7 @@ class TestProductPacking:
     def test_rejects_non_normalized(self):
         bad = Packing([[0.0, 0.0], [3.0, 0.0]])
         with pytest.raises(NormalizationRequiredError):
-            product_packing(bad, generate_apeirogon(4))
+            product_packing(bad, generate_named("A", 4))
 
     @pytest.mark.parametrize("name", ["J9", "O9", "O45", "O66", "O78"])
     def test_factor_windows_without_a_contact(self, name):
@@ -328,12 +324,20 @@ class TestOrbitGeneration:
             ([1.0, 0.0], [[np.nan, 0.0], [0.0, 2.0]], None),
             ([1.0, 0.0], [[2.0, 0.0], [0.0, -np.inf]], None),
             ([1.0, 0.0], 2.0 * np.eye(2), [[0.0, 0.0], [1.0, np.nan]]),
+            (["a"], [[2.0]], None),
+            ([[1.0, 0.0], [1.0]], 2.0 * np.eye(2), None),
+            ([1.0, 0.0], [[2.0, 0.0], [0.0]], None),
+            ([1.0], [[{}]], None),
+            ([1.0, 0.0], 2.0 * np.eye(2), [[0.0, "b"]]),
         ],
-        ids=["singular", "nan-seed", "inf-seed", "nan-lattice", "inf-lattice", "nan-centering"],
+        ids=["singular", "nan-seed", "inf-seed", "nan-lattice", "inf-lattice", "nan-centering",
+             "string-seed", "ragged-seeds", "ragged-lattice", "dict-lattice", "string-centering"],
     )
     def test_rejects_singular_lattice(self, seeds, lattice, centering):
+        # non-numbers and ragged lists too: numpy's ValueError or TypeError
+        # is a MalformedInputError, as in Packing
         with pytest.raises(MalformedInputError):
-            OrbitSpec(np.array(seeds), np.array(lattice), centering)
+            OrbitSpec(seeds, lattice, centering)
 
 
 def _catalog_spec(name):
@@ -414,6 +418,19 @@ def test_probe_too_fine_to_scale_is_a_size_limit():
     # no contact distance sizes the window
     with pytest.raises(SizeLimitError):
         orbit_generate(OrbitSpec([0.0], [[1e-11]]), Window.cube(3, 1))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [OrbitSpec([1e300], [[2.0]]), OrbitSpec([1.0], [[1e300]]),
+     OrbitSpec([1e154, 3e153], 2.0 * np.eye(2))],
+    ids=["seed", "lattice", "squares"],
+)
+def test_probe_too_far_apart_is_a_value_error(spec):
+    # a squared distance of the probe would overflow in the KD-tree, so the
+    # probe's span is checked before the tree is built
+    with pytest.raises(InvalidValueError, match="too far"):
+        orbit_generate(spec, Window.cube(3, spec.dimension))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
-"""The package's own imports: all at module level, and without a cycle.
+"""The package's own imports: all at module level, without a cycle, and
+each one used.
 
 A ``sepack`` import inside a function hides a dependency from the module
 graph, and is how an import cycle gets dodged rather than removed.  Imports
 of other packages may be deferred: ``_kdtree`` loads ``scipy.spatial`` on
-the first tree build.
+the first tree build.  A name imported and never used is a dependency
+that is not one, left behind when its use was deleted.
 """
 
 import ast
@@ -77,3 +79,34 @@ def test_constructions_and_verdicts_import_apart(name, apart):
     loaded = {t for _, _, targets in IMPORTS[name] for t in targets}
     assert not loaded & apart
 
+
+
+# perfbench/tracer.py counts the KD-tree builds of contact through this name
+UNUSED_ALLOWED = {("contact", "cKDTree")}
+
+
+def _unused_imports(tree) -> list:
+    """Names an import binds that no expression reads and ``__all__`` does
+    not list, with the line of their import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    unused = [(line, n) for line, n in _unused_imports(tree) if (name, n) not in UNUSED_ALLOWED]
+    assert unused == [], f"{name}.py imports names it never uses (line, name): {unused}"

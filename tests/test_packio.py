@@ -13,8 +13,6 @@ from sepack import (
     decode_packing,
     encode_packing,
     generate_named,
-    generate_triangular,
-    interior_indices,
     load_packing,
     save_packing,
 )
@@ -157,21 +155,19 @@ class TestVerifyReport:
         ) == report["sphere_count"]
 
     def test_triangle_forces_violation_status(self):
-        from sepack import generate_triangular
-
-        report = build_verify_report(generate_triangular(6))
+        report = build_verify_report(generate_named("TRI", 6))
         assert report["triangle"] is not None
         assert report["separability"]["status"] == "ViolationFound"
 
     def test_triangle_without_violation_is_a_typed_error(self, monkeypatch):
-        from sepack import generate_triangular, separability
+        from sepack import separability
 
         # a broken certifier that calls every edge clean
         monkeypatch.setattr(
             separability, "_edge_cleanliness", lambda p, g, full_audit: (g.edge_count, [])
         )
         with pytest.raises(InconsistentVerdictError, match="triangle") as info:
-            build_verify_report(generate_triangular(6))
+            build_verify_report(generate_named("TRI", 6))
         assert isinstance(info.value, SepackError)
 
     def test_deterministic_apart_from_timing(self):
@@ -195,7 +191,8 @@ class TestVerifyReport:
 
     def test_missing_interior_sphere_is_irregular(self):
         p = generate_named("P1", 8)
-        gone = interior_indices(p)[len(interior_indices(p)) // 2]
+        interior = np.flatnonzero(p.window.interior_mask(p.centers))
+        gone = interior[len(interior) // 2]
         holed = Packing(np.delete(p.centers, gone, axis=0), p.window, p.radius, p.label)
         assert build_verify_report(p)["regularity"] == {"status": "regular", "k": 4}
         assert build_verify_report(holed)["regularity"] == {"status": "irregular", "k": None}
@@ -284,7 +281,7 @@ class TestWriterMatchesStandardEncoder:
          '"violations": ' + json.dumps(_BULK), "\\"],
     )
     def test_awkward_labels(self, label, tmp_path):
-        p = Packing(generate_triangular(4).centers, None, 1.0, label)
+        p = Packing(generate_named("TRI", 4).centers, None, 1.0, label)
         assert encode_packing(p) == oracle_encode_packing(p)
         assert decode_packing(encode_packing(p)).label == label
         _assert_report_matches_oracle(build_verify_report(p, full_audit=True), tmp_path)
@@ -302,7 +299,7 @@ class TestWriterMatchesStandardEncoder:
     )
     def test_witness_digits_across_chunks(self, rows, tmp_path, monkeypatch):
         monkeypatch.setattr(packio, "_CHUNK_ROWS", 3)
-        report = build_verify_report(generate_triangular(4), full_audit=True)
+        report = build_verify_report(generate_named("TRI", 4), full_audit=True)
         violations = np.array(rows, dtype=np.int64)
         violations.setflags(write=False)
         report["separability"] = {**report["separability"], "violations": violations}
@@ -310,7 +307,7 @@ class TestWriterMatchesStandardEncoder:
 
     def test_certified_audit_and_inconclusive_reports(self, tmp_path):
         certified = build_verify_report(generate_named("K6", 8), full_audit=True)
-        audit = build_verify_report(generate_triangular(6), full_audit=True)
+        audit = build_verify_report(generate_named("TRI", 6), full_audit=True)
         inconclusive = build_verify_report(generate_named("P1", 2))
         assert certified["separability"]["violations"].tolist() == []
         assert audit["separability"]["status"] == "ViolationFound"

@@ -16,7 +16,6 @@ from sepack import (
     contains_triangle,
     diagonal_construction,
     generate_named,
-    generate_triangular,
     load_catalog,
     sep_measure_sequence,
 )
@@ -94,7 +93,7 @@ class TestCertifyTotalSeparability:
         assert certify_total_separability(generate_named("J16", 8)).status == WINDOW_CERTIFIED
 
     def test_triangular_lattice_violation(self):
-        assert certify_total_separability(generate_triangular(8)).status == VIOLATION_FOUND
+        assert certify_total_separability(generate_named("TRI", 8)).status == VIOLATION_FOUND
 
     def test_vacuous_certification_without_edges(self):
         report = certify_total_separability(Packing([[0.0, 0.0]]))
@@ -102,7 +101,7 @@ class TestCertifyTotalSeparability:
         assert report.sep == Fraction(1)
 
     def test_triangle_implies_violation(self):
-        p = generate_triangular(8)
+        p = generate_named("TRI", 8)
         assert contains_triangle(build_contact_graph(p)) is not None
         assert certify_total_separability(p).status == VIOLATION_FOUND
 
@@ -112,7 +111,7 @@ class TestCertifyTotalSeparability:
             assert (report.sep == 1) == (report.status == WINDOW_CERTIFIED)
 
     def test_given_graph_is_not_rebuilt(self, monkeypatch):
-        p = generate_triangular(6)
+        p = generate_named("TRI", 6)
         expected = certify_total_separability(p, full_audit=True)
         graph = build_contact_graph(p)
 
@@ -123,7 +122,7 @@ class TestCertifyTotalSeparability:
         assert certify_total_separability(p, True, graph=graph) == expected
 
     def test_reports_differing_only_in_witnesses_are_unequal(self):
-        p = generate_triangular(6)
+        p = generate_named("TRI", 6)
         brief = certify_total_separability(p)
         full = certify_total_separability(p, full_audit=True)
         assert (brief.clean_edges, brief.status) == (full.clean_edges, full.status)
@@ -140,7 +139,7 @@ class TestSepMeasureSequence:
         assert report.stable_3dp and report.monotone
 
     def test_triangular_constant_zero(self):
-        report = sep_measure_sequence(generate_triangular, [6, 10, 14])
+        report = sep_measure_sequence(partial(generate_named, "TRI"), [6, 10, 14])
         assert report.values == (Fraction(0), Fraction(0), Fraction(0))
         assert report.stable_3dp and report.monotone
 
@@ -174,7 +173,7 @@ def oracle_packing(case):
     if case.startswith("diagonal-"):
         return diagonal_construction(int(case.split("-")[1]), 1).packing
     if case == "TRI":
-        return generate_triangular(6)
+        return generate_named("TRI", 6)
     dimension = load_catalog()[case].dimension
     return generate_named(case, ORACLE_WIDER.get(case, ORACLE_WINDOWS[dimension]))
 
