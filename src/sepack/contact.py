@@ -14,7 +14,7 @@ import numpy as np
 
 from ._kdtree import cKDTree  # noqa: F401  (perfbench/tracer.py counts tree builds through this name)
 from .core import TOL, Packing, valid_pairs_within
-from .errors import InvalidValueError, integer
+from .errors import InvalidValueError, integer, integers
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +25,10 @@ class ContactGraph:
     edges: np.ndarray  # (m, 2) int array, rows sorted, lexicographically ordered
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        vertex_count = integer(self.vertex_count, "vertex_count", least=0)
+        edges = integers(self.edges, "edges").reshape(-1, 2)
+        if len(edges) and (edges.min() < 0 or edges.max() >= vertex_count):
+            raise InvalidValueError(f"edges must join vertices 0 .. {vertex_count - 1}")
         edges = np.sort(edges, axis=1)
         edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
         edges.setflags(write=False)
@@ -49,13 +52,22 @@ def build_contact_graph(p: Packing) -> ContactGraph:
     return ContactGraph(p.n_spheres, pairs[dists >= r - TOL])
 
 
+def checked_graph(g: ContactGraph, p: Packing) -> ContactGraph:
+    """g, checked to have one vertex per sphere of p, else InvalidValueError;
+    a graph of another packing of p's size passes, and speaks of that one."""
+    if g.vertex_count != p.n_spheres:
+        raise InvalidValueError(f"{g.vertex_count} graph vertices for {p.n_spheres} spheres")
+    return g
+
+
 def min_contact_distance(g: ContactGraph, p: Packing) -> float:
     """Least center distance over the contact edges, NaN without one.
 
     build_contact_graph rejects overlapping pairs, so whenever p has a
     contact this is its minimum pairwise distance, read from the pairs the
-    graph already holds.
+    graph already holds.  g must be p's graph (see checked_graph).
     """
+    g = checked_graph(g, p)
     lengths = np.linalg.norm(np.subtract(*p.centers[g.edges.T]), axis=1)
     return float(lengths.min()) if len(lengths) else float("nan")
 
@@ -85,17 +97,13 @@ def is_k_regular(g: ContactGraph, p: Packing, k: int | None = None, indices=None
 
     The judged vertices are ``indices``, vertex numbers of g, by default the
     interior ones of p: the window truncates the neighbor sets of boundary
-    vertices.  A k or an index that is not an integer, or a judged vertex
-    that is not one of g's, raises InvalidValueError.
+    vertices.  g must be p's graph (see checked_graph).
     """
+    g = checked_graph(g, p)
     k = None if k is None else integer(k, "k")
     if indices is None:
-        judged = np.flatnonzero(p.window.interior_mask(p.centers))
-    else:
-        judged = np.asarray(indices)
-        if judged.size and judged.dtype.kind not in "iu":
-            raise InvalidValueError(f"indices must be integers, got {judged.dtype} values")
-        judged = judged.astype(np.intp)
+        indices = np.flatnonzero(p.window.interior_mask(p.centers))
+    judged = integers(indices, "indices")
     if np.any((judged < 0) | (judged >= g.vertex_count)):
         raise InvalidValueError(f"the judged vertices must be g's, 0 .. {g.vertex_count - 1}")
     if len(judged) == 0:

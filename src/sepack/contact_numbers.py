@@ -24,20 +24,30 @@ from functools import cached_property
 import numpy as np
 
 from .core import POINT_BUDGET, TOL, Packing, Window
-from .errors import EnumerationLimitError, InvalidValueError, SizeLimitError, integer
+from .errors import (
+    EnumerationLimitError,
+    InvalidValueError,
+    MalformedInputError,
+    SizeLimitError,
+    integer,
+    integers,
+)
 
 # exhaustive enumeration limits: the largest cases are the 36,446 fixed
 # polyominoes of n=10 and the 162,913 fixed polycubes of n=8, which
 # Redelmeier's algorithm visits in about 0.1 s and 0.3 s
 ORACLE_LIMITS = {2: 10, 3: 8}
 
+# most bits of cd_upper_bound's power d^d * n^(d-1), counted before it is
+# formed: one call of that size takes up to 0.2 s, and d = 8,000 (122,300
+# bits at n = 5) took 8.4 s, seven times the time at d = 4,000
+POWER_BITS = 1 << 15
+
 
 def c2_formula(n: int) -> int:
     """Maximum contact number of a totally separable packing of n unit
     circles: floor(2(n - sqrt(n))), exact at perfect squares."""
-    n = integer(n, "n")
-    if n < 1:
-        raise InvalidValueError(f"n must be >= 1, got {n}")
+    n = integer(n, "n", least=1)
     k = math.isqrt(n)
     if k * k == n:
         return 2 * (n - k)
@@ -66,12 +76,11 @@ def _floor_root(n: int, d: int) -> int:
 def cd_upper_bound(n: int, d: int) -> int:
     """Upper bound floor(d(n - n^((d-1)/d))) on the contact number of a
     totally separable packing of n unit spheres in R^d; an equality when
-    n is a perfect d-th power."""
-    n, d = integer(n, "n"), integer(d, "d")
-    if n < 1:
-        raise InvalidValueError(f"n must be >= 1, got {n}")
-    if d < 2:
-        raise InvalidValueError(f"d must be >= 2, got {d}")
+    n is a perfect d-th power.  Over POWER_BITS raises SizeLimitError."""
+    n, d = integer(n, "n", least=1), integer(d, "d", least=2)
+    bits = d * d.bit_length() + (d - 1) * n.bit_length()
+    if bits > POWER_BITS:
+        raise SizeLimitError(f"d^d n^(d-1) has up to {bits} bits, over the {POWER_BITS} budget")
     # d*n^((d-1)/d) = (d^d * n^(d-1))^(1/d), and d*n is an integer, so
     # the floor is d*n minus the ceiling of that integer d-th root
     power = d**d * n ** (d - 1)
@@ -109,33 +118,20 @@ class Polyomino:
     lookup of every cell +- e_i; the facet identity 2d*n = perimeter +
     2*shared_faces ties them together.  The lookup codes each cell as one
     int64 over the cells' bounding box padded by one cell, so a set whose
-    padded box holds 2^63 or more cells raises InvalidValueError (a
-    ValueError), as do ragged cells, non-integer cells (floats, bools)
-    and coordinates outside int64.
+    padded box holds 2^63 or more cells raises InvalidValueError.
     """
 
     dimension: int
     cells: np.ndarray
 
     def __post_init__(self):
-        dimension = integer(self.dimension, "dimension")
-        if dimension < 1:
-            raise InvalidValueError(f"dimension must be >= 1, got {dimension}")
-        cells = self.cells
-        if not isinstance(cells, np.ndarray):
-            cells = list(cells)
-        try:
-            cells = np.asarray(cells)  # ragged cells raise ValueError
-            if cells.size and cells.dtype.kind not in "iu":
-                raise TypeError(f"{cells.dtype} values")
-            # uint64, which Python ints past int64 can give, has no safe cast
-            cells = cells.astype(np.int64, casting="safe" if cells.size else "unsafe")
-        except (TypeError, ValueError) as exc:
-            raise InvalidValueError(f"cells must be d-tuples of int64 integers: {exc}") from exc
+        dimension = integer(self.dimension, "dimension", least=1)
+        cells = self.cells if isinstance(self.cells, np.ndarray) else list(self.cells)
+        cells = integers(cells, "cells")
         if cells.size == 0:
             cells = cells.reshape(0, dimension)
         if cells.ndim != 2 or cells.shape[1] != dimension:
-            raise InvalidValueError("cell arity does not match dimension")
+            raise MalformedInputError("cell arity does not match dimension")
         if len(cells):
             codes = _padded_codes(cells)[0]
             order = np.argsort(codes, kind="stable")
@@ -196,9 +192,7 @@ def choose_box(n: int, d: int) -> tuple:
     k^(d-j) (k+1)^j, which grows with j, so the smallest box takes the
     least j that holds n, and the smallest delta puts its j ones last.
     """
-    n, d = integer(n, "n"), integer(d, "d")
-    if n < 1 or d < 2:
-        raise InvalidValueError("need n >= 1 and d >= 2")
+    n, d = integer(n, "n", least=1), integer(d, "d", least=2)
     k = _floor_root(n, d)
     j = next(j for j in range(d + 1) if k ** (d - j) * (k + 1) ** j >= n)
     return (k,) * (d - j) + (k + 1,) * j
@@ -218,9 +212,7 @@ def quasi_square_packing(n: int) -> tuple[Polyomino, Packing]:
     plus one contiguous remainder row, and keep the variant with more
     shared faces; its contact count is exactly c2_formula(n).
     """
-    n = integer(n, "n")
-    if n < 1:
-        raise InvalidValueError(f"n must be >= 1, got {n}")
+    n = integer(n, "n", least=1)
     _check_size(n)
     k = math.isqrt(n)
     widths = [k] if k * k == n else [k, k + 1]
@@ -241,9 +233,8 @@ def box_packing(n: int, d: int) -> tuple[Polyomino, Packing]:
     count never exceeds cd_upper_bound(n, d) and attains it when n is a
     perfect d-th power.
     """
-    n, d = integer(n, "n"), integer(d, "d")
-    _check_size(n)
     sides = choose_box(n, d)
+    _check_size(n)
     omino = Polyomino(d, np.column_stack(np.unravel_index(np.arange(n), sides)))
     return omino, omino.lift(f"box {'x'.join(map(str, sides))} n={n}")
 
@@ -262,9 +253,7 @@ def enumerate_fixed_polyforms(n: int, d: int = 2) -> list:
     grows by the number of a new cell's 2d neighbours already in the
     shape.  len() of the result is OEIS A001168 (d = 2) / A001931 (d = 3).
     """
-    n, d = integer(n, "n"), integer(d, "d")
-    if n < 1:
-        raise InvalidValueError(f"n must be >= 1, got {n}")
+    n, d = integer(n, "n", least=1), integer(d, "d")
     # cell c is the integer sum((c_i + n) * side**i): no coordinate of a
     # shape cell or its neighbour leaves [-n, n], so the last coordinate is
     # the most significant digit and "after the origin" is "> origin"
@@ -300,9 +289,7 @@ def polyomino_oracle(n: int, d: int = 2) -> int:
     constructions: one enumerate_fixed_polyforms call per oracle, limited
     by ORACLE_LIMITS.
     """
-    n, d = integer(n, "n"), integer(d, "d")
-    if n < 1:
-        raise InvalidValueError(f"n must be >= 1, got {n}")
+    n, d = integer(n, "n", least=1), integer(d, "d")
     limit = ORACLE_LIMITS.get(d)
     if limit is None:
         raise EnumerationLimitError(

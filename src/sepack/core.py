@@ -21,10 +21,11 @@ import numpy as np
 from ._kdtree import cKDTree
 from .errors import (
     InvalidPackingError,
-    InvalidValueError,
     MalformedInputError,
     UndefinedDistanceError,
     integer,
+    real,
+    reals,
 )
 
 
@@ -56,28 +57,28 @@ class Window:
     margin: float = 0.0
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.atleast_1d(reals(self.lower, "window lower"))
+        upper = np.atleast_1d(reals(self.upper, "window upper"))
+        margin = real(self.margin, "window margin")
         if lower.shape != upper.shape or lower.ndim != 1:
             raise MalformedInputError("window bounds must be d-vectors of equal length")
-        if not np.all(np.isfinite(np.concatenate([lower, upper, [self.margin]]))):
+        if not np.all(np.isfinite(np.concatenate([lower, upper, [margin]]))):
             raise MalformedInputError("window bounds and margin must be finite")
         if not np.all(lower < upper):
             raise MalformedInputError("window requires lower < upper componentwise")
-        if self.margin < 0:
+        if margin < 0:
             raise MalformedInputError("window margin must be nonnegative")
         lower.setflags(write=False)
         upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "margin", margin)
 
     @classmethod
     def cube(cls, half_width: float, dimension: int, margin: float = 3.0) -> "Window":
         """Symmetric window [-L, L]^d."""
-        dimension, l = integer(dimension, "dimension"), float(half_width)
-        if dimension < 1:
-            raise InvalidValueError(f"dimension must be >= 1, got {dimension}")
-        return cls(np.full(dimension, -l), np.full(dimension, l), margin)
+        l = np.full(integer(dimension, "dimension", least=1), real(half_width, "half-width"))
+        return cls(-l, l, margin)
 
     @property
     def dimension(self) -> int:
@@ -132,25 +133,24 @@ class Packing:
     label: str = ""
 
     def __post_init__(self):
-        try:
-            centers = np.asarray(self.centers, dtype=float)
-        except ValueError as exc:
-            raise MalformedInputError(f"centers are not a rectangular array: {exc}")
+        centers = reals(self.centers, "centers")
         if centers.size == 0:
             centers = centers.reshape(0, centers.shape[1] if centers.ndim == 2 else 1)
         if centers.ndim != 2:
-            raise MalformedInputError(
-                "centers must be an (n, d) array; got mixed-dimension points"
-            )
+            raise MalformedInputError(f"centers must be an (n, d) array, got shape {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise MalformedInputError("centers must be finite")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise MalformedInputError(f"radius must be finite and positive, got {self.radius}")
+        radius = real(self.radius, "radius")
+        if not (np.isfinite(radius) and radius > 0):
+            raise MalformedInputError(f"radius must be finite and positive, got {radius}")
+        if not isinstance(self.label, str):
+            raise MalformedInputError(f"label must be a str, got {type(self.label).__name__}")
+        object.__setattr__(self, "radius", radius)
         centers = _canonical(centers)
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         if self.window is None:
-            pad = self.radius if len(centers) else 1.0
+            pad = radius if len(centers) else 1.0
             lo = centers.min(axis=0) - pad if len(centers) else np.zeros(centers.shape[1])
             hi = centers.max(axis=0) + pad if len(centers) else np.ones(centers.shape[1])
             object.__setattr__(self, "window", Window(lo, hi, 0.0))

@@ -49,7 +49,7 @@ import numpy as np
 
 from .contact import ContactGraph, RegularityVerdict, build_contact_graph, is_k_regular
 from .core import TOL, Packing, Window
-from .errors import InvalidValueError, SizeLimitError, UnsupportedDimensionError, integer
+from .errors import SizeLimitError, UnsupportedDimensionError, integer
 from .generators import OrbitSpec
 
 # most spheres a construction may hold; checked before any allocation
@@ -112,11 +112,9 @@ def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
     sphere at corner s of cube k is saturated iff ||k + s||_inf <= t,
     since its diagonal partner is corner -s of cube k + s.
     """
-    d, depth = integer(d, "d"), integer(depth, "depth")
+    d, depth = integer(d, "d"), integer(depth, "depth", least=0)
     if d < 2:
         raise UnsupportedDimensionError(f"diagonal construction needs d >= 2, got {d}")
-    if depth < 0:
-        raise InvalidValueError("depth must be >= 0")
     if cube_count_exact(d, depth) * (2**d) > SPHERE_BUDGET:
         raise SizeLimitError(
             f"depth {depth} in d={d} needs {cube_count_exact(d, depth) * 2**d} "
@@ -146,7 +144,7 @@ def interior_regularity_check(
 
     Saturation replaces window margins here because finite depths leave a
     ragged frontier rather than a box-shaped boundary.  ``graph``, when
-    given, must be the contact graph of ``result.packing``.
+    given, must be ``result.packing``'s (see contact.checked_graph).
     """
     graph = build_contact_graph(result.packing) if graph is None else graph
     saturated = np.flatnonzero(result.saturated)

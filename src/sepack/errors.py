@@ -1,26 +1,32 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one rule for numbers.
 
-An integer argument (a count, a dimension, a depth, a cell coordinate)
-that is not an integer raises InvalidValueError, as one out of range
-does: a float, even 2.0, is not an integer, nor is a bool; a numpy
-integer is.
+integer, real, integers and reals read every number that an argument or
+a packing file gives.  A value of the wrong kind or shape raises
+MalformedInputError: a string, a bool, a ragged list, a float for an
+integer, an array that numpy casts to float64 or int64 only with loss
+(objects, uint64 to int64).  A number out of its range raises
+InvalidValueError.  Both are ValueErrors.  Geometry that bounds no
+packing (a coordinate that is not finite, an inverted window, a radius
+that is not positive) is malformed data.
 
 Every size that an argument sets is counted against its budget before
 the work starts, and one over it raises SizeLimitError: the images of an
 orbit seed, the probe and the padded window of an orbit window, a
 product, a diagonal construction, the cells of a contact-number
-construction.  The exact power in cd_upper_bound is not yet bounded.
+construction, the power inside cd_upper_bound.
 """
 
 import numbers
+
+import numpy as np
 
 
 class SepackError(Exception):
     """Base class for all package errors."""
 
 
-class MalformedInputError(SepackError):
-    """Input data is structurally invalid (ragged centers, bad shapes, ...)."""
+class MalformedInputError(SepackError, ValueError):
+    """Input data is of the wrong kind or shape (ragged centers, ...)."""
 
 
 class InvalidPackingError(SepackError):
@@ -34,9 +40,7 @@ class InvalidPackingError(SepackError):
 
 
 class InvalidValueError(SepackError, ValueError):
-    """An argument or data value is out of range: a count, a depth, a box
-    side, a window sequence or a data format version.  It is also a
-    ValueError, so callers that catch ValueError still catch it."""
+    """A value of the right kind is out of its range (a count below 1, ...)."""
 
 
 class UndefinedDistanceError(SepackError):
@@ -67,7 +71,7 @@ class NormalizationRequiredError(SepackError):
     """Operation requires packings normalized to contact distance 2."""
 
 
-class PackingParseError(SepackError):
+class PackingParseError(MalformedInputError):
     """Packing file could not be parsed."""
 
     def __init__(self, message, offset=None):
@@ -84,8 +88,40 @@ class InconsistentVerdictError(SepackError):
     contact graph, yet no separability violation)."""
 
 
-def integer(value, name: str) -> int:
-    """value as a Python int; InvalidValueError when it is not an integer."""
+def integer(value, name: str, least: int | None = None) -> int:
+    """value as a Python int, at least ``least`` when that is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidValueError(f"{name} must be an integer, got {value!r}")
+        raise MalformedInputError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def real(value, name: str) -> float:
+    """One number as a Python float."""
+    array = _cast(value, name, np.float64)
+    if array.ndim:
+        raise MalformedInputError(f"{name} must be one number, got shape {array.shape}")
+    return float(array)
+
+
+def reals(values, name: str) -> np.ndarray:
+    """A rectangular array of numbers as float64."""
+    return _cast(values, name, np.float64)
+
+
+def integers(values, name: str) -> np.ndarray:
+    """A rectangular array of integers as int64."""
+    return _cast(values, name, np.int64)
+
+
+def _cast(values, name: str, dtype) -> np.ndarray:
+    """values as a dtype array, if numpy reads them as an array that it casts
+    safely to dtype, or an empty one: a string reads as text, a bool as bool."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"{name} must be a rectangular array: {exc}") from exc
+    if array.size and (array.dtype.kind == "b" or not np.can_cast(array.dtype, dtype)):
+        raise MalformedInputError(f"{name} must hold {dtype.__name__} numbers, not {array.dtype}")
+    return array.astype(dtype, copy=False)

@@ -45,6 +45,7 @@ from .errors import (
     SizeLimitError,
     UnknownCatalogIdError,
     UnsupportedConstructionError,
+    reals,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -96,7 +97,7 @@ def signed_permutation_orbit(seed: np.ndarray) -> np.ndarray:
     every sign pattern of the nonzero entries, so each zero entry is +0.0;
     over POINT_BUDGET images raises SizeLimitError before any is built.
     """
-    seed = np.asarray(seed, dtype=float)
+    seed = reals(seed, "seed")
     values, counts = np.unique(np.abs(seed), return_counts=True)
     nonzero = np.count_nonzero(seed)
     count = math.factorial(len(seed)) // math.prod(map(math.factorial, counts)) * 2**nonzero
@@ -129,16 +130,11 @@ class OrbitSpec:
     centering: np.ndarray = None  # (m, d) offsets, origin included; default the origin
 
     def __post_init__(self):
-        try:
-            seeds = np.atleast_2d(np.asarray(self.seeds, dtype=float))
-            d = seeds.shape[1]
-            lattice = np.asarray(self.lattice, dtype=float)
-            centering = np.zeros((1, d)) if self.centering is None else self.centering
-            centering = np.atleast_2d(np.asarray(centering, dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise MalformedInputError(
-                f"orbit seeds, lattice and centering must be numbers: {exc}"
-            ) from exc
+        seeds = np.atleast_2d(reals(self.seeds, "orbit seeds"))
+        d = seeds.shape[1]
+        lattice = reals(self.lattice, "lattice")
+        centering = np.zeros((1, d)) if self.centering is None else self.centering
+        centering = np.atleast_2d(reals(centering, "centering"))
         if seeds.ndim != 2 or seeds.size == 0 or centering.ndim != 2 or centering.shape[1] != d:
             raise MalformedInputError("orbit seeds and centering must be lists of d-vectors")
         if not all(np.isfinite(x).all() for x in (seeds, lattice, centering)):
@@ -439,11 +435,7 @@ def _as_window(window, dimension: int, margin: float) -> Window:
                 f"window dimension {window.dimension} != packing dimension {dimension}"
             )
         return window
-    try:
-        half_width = float(window)
-    except (TypeError, ValueError) as exc:
-        raise InvalidValueError(f"window must be a Window or a half-width, got {window!r}") from exc
-    return Window.cube(half_width, dimension, margin)
+    return Window.cube(window, dimension, margin)
 
 
 def _block_window(window: Window, start: int, dim: int) -> Window:

@@ -36,7 +36,7 @@ import numpy as np
 from .catalog import CatalogEntry
 from .contact import build_contact_graph, contains_triangle, is_k_regular
 from .core import Packing, Window
-from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError
+from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError, reals
 from .separability import VIOLATION_FOUND, WINDOW_CERTIFIED, certify_total_separability
 
 FORMAT_VERSION = 1
@@ -151,25 +151,17 @@ def encode_packing(p: Packing) -> bytes:
 
 
 def _holds_bool(value) -> bool:
-    """Whether a JSON value is a bool or a list holding one at any depth."""
+    """Whether a JSON value is a bool or holds one at any depth."""
     stack = [value]
     while stack:
         value = stack.pop()
         if isinstance(value, bool):
             return True
+        if isinstance(value, dict):
+            value = list(value.values())
         if isinstance(value, list):
             stack.extend(value)
     return False
-
-
-def _numbers(value, name: str) -> np.ndarray:
-    """A JSON array of numbers as floats.  numpy reads it in one pass; a
-    string reads as text and an integer no 64 bits hold as an object, and
-    neither is a number here (a bool reads as a number: see _holds_bool)."""
-    array = np.array(value)
-    if array.dtype.kind not in "iuf":
-        raise PackingParseError(f"{name} must hold JSON numbers, not {array.dtype}")
-    return array.astype(float, copy=False)
 
 
 def decode_packing(data: bytes) -> Packing:
@@ -191,34 +183,20 @@ def decode_packing(data: bytes) -> Packing:
         raise PackingVersionError(
             f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}"
         )
+    # no field is a bool, and a list that mixes bools and floats reads as
+    # floats below; without true or false in the bytes there is no bool, so
+    # the common file skips this pass over every value
+    if (b"true" in data or b"false" in data) and _holds_bool(doc):
+        raise PackingParseError("a packing file holds no JSON booleans")
     try:
-        for name, value in (("radius", doc["radius"]), ("margin", doc["window"]["margin"])):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise PackingParseError(f"{name} must be a JSON number, not {type(value).__name__}")
-        label = doc.get("label", "")
-        if not isinstance(label, str):
-            raise PackingParseError(f"label must be a JSON string, not {type(label).__name__}")
-        # a bool reads as 0 or 1 below; without true or false in the bytes
-        # there is none, so the common file skips this pass over every value
-        if b"true" in data or b"false" in data:
-            for name, value in (
-                ("dimension", doc["dimension"]),
-                ("lower", doc["window"]["lower"]),
-                ("upper", doc["window"]["upper"]),
-                ("centers", doc["centers"]),
-            ):
-                if _holds_bool(value):
-                    raise PackingParseError(f"{name} must hold numbers, not JSON booleans")
-        window = Window(
-            _numbers(doc["window"]["lower"], "lower"),
-            _numbers(doc["window"]["upper"], "upper"),
-            float(doc["window"]["margin"]),
-        )
-        centers = _numbers(doc["centers"], "centers")
+        window = Window(doc["window"]["lower"], doc["window"]["upper"], doc["window"]["margin"])
+        centers = reals(doc["centers"], "centers")
         if centers.shape[1:] != (doc["dimension"],) and centers.shape != (0,):
             raise PackingParseError(f"centers must be a list of {doc['dimension']}-long rows")
         centers = centers.reshape(-1, doc["dimension"])
-        return Packing(centers, window, float(doc["radius"]), label)
+        return Packing(centers, window, doc["radius"], doc.get("label", ""))
+    except PackingParseError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PackingParseError(f"invalid packing document: {exc}") from exc
 

@@ -36,9 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .contact import ContactGraph, build_contact_graph
+from .contact import ContactGraph, build_contact_graph, checked_graph
 from .core import TOL, Packing
-from .errors import InvalidValueError
+from .errors import InvalidValueError, reals
 
 WINDOW_CERTIFIED = "WindowCertified"
 VIOLATION_FOUND = "ViolationFound"
@@ -199,9 +199,9 @@ def certify_total_separability(
     direction: one sorted projection of the centers per direction, a
     bisected slab per edge, and an exact recheck of the slab's spheres
     against the edge's own plane (see ``_edge_cleanliness`` for the slab
-    width).  ``graph``, when given, must be the contact graph of ``p``.
+    width).  ``graph``, when given, must be p's (see contact.checked_graph).
     """
-    g = build_contact_graph(p) if graph is None else graph
+    g = build_contact_graph(p) if graph is None else checked_graph(graph, p)
     total = g.edge_count
     clean, violations = _edge_cleanliness(p, g, full_audit)
     sep = Fraction(clean, total) if total else Fraction(1)
@@ -230,7 +230,7 @@ def sep_measure_sequence(family, windows) -> SepSequenceReport:
     ``family`` maps a half-width L to a Packing, such as a window of a
     named catalog packing.
     """
-    windows = [float(w) for w in windows]
+    windows = reals(windows, "window half-widths").tolist()
     if len(windows) < 2 or any(b <= a for a, b in zip(windows, windows[1:])):
         raise InvalidValueError("need at least 2 strictly increasing window half-widths")
     values = [certify_total_separability(family(l)).sep for l in windows]

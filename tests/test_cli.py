@@ -180,6 +180,11 @@ class TestOtherCommands:
         m = int(capsys.readouterr().out.split("=")[-1])
         assert (3 * n - m - 1) ** 3 < 27 * n**2 <= (3 * n - m) ** 3
 
+    def test_formulas_over_the_power_budget_is_an_error(self, capsys):
+        with within_seconds(1):
+            assert run("formulas", "--n", "5", "--d", "30000") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_construct_diagonal(self, tmp_path, capsys):
         pack = tmp_path / "d.json"
         assert run("construct-diagonal", "--d", "2", "--depth", "1", "--out", str(pack)) == 0

@@ -26,6 +26,7 @@ from conftest import (
     brute_force_perimeter,
     brute_force_polyforms,
     brute_force_shared_faces,
+    within_seconds,
 )
 
 # fixed polyominoes (OEIS A001168) and fixed polycubes (A001931), n = 1, 2, ...
@@ -85,6 +86,11 @@ class TestCdUpperBound:
             cd_upper_bound(0, 3)
         with pytest.raises(ValueError):
             cd_upper_bound(5, 1)
+
+    def test_power_over_its_budget_raises_at_once(self):
+        # d^d * 5^(d-1) has about 515,000 bits; at d = 8,000 the root took 8.4 s
+        with within_seconds(1), pytest.raises(SizeLimitError, match="bits"):
+            cd_upper_bound(5, 30_000)
 
     def test_matches_scan_up_to_400(self):
         for d in (2, 3, 4):

@@ -4,11 +4,19 @@ from functools import partial
 import numpy as np
 import pytest
 
+import sepack
 from sepack import (
+    ContactGraph,
+    OrbitSpec,
     Packing,
     Window,
     build_contact_graph,
+    certify_total_separability,
+    decode_packing,
+    diagonal_spec,
+    interior_regularity_check,
     is_k_regular,
+    min_contact_distance,
     min_pairwise_distance,
 )
 from sepack import catalog
@@ -32,7 +40,13 @@ from sepack.errors import (
 from sepack.generators import generate_named, signed_permutation_orbit
 from sepack.separability import sep_measure_sequence
 
-from conftest import brute_force_min_distance, random_rotation, transformed, within_seconds
+from conftest import (
+    bad_packing_files,
+    brute_force_min_distance,
+    random_rotation,
+    transformed,
+    within_seconds,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -228,60 +242,134 @@ def _load_later_catalog():
         catalog.resources = original
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: c2_formula(0),
-        lambda: cd_upper_bound(0, 2),
-        lambda: cd_upper_bound(1, 1),
-        lambda: Polyomino(2, [(0, 0, 0)]),
-        lambda: Polyomino(2, [(0, 0), (2**32, 2**32)]),
-        lambda: Polyomino(2, [(0, 0), (2**63, 0)]),
-        lambda: Polyomino(2, [(0, 0), (1,)]),
-        lambda: Polyomino(-1, []),
-        lambda: Polyomino(0, [()]),
-        lambda: choose_box(0, 2),
-        lambda: box_packing(5, 40),
-        lambda: quasi_square_packing(0),
-        lambda: enumerate_fixed_polyforms(0),
-        lambda: polyomino_oracle(0),
-        lambda: diagonal_construction(2, -1),
-        lambda: diagonal_construction(2.5, 1),
-        lambda: quasi_square_packing(2.5),
-        lambda: polyomino_oracle(3, 2.0),
-        lambda: c2_formula(2.5),
-        lambda: box_packing(5.5, 2),
-        lambda: cd_upper_bound(5, 2.5),
-        lambda: Polyomino(2, [(0.5, 0), (1.9, 0)]),
-        lambda: Polyomino(2, np.array([[0, 0], [2**64 - 1, 0]], dtype=np.uint64)),
-        lambda: generate_named("K6", "x"),
-        lambda: Window.cube(3, 2.5),
-        lambda: Window.cube(3, 0),
-        lambda: is_k_regular(*_p1_graph_and_packing(), indices=[0.5]),
-        lambda: is_k_regular(*_p1_graph_and_packing(), indices=[25]),
-        lambda: is_k_regular(*_p1_graph_and_packing(), k=2.5),
-        lambda: is_k_regular(_p1_graph_and_packing()[0], generate_named("P1", 8)),
-        lambda: sep_measure_sequence(partial(generate_named, "P1"), [10, 6]),
-        _load_later_catalog,
-    ],
-    ids=[
-        "c2_formula", "cd_upper_bound-n", "cd_upper_bound-d", "Polyomino", "Polyomino-box",
-        "Polyomino-int64", "Polyomino-ragged", "Polyomino-negative-d", "Polyomino-zero-d",
-        "choose_box",
-        "box_packing-d40", "quasi_square_packing", "enumerate_fixed_polyforms",
-        "polyomino_oracle", "diagonal_construction", "diagonal_construction-float-d",
-        "quasi_square_packing-float", "polyomino_oracle-float-d", "c2_formula-float",
-        "box_packing-float", "cd_upper_bound-float-d", "Polyomino-float-cells", "Polyomino-uint64",
-        "generate_named-window", "Window.cube-float-d", "Window.cube-zero-d",
-        "is_k_regular-float-index", "is_k_regular-index-range", "is_k_regular-float-k",
-        "is_k_regular-other-packing",
-        "sep_measure_sequence", "load_catalog",
-    ],
-)
-def test_out_of_range_values_raise_a_typed_value_error(call):
+def _diagonal_check_with_the_depth_0_graph():
+    # 8 vertices for the 24 spheres of depth 1
+    graph = build_contact_graph(diagonal_construction(2, 0).packing)
+    interior_regularity_check(diagonal_construction(2, 1), graph)
+
+
+_TWO = [[0.0, 0.0], [2.0, 0.0]]
+
+# one row per argument that a public name reads as a number; the row id
+# starts with the name
+VALUE_ERROR_CASES = {
+    "c2_formula": lambda: c2_formula(0),
+    "cd_upper_bound-n": lambda: cd_upper_bound(0, 2),
+    "cd_upper_bound-d": lambda: cd_upper_bound(1, 1),
+    "Polyomino": lambda: Polyomino(2, [(0, 0, 0)]),
+    "Polyomino-box": lambda: Polyomino(2, [(0, 0), (2**32, 2**32)]),
+    "Polyomino-int64": lambda: Polyomino(2, [(0, 0), (2**63, 0)]),
+    "Polyomino-ragged": lambda: Polyomino(2, [(0, 0), (1,)]),
+    "Polyomino-negative-d": lambda: Polyomino(-1, []),
+    "Polyomino-zero-d": lambda: Polyomino(0, [()]),
+    "choose_box": lambda: choose_box(0, 2),
+    "box_packing-d40": lambda: box_packing(5, 40),
+    "quasi_square_packing": lambda: quasi_square_packing(0),
+    "enumerate_fixed_polyforms": lambda: enumerate_fixed_polyforms(0),
+    "polyomino_oracle": lambda: polyomino_oracle(0),
+    "diagonal_construction": lambda: diagonal_construction(2, -1),
+    "diagonal_construction-float-d": lambda: diagonal_construction(2.5, 1),
+    "quasi_square_packing-float": lambda: quasi_square_packing(2.5),
+    "polyomino_oracle-float-d": lambda: polyomino_oracle(3, 2.0),
+    "c2_formula-float": lambda: c2_formula(2.5),
+    "box_packing-float": lambda: box_packing(5.5, 2),
+    "cd_upper_bound-float-d": lambda: cd_upper_bound(5, 2.5),
+    "Polyomino-float-cells": lambda: Polyomino(2, [(0.5, 0), (1.9, 0)]),
+    "Polyomino-uint64": lambda: Polyomino(
+        2, np.array([[0, 0], [2**64 - 1, 0]], dtype=np.uint64)
+    ),
+    "generate_named-window": lambda: generate_named("K6", "x"),
+    "Window.cube-float-d": lambda: Window.cube(3, 2.5),
+    "Window.cube-zero-d": lambda: Window.cube(3, 0),
+    "is_k_regular-float-index": lambda: is_k_regular(*_p1_graph_and_packing(), indices=[0.5]),
+    "is_k_regular-index-range": lambda: is_k_regular(*_p1_graph_and_packing(), indices=[25]),
+    "is_k_regular-float-k": lambda: is_k_regular(*_p1_graph_and_packing(), k=2.5),
+    "is_k_regular-other-packing": lambda: is_k_regular(
+        _p1_graph_and_packing()[0], generate_named("P1", 8)
+    ),
+    "sep_measure_sequence": lambda: sep_measure_sequence(
+        partial(generate_named, "P1"), [10, 6]
+    ),
+    "load_catalog": _load_later_catalog,
+    # a value of the wrong kind: each of these built, truncated its value or
+    # raised an error of numpy's or Python's before errors read every number
+    "Packing-string-centers": lambda: Packing([["0", "0"], ["2", "0"]]),
+    "Packing-string-radius": lambda: Packing(_TWO, radius="1"),
+    "Packing-bool-radius": lambda: Packing(_TWO, radius=True),
+    "Packing-int-label": lambda: Packing(_TWO, label=5),
+    "Window-string-margin": lambda: Window([0], [1], margin="1"),
+    "Window.cube-string-half-width": lambda: Window.cube("3", 2),
+    "OrbitSpec-string-seed": lambda: OrbitSpec(["1"], [[2.0]]),
+    "signed_permutation_orbit-strings": lambda: signed_permutation_orbit(["1", "2"]),
+    "generate_named-string-window": lambda: generate_named("A", "4"),
+    "sep_measure_sequence-strings": lambda: sep_measure_sequence(
+        partial(generate_named, "P1"), ["4", "6"]
+    ),
+    "ContactGraph-float-edge": lambda: ContactGraph(3, [[0.5, 1.7]]),
+    "ContactGraph-float-count": lambda: ContactGraph(2.5, [[0, 1]]),
+    "diagonal_spec-float-d": lambda: diagonal_spec(2.5),
+    "decode_packing-string-radius": lambda: decode_packing(bad_packing_files()["radius-string"]),
+    # a graph must have one vertex per sphere, and its edges join its vertices
+    "ContactGraph-edge-range": lambda: ContactGraph(3, [[0, 5]]),
+    "ContactGraph-negative-edge": lambda: ContactGraph(3, [[-1, 2]]),
+    "certify_total_separability-other-graph": lambda: certify_total_separability(
+        generate_named("P1", 8), graph=_p1_graph_and_packing()[0]
+    ),
+    "certify_total_separability-larger-graph": lambda: certify_total_separability(
+        generate_named("P1", 4), graph=build_contact_graph(generate_named("P1", 8))
+    ),
+    "min_contact_distance-other-packing": lambda: min_contact_distance(
+        _p1_graph_and_packing()[0], generate_named("P1", 8)
+    ),
+    "interior_regularity_check-other-graph": _diagonal_check_with_the_depth_0_graph,
+}
+
+WRONG_KIND = {
+    "Packing-string-centers", "Packing-string-radius", "Packing-bool-radius",
+    "Packing-int-label", "Window-string-margin", "Window.cube-string-half-width",
+    "OrbitSpec-string-seed", "signed_permutation_orbit-strings", "generate_named-string-window",
+    "sep_measure_sequence-strings", "ContactGraph-float-edge", "ContactGraph-float-count",
+}
+
+# the public names that read no number of their own, each with the reason
+NO_NUMBER_READ = {
+    "CatalogEntry": "a result type, built from the packaged catalog",
+    "DiagonalConstruction": "a result type",
+    "RegularityVerdict": "a result type",
+    "SepSequenceReport": "a result type",
+    "SeparabilityReport": "a result type",
+    "TOL": "a constant",
+    "build_contact_graph": "takes a Packing",
+    "build_verify_report": "takes a Packing and a flag",
+    "check_entry_invariants": "takes a Packing and a CatalogEntry",
+    "constructible_ids": "takes no argument",
+    "contains_triangle": "takes a ContactGraph",
+    "encode_packing": "takes a Packing",
+    "load_packing": "takes a path; decode_packing reads the file's numbers",
+    "min_pairwise_distance": "takes a Packing",
+    "orbit_generate": "takes an OrbitSpec, a Window and a label",
+    "product_packing": "takes two Packings and a label",
+    "render_svg": "takes a Packing and two flags",
+    "save_packing": "takes a Packing and a path",
+}
+
+# a module function that reads numbers but that sepack does not export
+NOT_EXPORTED = {"enumerate_fixed_polyforms"}
+
+
+@pytest.mark.parametrize("case", list(VALUE_ERROR_CASES))
+def test_out_of_range_values_raise_a_typed_value_error(case):
     with within_seconds(10), pytest.raises(SepackError) as info:
-        call()
+        VALUE_ERROR_CASES[case]()
     assert isinstance(info.value, ValueError)
+    if case in WRONG_KIND:
+        assert isinstance(info.value, MalformedInputError)
+
+
+def test_every_public_name_is_in_the_table():
+    named = {case.split("-")[0].split(".")[0] for case in VALUE_ERROR_CASES}
+    assert (named - NOT_EXPORTED) | set(NO_NUMBER_READ) == set(sepack.__all__)
+    assert not named & set(NO_NUMBER_READ)
 
 
 def test_choose_box_in_forty_dimensions_returns():

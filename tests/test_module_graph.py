@@ -110,3 +110,26 @@ def test_every_import_is_used(name):
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
     unused = [(line, n) for line, n in _unused_imports(tree) if (name, n) not in UNUSED_ALLOWED]
     assert unused == [], f"{name}.py imports names it never uses (line, name): {unused}"
+
+
+def _reads_dtype_kind(tree) -> list:
+    """Lines that read ``<expression>.dtype.kind``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "kind"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "dtype"
+    ]
+
+
+def test_number_kinds_are_read_in_errors_only():
+    # errors decides which values are numbers; a module that tests a dtype
+    # kind of its own makes that decision a second way
+    found = {
+        name: _reads_dtype_kind(ast.parse((PACKAGE / f"{name}.py").read_text()))
+        for name in MODULES
+        if name != "errors"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
