@@ -14,7 +14,7 @@ import numpy as np
 
 from ._kdtree import cKDTree  # noqa: F401  (perfbench/tracer.py counts tree builds through this name)
 from .core import TOL, Packing, valid_pairs_within
-from .errors import InvalidValueError, integer, integers
+from .errors import InvalidValueError, MalformedInputError, integer, integers
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +26,10 @@ class ContactGraph:
 
     def __post_init__(self):
         vertex_count = integer(self.vertex_count, "vertex_count", least=0)
-        edges = integers(self.edges, "edges").reshape(-1, 2)
+        edges = integers(self.edges, "edges")
+        if edges.size and edges.shape[1:] != (2,):
+            raise MalformedInputError(f"edges must be an (m, 2) array, got shape {edges.shape}")
+        edges = edges.reshape(-1, 2)
         if len(edges) and (edges.min() < 0 or edges.max() >= vertex_count):
             raise InvalidValueError(f"edges must join vertices 0 .. {vertex_count - 1}")
         edges = np.sort(edges, axis=1)

@@ -12,16 +12,18 @@ packing's ``centers``, a report's ``separability.violations``) through
 the encoder, whose indented mode costs one Python call per token.  The
 small rest of the document, with a placeholder in the bulk list's place,
 goes through ``json.dumps`` and is split at the placeholder; the bulk
-rows are written in chunks between the halves, each chunk from fixed
-templates at the indentation ``json.dumps`` gives that depth.  The bytes
-match ``json.dumps`` because the rows hold only what the templates spell
-the same way: a center row is Python floats, written with ``repr`` (the
-encoder's ``float.__repr__``; coordinates are finite), and a witness row
-(i, j, sphere) of the certifier's (k, 3) integer array becomes the object
-``{"edge": [i, j], "sphere": sphere}``, a whole chunk spelled by numpy
-as one block of the template's bytes and table-looked-up digits, with no
-Python object per value (see ``_witness_rows``).  An empty bulk list is
-written as ``[]``, as the encoder does.
+rows are written in chunks between the halves, each chunk spelled by
+numpy as one block of fixed template bytes at the indentation
+``json.dumps`` gives that depth, with no Python object per row.  A
+center row's coordinates are spelled by ``repr`` (the encoder's
+``float.__repr__``; coordinates are finite), each distinct value of the
+chunk once, and gathered from that table (see ``_center_rows``); a
+witness row (i, j, sphere) of the certifier's (k, 3) integer array
+becomes the object ``{"edge": [i, j], "sphere": sphere}``, its digits
+looked up in a table of digit groups (see ``_witness_rows``).  An empty
+bulk list is written as ``[]``, as the encoder does.  ``save_packing``
+and ``write_report`` stream the pieces to the file, so neither holds the
+whole text.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ FORMAT_VERSION = 1
 _BULK = "<bulk rows>"
 # bulk rows joined per write
 _CHUNK_ROWS = 4096
+# a center row's literal text before its first value, between two values,
+# and after its last value up to the ",\n" that joins it to the next row
+_CENTER_TEXT = [
+    np.frombuffer(text, dtype=np.uint8) for text in (b"  [\n   ", b",\n   ", b"\n  ],\n")
+]
 # a witness row's literal text around its three values "i", "j" and
 # "sphere", up to the ",\n" that joins it to the next row, as uint32
 # words NUL-padded at the end
@@ -89,8 +96,24 @@ def _json_pieces(doc: dict, path: tuple, chunk_text):
     yield tail + "\n"
 
 
-def _center_rows(rows: list) -> str:
-    return ",\n".join("  [\n   " + ",\n   ".join(map(repr, row)) + "\n  ]" for row in rows)
+def _center_rows(rows: np.ndarray) -> str:
+    """The center rows of an (n, d) float64 array, joined by ``",\\n"``.
+
+    Each distinct value of the chunk, told apart by its bits so that -0.0
+    is not 0.0, is spelled once by ``repr`` of a Python float (numpy 2
+    reprs a np.float64 as "np.float64(...)") into a NUL-padded byte table
+    as wide as its longest spelling.  The table is gathered into an (n, d,
+    width) block, joined with the template's bytes, and the NULs deleted.
+    """
+    bits, index = np.unique(rows.view(np.uint64), return_inverse=True)
+    table = np.array([repr(value) for value in bits.view(np.float64).tolist()], dtype="S")
+    spelled = table.view(np.uint8).reshape(len(table), -1)[index.reshape(rows.shape)]
+    head, between, tail = (np.broadcast_to(text, (len(rows), len(text))) for text in _CENTER_TEXT)
+    parts = [head]
+    for column in spelled.transpose(1, 0, 2):
+        parts += [column, between]
+    parts[-1] = tail
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")[:-2].decode("ascii")
 
 
 @lru_cache(maxsize=1)
@@ -133,7 +156,7 @@ def _witness_rows(rows: np.ndarray) -> str:
     return block.tobytes().translate(None, b"\0")[:-2].decode("ascii")
 
 
-def encode_packing(p: Packing) -> bytes:
+def _packing_pieces(p: Packing):
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": p.dimension,
@@ -144,10 +167,13 @@ def encode_packing(p: Packing) -> bytes:
             "upper": p.window.upper.tolist(),
             "margin": p.window.margin,
         },
-        # Python floats: numpy 2 reprs a np.float64 as "np.float64(...)"
-        "centers": p.centers.tolist(),
+        "centers": p.centers,
     }
-    return "".join(_json_pieces(doc, ("centers",), _center_rows)).encode("utf-8")
+    return _json_pieces(doc, ("centers",), _center_rows)
+
+
+def encode_packing(p: Packing) -> bytes:
+    return "".join(_packing_pieces(p)).encode("utf-8")
 
 
 def _holds_bool(value) -> bool:
@@ -202,8 +228,8 @@ def decode_packing(data: bytes) -> Packing:
 
 
 def save_packing(p: Packing, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_packing(p))
+    """Stream the packing file to ``path`` without building its whole text."""
+    _write_pieces(_packing_pieces(p), path)
 
 
 def load_packing(path) -> Packing:
@@ -294,5 +320,10 @@ def check_entry_invariants(p: Packing, entry: CatalogEntry) -> list:
 
 def write_report(report: dict, path) -> None:
     """Stream the report to ``path`` without building its whole text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_pieces(report, ("separability", "violations"), _witness_rows))
+    _write_pieces(_json_pieces(report, ("separability", "violations"), _witness_rows), path)
+
+
+def _write_pieces(pieces, path) -> None:
+    # newline="" writes each "\n" as is, on every platform
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(pieces)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .contact import ContactGraph, build_contact_graph, checked_graph
 from .core import TOL, Packing
-from .errors import InvalidValueError, reals
+from .errors import InvalidValueError, MalformedInputError, reals
 
 WINDOW_CERTIFIED = "WindowCertified"
 VIOLATION_FOUND = "ViolationFound"
@@ -230,7 +230,10 @@ def sep_measure_sequence(family, windows) -> SepSequenceReport:
     ``family`` maps a half-width L to a Packing, such as a window of a
     named catalog packing.
     """
-    windows = reals(windows, "window half-widths").tolist()
+    windows = reals(windows, "window half-widths")
+    if windows.ndim != 1:
+        raise MalformedInputError(f"window half-widths must be one sequence, not {windows.shape}")
+    windows = windows.tolist()
     if len(windows) < 2 or any(b <= a for a, b in zip(windows, windows[1:])):
         raise InvalidValueError("need at least 2 strictly increasing window half-widths")
     values = [certify_total_separability(family(l)).sep for l in windows]

@@ -55,6 +55,11 @@ class TestBuildContactGraph:
         assert build_contact_graph(Packing(np.zeros((0, 2)))).edge_count == 0
         assert build_contact_graph(Packing([[0.0, 0.0]])).edge_count == 0
 
+    def test_an_empty_edge_list_is_a_graph_without_edges(self):
+        g = ContactGraph(3, [])
+        assert g.edges.shape == (0, 2)
+        assert g.degrees.tolist() == [0, 0, 0]
+
     def test_min_contact_distance_without_contact_is_nan(self):
         p = Packing([[0.0, 0.0], [3.0, 0.0]])
         assert math.isnan(min_contact_distance(build_contact_graph(p), p))

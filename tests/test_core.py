@@ -312,6 +312,12 @@ VALUE_ERROR_CASES = {
     # a graph must have one vertex per sphere, and its edges join its vertices
     "ContactGraph-edge-range": lambda: ContactGraph(3, [[0, 5]]),
     "ContactGraph-negative-edge": lambda: ContactGraph(3, [[-1, 2]]),
+    # an edge list is (m, 2), and half-widths are a sequence
+    "ContactGraph-three-column-edge": lambda: ContactGraph(3, [[0, 1, 2]]),
+    "ContactGraph-flat-edge": lambda: ContactGraph(3, [0, 1]),
+    "sep_measure_sequence-one-number": lambda: sep_measure_sequence(
+        partial(generate_named, "P1"), 5
+    ),
     "certify_total_separability-other-graph": lambda: certify_total_separability(
         generate_named("P1", 8), graph=_p1_graph_and_packing()[0]
     ),
@@ -329,6 +335,7 @@ WRONG_KIND = {
     "Packing-int-label", "Window-string-margin", "Window.cube-string-half-width",
     "OrbitSpec-string-seed", "signed_permutation_orbit-strings", "generate_named-string-window",
     "sep_measure_sequence-strings", "ContactGraph-float-edge", "ContactGraph-float-count",
+    "ContactGraph-three-column-edge", "ContactGraph-flat-edge", "sep_measure_sequence-one-number",
 }
 
 # the public names that read no number of their own, each with the reason

@@ -47,6 +47,18 @@ class TestRoundTrip:
         q = load_packing(path)
         assert np.array_equal(p.centers, q.centers)
 
+    def test_saving_a_large_window_holds_one_chunk_at_a_time(self, tmp_path):
+        # P1 at L = 300 has 90,601 spheres and a 2.6 MB file.  A Python float
+        # and a repr per coordinate and the whole text at once peaked at
+        # 16.7 MB; streamed one chunk of 4,096 rows at a time, with each
+        # distinct value spelled once, the save peaks at 0.4 MB.  The bound
+        # is below the file's size, so a writer that holds the whole text
+        # fails it.
+        p = generate_named("P1", 300)
+        with traced_peak() as peak:
+            save_packing(p, tmp_path / "p1.json")
+        assert peak[0] < 2_000_000
+
     def test_encode_is_deterministic(self):
         p = generate_named("K9", 8)
         assert encode_packing(p) == encode_packing(p)
@@ -263,16 +275,55 @@ class TestWriterMatchesStandardEncoder:
         assert encode_packing(p) == oracle_encode_packing(p)
         assert np.array_equal(decode_packing(encode_packing(p)).centers, p.centers)
 
-    @given(
-        st.lists(
-            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
-            max_size=6,
-        )
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # chunks of 3 rows (rows are kept in lexicographic order): -0.0
+            # beside 0.0 in the first chunk, 0.5 and 1.25 repeated across chunks
+            [[0.0, -0.0], [-0.0, 0.5], [0.0, 0.5],
+             [0.5, 0.5], [0.5, 1.25], [1.25, 0.5],
+             [1.25, 1.25]],
+            # both 24-character spellings in one chunk with short ones, and
+            # one of them again in the next chunk
+            [[-1.7976931348623157e308, -0.00012345678901234567],
+             [-2.2250738585072014e-308, 5e-324], [5e-324, 0.0],
+             [1.0, -2.2250738585072014e-308]],
+            # d = 1 and d = 4
+            [[-0.0], [0.0], [1.5], [1.5]],
+            [[-0.0, -0.0, 1e-7, 1e16], [1.0, -0.0, 0.0, 2.5],
+             [1.0, 2.5, 1.0, 2.5], [2.5, 1.0, -1.0, 0.0]],
+        ],
+        ids=["signed-zeros-and-repeats", "longest-spellings", "d1", "d4"],
     )
-    @settings(max_examples=50, deadline=None)
-    def test_arbitrary_finite_coordinates(self, rows):
-        p = Packing(np.array(rows, dtype=float).reshape(-1, 2), Window.cube(1, 2))
+    def test_spelling_tables_across_chunks(self, rows, monkeypatch):
+        monkeypatch.setattr(packio, "_CHUNK_ROWS", 3)
+        p = Packing(rows, Window.cube(1, len(rows[0])))
+        assert p.centers.tolist() == rows
         assert encode_packing(p) == oracle_encode_packing(p)
+        back = decode_packing(encode_packing(p)).centers
+        assert np.array_equal(back.view(np.uint64), p.centers.view(np.uint64))
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_arbitrary_finite_coordinates(self, d, data):
+        # values from a small pool, so that rows repeat them within and
+        # across chunks of 3 rows
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        pool = data.draw(st.lists(values, min_size=1, max_size=4))
+        rows = data.draw(
+            st.lists(st.lists(st.sampled_from(pool), min_size=d, max_size=d), max_size=8)
+        )
+        p = Packing(np.array(rows, dtype=float).reshape(-1, d), Window.cube(1, d))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(packio, "_CHUNK_ROWS", 3)
+            assert encode_packing(p) == oracle_encode_packing(p)
+
+    def test_save_packing_writes_the_encoded_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(packio, "_CHUNK_ROWS", 3)
+        k9 = Packing(generate_named("K9", 6).centers, None, 1.0, "caf\u00e9 \u2200x")
+        for p in (k9, Packing(np.zeros((0, 3)), Window.cube(4, 3))):
+            save_packing(p, tmp_path / "p.json")
+            assert (tmp_path / "p.json").read_bytes() == encode_packing(p)
 
     @pytest.mark.parametrize(
         "label",
