@@ -25,12 +25,7 @@ from .contact_numbers import (
     polyomino_oracle,
     quasi_square_packing,
 )
-from .core import (
-    TOL,
-    Packing,
-    Window,
-    min_pairwise_distance,
-)
+from .core import TOL, Packing, Window
 from .diagonal import (
     DiagonalConstruction,
     diagonal_construction,
@@ -94,7 +89,6 @@ __all__ = [
     "load_catalog",
     "load_packing",
     "min_contact_distance",
-    "min_pairwise_distance",
     "orbit_generate",
     "polyomino_oracle",
     "product_packing",

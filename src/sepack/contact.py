@@ -1,9 +1,9 @@
 """Contact graphs: touching pairs, degrees, regularity, triangle detection.
 
-An edge joins spheres i and j when their center distance lies in the
-closed band [2 - TOL, 2 + TOL]; a symmetric band is used because the
-catalog coordinates involve sqrt(2)/sqrt(3) irrationals that cannot hit
-2 exactly in floating point.
+The spheres have radius 1, so an edge joins spheres i and j when their
+center distance lies in the closed band [2 - TOL, 2 + TOL]; a symmetric
+band is used because the catalog coordinates involve sqrt(2)/sqrt(3)
+irrationals that cannot hit 2 exactly in floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import InvalidValueError, MalformedInputError, integer, integers
 
 @dataclass(frozen=True, eq=False)
 class ContactGraph:
-    """Vertices are sphere indices; edges are touching pairs (i < j)."""
+    """Vertices are sphere indices; edges are touching pairs (i < j), each once."""
 
     vertex_count: int
     edges: np.ndarray  # (m, 2) int array, rows sorted, lexicographically ordered
@@ -34,6 +34,8 @@ class ContactGraph:
             raise InvalidValueError(f"edges must join vertices 0 .. {vertex_count - 1}")
         edges = np.sort(edges, axis=1)
         edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        if np.any(edges[:, 0] == edges[:, 1]) or np.any(np.all(edges[1:] == edges[:-1], axis=1)):
+            raise InvalidValueError("edges must join two distinct vertices, each pair once")
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 
@@ -50,9 +52,8 @@ class ContactGraph:
 def build_contact_graph(p: Packing) -> ContactGraph:
     """Find all touching pairs of a valid packing; one KD-tree query both
     validates the packing and finds the contacts."""
-    r = 2.0 * p.radius
-    pairs, dists = valid_pairs_within(p, r + TOL)
-    return ContactGraph(p.n_spheres, pairs[dists >= r - TOL])
+    pairs, dists = valid_pairs_within(p, 2.0 + TOL)
+    return ContactGraph(p.n_spheres, pairs[dists >= 2.0 - TOL])
 
 
 def checked_graph(g: ContactGraph, p: Packing) -> ContactGraph:

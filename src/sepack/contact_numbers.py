@@ -180,7 +180,7 @@ class Polyomino:
         centers = 2.0 * cells + 1.0
         lo = 2.0 * cells.min(axis=0)
         hi = 2.0 * (cells.max(axis=0) + 1.0)
-        return Packing(centers, Window(lo - TOL, hi + TOL, 0.0), 1.0, label)
+        return Packing(centers, Window(lo - TOL, hi + TOL, 0.0), label)
 
 
 def choose_box(n: int, d: int) -> tuple:

@@ -1,9 +1,11 @@
 """Fundamental packing model: centers, windows, tolerance, pair queries.
 
-All packings are unit-sphere packings normalized so that touching spheres
-have center distance exactly 2.  Centers are kept in canonical
-lexicographic order so that generated files and reports are reproducible
-bit for bit.  Values are immutable after construction and safe to share.
+All packings are packings of unit spheres: every sphere has radius 1, so
+touching spheres have center distance 2 (within TOL), and a closer pair
+overlaps.  The radius is a fact of the model, not a field.  Centers are
+kept in canonical lexicographic order so that generated files and
+reports are reproducible bit for bit.  Values are immutable after
+construction and safe to share.
 
 The overlap check has one route: valid_pairs_within, the pair query of
 contact.build_contact_graph, raises InvalidPackingError on the first
@@ -22,7 +24,7 @@ from ._kdtree import cKDTree
 from .errors import (
     InvalidPackingError,
     MalformedInputError,
-    UndefinedDistanceError,
+    SizeLimitError,
     integer,
     real,
     reals,
@@ -77,7 +79,10 @@ class Window:
     @classmethod
     def cube(cls, half_width: float, dimension: int, margin: float = 3.0) -> "Window":
         """Symmetric window [-L, L]^d."""
-        l = np.full(integer(dimension, "dimension", least=1), real(half_width, "half-width"))
+        d = integer(dimension, "dimension", least=1)
+        if d > POINT_BUDGET:
+            raise SizeLimitError(f"dimension {d} is over the budget of {POINT_BUDGET}")
+        l = np.full(d, real(half_width, "half-width"))
         return cls(-l, l, margin)
 
     @property
@@ -119,17 +124,17 @@ def _canonical(centers: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Packing:
-    """A finite window of a unit-sphere packing in R^d.
+    """A finite window of a packing of unit spheres (radius 1) in R^d.
 
     Centers are stored as an (n, d) float array in canonical lexicographic
-    order.  The non-overlap condition (pairwise distance >= 2*radius) is a
+    order.  The non-overlap condition (pairwise distance >= 2) is a
     checked property, not a constructor guarantee: build_contact_graph
-    raises InvalidPackingError on an overlap.
+    raises InvalidPackingError on an overlap.  The default window is the
+    centers' bounding box padded by the radius 1.
     """
 
     centers: np.ndarray
     window: Window = None
-    radius: float = 1.0
     label: str = ""
 
     def __post_init__(self):
@@ -140,19 +145,14 @@ class Packing:
             raise MalformedInputError(f"centers must be an (n, d) array, got shape {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise MalformedInputError("centers must be finite")
-        radius = real(self.radius, "radius")
-        if not (np.isfinite(radius) and radius > 0):
-            raise MalformedInputError(f"radius must be finite and positive, got {radius}")
         if not isinstance(self.label, str):
             raise MalformedInputError(f"label must be a str, got {type(self.label).__name__}")
-        object.__setattr__(self, "radius", radius)
         centers = _canonical(centers)
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         if self.window is None:
-            pad = radius if len(centers) else 1.0
-            lo = centers.min(axis=0) - pad if len(centers) else np.zeros(centers.shape[1])
-            hi = centers.max(axis=0) + pad if len(centers) else np.ones(centers.shape[1])
+            lo = centers.min(axis=0) - 1.0 if len(centers) else np.zeros(centers.shape[1])
+            hi = centers.max(axis=0) + 1.0 if len(centers) else np.ones(centers.shape[1])
             object.__setattr__(self, "window", Window(lo, hi, 0.0))
         if self.window.dimension != centers.shape[1]:
             raise MalformedInputError(
@@ -173,15 +173,16 @@ def valid_pairs_within(p: Packing, reach: float):
     """Pairs (i, j) of centres at distance <= reach, with their distances,
     from the one KD-tree query that also validates the packing.
 
-    reach must be at least 2*radius - TOL, so the query holds every
-    overlapping pair (distance < 2*radius - TOL); the lexicographically
-    first of them raises InvalidPackingError with its pair and distance.
+    The spheres have radius 1, so a pair closer than 2 - TOL overlaps.
+    reach must be at least 2 - TOL, so the query holds every overlapping
+    pair; the lexicographically first of them raises InvalidPackingError
+    with its pair and distance.
     """
     if p.n_spheres < 2:
         return np.zeros((0, 2), dtype=np.intp), np.zeros(0)
     pairs = cKDTree(p.centers).query_pairs(r=reach, output_type="ndarray")
     dists = np.linalg.norm(p.centers[pairs[:, 0]] - p.centers[pairs[:, 1]], axis=1)
-    overlap = _first_overlap(pairs, dists, 2.0 * p.radius - TOL)
+    overlap = _first_overlap(pairs, dists, 2.0 - TOL)
     if overlap is not None:
         pair, distance = overlap
         raise InvalidPackingError(
@@ -199,12 +200,3 @@ def _first_overlap(pairs: np.ndarray, dists: np.ndarray, threshold: float):
     pairs = np.sort(pairs[bad], axis=1)
     first = np.lexsort((pairs[:, 1], pairs[:, 0]))[0]
     return (int(pairs[first, 0]), int(pairs[first, 1])), float(dists[bad][first])
-
-
-def min_pairwise_distance(p: Packing) -> float:
-    """Smallest center-to-center distance over all pairs."""
-    if p.n_spheres < 2:
-        raise UndefinedDistanceError("min pairwise distance needs at least 2 centers")
-    tree = cKDTree(p.centers)
-    dists, _ = tree.query(p.centers, k=2)
-    return float(dists[:, 1].min())

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contact import ContactGraph, RegularityVerdict, build_contact_graph, is_k_regular
-from .core import TOL, Packing, Window
+from .core import POINT_BUDGET, TOL, Packing, Window
 from .errors import SizeLimitError, UnsupportedDimensionError, integer
 from .generators import OrbitSpec
 
@@ -98,6 +98,8 @@ def diagonal_spec(d: int) -> OrbitSpec:
     d = integer(d, "d")
     if d < 2:
         raise UnsupportedDimensionError(f"the diagonal family needs d >= 2, got {d}")
+    if d * d > POINT_BUDGET:
+        raise SizeLimitError(f"a basis of {d} x {d} values is over the budget of {POINT_BUDGET}")
     basis = np.vstack([np.ones(d), 2.0 * np.eye(d)[:-1]])
     return OrbitSpec(np.ones(d), (2.0 + 2.0 / math.sqrt(d)) * basis)
 
@@ -133,7 +135,7 @@ def diagonal_construction(d: int, depth: int) -> DiagonalConstruction:
 
     pad = 1.0 + TOL
     window = Window(centers.min(axis=0) - pad, centers.max(axis=0) + pad, 0.0)
-    packing = Packing(centers[order], window, 1.0, f"diagonal d={d} depth={depth}")
+    packing = Packing(centers[order], window, f"diagonal d={d} depth={depth}")
     return DiagonalConstruction(d, depth, packing, lattice, saturated)
 
 

@@ -5,14 +5,16 @@ a packing file gives.  A value of the wrong kind or shape raises
 MalformedInputError: a string, a bool, a ragged list, a float for an
 integer, an array that numpy casts to float64 or int64 only with loss
 (objects, uint64 to int64).  A number out of its range raises
-InvalidValueError.  Both are ValueErrors.  Geometry that bounds no
-packing (a coordinate that is not finite, an inverted window, a radius
-that is not positive) is malformed data.
+InvalidValueError.  Both are ValueErrors.  A numpy timedelta is not an
+integer, although numpy files it under the signed integers.  Geometry
+that bounds no packing (a coordinate that is not finite, an inverted
+window) is malformed data.
 
 Every size that an argument sets is counted against its budget before
 the work starts, and one over it raises SizeLimitError: the images of an
 orbit seed, the probe and the padded window of an orbit window, a
-product, a diagonal construction, the cells of a contact-number
+product, a diagonal construction, the dimension of a cube window and
+the basis of the diagonal family, the cells of a contact-number
 construction, the power inside cd_upper_bound.
 """
 
@@ -41,10 +43,6 @@ class InvalidPackingError(SepackError):
 
 class InvalidValueError(SepackError, ValueError):
     """A value of the right kind is out of its range (a count below 1, ...)."""
-
-
-class UndefinedDistanceError(SepackError):
-    """Pairwise distance requested on fewer than two centers."""
 
 
 class UnknownCatalogIdError(SepackError):
@@ -90,7 +88,7 @@ class InconsistentVerdictError(SepackError):
 
 def integer(value, name: str, least: int | None = None) -> int:
     """value as a Python int, at least ``least`` when that is given."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if isinstance(value, (bool, np.timedelta64)) or not isinstance(value, numbers.Integral):
         raise MalformedInputError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise InvalidValueError(f"{name} must be >= {least}, got {value}")

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._kdtree import cKDTree
 from .catalog import CATALOG_ONLY, load_catalog
-from .core import POINT_BUDGET, TOL, Packing, Window, lex_less, min_pairwise_distance
+from .core import POINT_BUDGET, TOL, Packing, Window, lex_less, valid_pairs_within
 from .errors import (
     InvalidValueError,
     MalformedInputError,
@@ -371,7 +371,7 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     ball = radius + TOL * (1 + np.abs([low, high]).max())
     cells = gap <= ball**2
     centers = _at(tables, grid[:, cells])[alive[cells]] * scale
-    return Packing(centers[window.contains(centers)], window, 1.0, label)
+    return Packing(centers[window.contains(centers)], window, label)
 
 
 # the triangular lattice and the apeirogon (centers on the even integers,
@@ -388,17 +388,14 @@ def product_packing(p: Packing, q: Packing, label: str = "") -> Packing:
 
     Contacts occur exactly when one coordinate block matches and the
     other block is a factor contact, so the contact graph is the graph
-    Cartesian product and interior degrees add.
+    Cartesian product and interior degrees add.  The spheres have radius
+    1: a factor with an overlapping pair raises InvalidPackingError, and
+    one of two or more spheres without a pair at distance 2 (within TOL)
+    raises NormalizationRequiredError.
     """
     for factor in (p, q):
-        if factor.radius != 1.0:
-            raise NormalizationRequiredError("product factors must have radius 1")
-        if factor.n_spheres >= 2:
-            delta = min_pairwise_distance(factor)
-            if abs(delta - 2.0) > TOL:
-                raise NormalizationRequiredError(
-                    f"product factor has contact distance {delta}, expected 2"
-                )
+        if factor.n_spheres >= 2 and not len(valid_pairs_within(factor, 2.0 + TOL)[0]):
+            raise NormalizationRequiredError("product factor has no pair at contact distance 2")
     return _cartesian(p, q, label or f"{p.label or 'P'}x{q.label or 'Q'}")
 
 
@@ -422,7 +419,7 @@ def _cartesian(p: Packing, q: Packing, label: str) -> Packing:
         np.concatenate([p.window.upper, q.window.upper]),
         max(p.window.margin, q.window.margin),
     )
-    return Packing(centers, window, 1.0, label)
+    return Packing(centers, window, label)
 
 
 # ---------------------------------------------------------------------------

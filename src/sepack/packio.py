@@ -1,10 +1,11 @@
 """Packing files and verification reports.
 
-One packing per file, JSON with sorted keys.  Coordinates are written as
-shortest round-trip decimals, so decode(encode(p)) reproduces the center
-array bit for bit.  Reports are separate documents with stable field
-names; the timing field is informational and excluded from any
-determinism comparison.
+One packing per file, JSON with sorted keys.  The spheres have radius 1:
+a file states ``"radius": 1.0``, and a file with any other radius is
+rejected.  Coordinates are written as shortest round-trip decimals, so
+decode(encode(p)) reproduces the center array bit for bit.  Reports are
+separate documents with stable field names; the timing field is
+informational and excluded from any determinism comparison.
 
 Both documents are the text of ``json.dumps(doc, indent=1,
 sort_keys=True)`` plus a newline, but neither runs its bulk list (a
@@ -38,7 +39,7 @@ import numpy as np
 from .catalog import CatalogEntry
 from .contact import build_contact_graph, contains_triangle, is_k_regular
 from .core import Packing, Window
-from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError, reals
+from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError, real, reals
 from .separability import VIOLATION_FOUND, WINDOW_CERTIFIED, certify_total_separability
 
 FORMAT_VERSION = 1
@@ -160,7 +161,7 @@ def _packing_pieces(p: Packing):
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": p.dimension,
-        "radius": p.radius,
+        "radius": 1.0,
         "label": p.label,
         "window": {
             "lower": p.window.lower.tolist(),
@@ -220,7 +221,10 @@ def decode_packing(data: bytes) -> Packing:
         if centers.shape[1:] != (doc["dimension"],) and centers.shape != (0,):
             raise PackingParseError(f"centers must be a list of {doc['dimension']}-long rows")
         centers = centers.reshape(-1, doc["dimension"])
-        return Packing(centers, window, doc["radius"], doc.get("label", ""))
+        radius = real(doc["radius"], "radius")
+        if radius != 1.0:
+            raise PackingParseError(f"radius must be 1.0, got {radius}")
+        return Packing(centers, window, doc.get("label", ""))
     except PackingParseError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -84,11 +84,12 @@ def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[in
     """Count clean edges and collect violation witnesses as (i, j, sphere) rows.
 
     Edge e with unit normal u_e and offset b_e is dirty when some center x
-    has |x . u_e - b_e| < r' = radius - TOL.  Edges are grouped by
-    their sign-canonical normal rounded to 1e-6; group g keeps one normal
-    u_g, and every edge of the group is flipped to s_e u_e, s_e = +-1,
-    to face the same way.  A center x with |x . s_e u_e - s_e b_e| < r'
-    has a projection x . u_g within r' + slack of s_e b_e, where
+    has |x . u_e - b_e| < r' = 1 - TOL, the unit radius less TOL.  Edges
+    are grouped by their sign-canonical normal rounded to 1e-6; group g
+    keeps one normal u_g, and every edge of the group is flipped to
+    s_e u_e, s_e = +-1, to face the same way.  A center x with
+    |x . s_e u_e - s_e b_e| < r' has a projection x . u_g within r' + slack
+    of s_e b_e, where
 
         slack = max_e |u_g - s_e u_e|_1 * X + 1e-12 + 4 d^2 eps X,
         X = max_x |x|_inf,
@@ -138,7 +139,7 @@ def _edge_cleanliness(p: Packing, g: ContactGraph, full_audit: bool) -> tuple[in
     key = key[by_group]
     starts = np.flatnonzero(np.any(key[1:] != key[:-1], axis=1)) + 1
 
-    reach = p.radius - TOL
+    reach = 1.0 - TOL
     extent = float(np.max(np.abs(centers)))
     rounding = _ROUNDING + 4 * p.dimension**2 * np.finfo(float).eps * extent
     hit_keys = [np.zeros(0, dtype=np.int64)]

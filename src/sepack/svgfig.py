@@ -31,7 +31,7 @@ def render_svg(p: Packing, show_edges: bool = False, show_tangents: bool = False
             f"svg export is for d=2 only, got d={p.dimension}"
         )
     lo, hi = p.window.lower, p.window.upper
-    pad = p.radius + 0.5
+    pad = 1.5
     width = (hi[0] - lo[0] + 2 * pad) * _SCALE
     height = (hi[1] - lo[1] + 2 * pad) * _SCALE
 
@@ -68,7 +68,7 @@ def render_svg(p: Packing, show_edges: bool = False, show_tangents: bool = False
     for center in p.centers:
         cx, cy = to_px(center)
         lines.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(p.radius * _SCALE)}"/>\n'
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(_SCALE)}"/>\n'
         )
     lines.append("</g>\n")
 

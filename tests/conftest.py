@@ -175,7 +175,7 @@ def oracle_orbit_generate(spec, window, label=""):
     points, closest = oracle_dedup(points[inside])
 
     centers = points * (2.0 / closest)
-    return Packing(centers[window.contains(centers)], window, 1.0, label)
+    return Packing(centers[window.contains(centers)], window, label)
 
 
 def bad_packing_files() -> dict:
@@ -212,7 +212,7 @@ def oracle_encode_packing(p: Packing) -> bytes:
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": p.dimension,
-        "radius": p.radius,
+        "radius": 1.0,
         "label": p.label,
         "window": {
             "lower": p.window.lower.tolist(),
@@ -482,7 +482,7 @@ def random_rotation(d, rng):
 def transformed(p: Packing, rotation, translation) -> Packing:
     """Apply an isometry to all centers (window becomes a bounding box)."""
     centers = p.centers @ rotation.T + translation
-    return Packing(centers, None, p.radius, p.label)
+    return Packing(centers, None, p.label)
 
 
 @pytest.fixture

@@ -90,7 +90,16 @@ class TestGenVerifyPipeline:
         pack.write_text(pack.read_text().replace('"radius": 1.0', f'"radius": {radius}'))
         assert run("verify", str(pack), "--report", str(rep)) == 2
         assert run("measure", str(pack)) == 2
-        assert "finite and positive" in capsys.readouterr().err
+        assert "radius must be 1.0" in capsys.readouterr().err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("radius", ["2.0", "0.5"])
+    def test_radius_other_than_one_exits_2_without_report(self, tmp_path, capsys, radius):
+        pack, rep = tmp_path / "p.json", tmp_path / "r.json"
+        assert run("gen", "--name", "P1", "--window", "4", "--out", str(pack)) == 0
+        pack.write_text(pack.read_text().replace('"radius": 1.0', f'"radius": {radius}'))
+        assert run("verify", str(pack), "--report", str(rep)) == 2
+        assert capsys.readouterr().err == f"error: radius must be 1.0, got {radius}\n"
         assert not rep.exists()
 
 
@@ -211,6 +220,35 @@ class TestOtherCommands:
 
     def test_missing_file_is_error(self, capsys):
         assert run("measure", "/nonexistent/file.json") == 2
+
+
+# arguments out of range or of the wrong kind, one case per check a command
+# reaches; the commands that write a file get an --out
+ARGUMENT_ERRORS = {
+    "gen-nan-window": ["gen", "--name", "P1", "--window", "nan"],
+    "gen-negative-window": ["gen", "--name", "P1", "--window", "-1"],
+    "gen-negative-margin": ["gen", "--name", "P1", "--window", "4", "--margin", "-1"],
+    "contact-opt-zero-n": ["contact-opt", "--n", "0", "--d", "2"],
+    "contact-opt-d1": ["contact-opt", "--n", "5", "--d", "1"],
+    "formulas-zero-n": ["formulas", "--n", "0", "--d", "3"],
+    "construct-diagonal-d1": ["construct-diagonal", "--d", "1", "--depth", "1"],
+    "construct-diagonal-negative-depth": ["construct-diagonal", "--d", "2", "--depth", "-1"],
+    "sep-sequence-decreasing": ["sep-sequence", "--name", "P1", "--windows", "6,4"],
+    "sep-sequence-one-window": ["sep-sequence", "--name", "P1", "--windows", "6"],
+    "sep-sequence-not-a-number": ["sep-sequence", "--name", "P1", "--windows", "6,x"],
+}
+WRITES_A_FILE = {"gen", "contact-opt", "construct-diagonal"}
+
+
+@pytest.mark.parametrize("case", list(ARGUMENT_ERRORS))
+def test_argument_error_exits_2_with_one_line_and_no_file(tmp_path, capsys, case):
+    argv, out = ARGUMENT_ERRORS[case], tmp_path / "x.json"
+    if argv[0] in WRITES_A_FILE:
+        argv = [*argv, "--out", str(out)]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestRepeatedCalls:

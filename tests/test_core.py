@@ -1,4 +1,3 @@
-import math
 from functools import partial
 
 import numpy as np
@@ -17,7 +16,6 @@ from sepack import (
     interior_regularity_check,
     is_k_regular,
     min_contact_distance,
-    min_pairwise_distance,
 )
 from sepack import catalog
 from sepack.contact_numbers import (
@@ -35,20 +33,18 @@ from sepack.errors import (
     InvalidPackingError,
     MalformedInputError,
     SepackError,
-    UndefinedDistanceError,
+    SizeLimitError,
 )
 from sepack.generators import generate_named, signed_permutation_orbit
 from sepack.separability import sep_measure_sequence
 
 from conftest import (
     bad_packing_files,
-    brute_force_min_distance,
     random_rotation,
+    traced_peak,
     transformed,
     within_seconds,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 
 class TestWindow:
@@ -154,36 +150,6 @@ class TestOverlapCheck:
         for _ in range(5):
             q = transformed(p, random_rotation(2, rng), rng.uniform(-9, 9, 2))
             assert build_contact_graph(q).edge_count == contacts
-
-
-class TestMinPairwiseDistance:
-    def test_collinear(self):
-        assert min_pairwise_distance(Packing([[0.0], [2.0], [5.0]])) == 2.0
-
-    def test_unit_square(self):
-        p = Packing([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        assert min_pairwise_distance(p) == pytest.approx(1.0)
-
-    def test_bitruncated_motif_is_sqrt2(self):
-        # motif = signed permutations of (0,1,2) with its body-centered
-        # lattice neighbors (cells share vertices, so dedup first);
-        # oracle = full quadratic scan
-        motif = signed_permutation_orbit(np.array([0.0, 1.0, 2.0]))
-        shifts = [np.zeros(3), np.array([2.0, 2.0, 2.0]), np.array([4.0, 0.0, 0.0])]
-        pts = np.unique(np.vstack([motif + s for s in shifts]), axis=0)
-        oracle = brute_force_min_distance(pts)
-        assert oracle == pytest.approx(SQRT2, abs=1e-12)
-        assert min_pairwise_distance(Packing(pts)) == pytest.approx(oracle, abs=1e-12)
-
-    def test_requires_two_centers(self):
-        with pytest.raises(UndefinedDistanceError):
-            min_pairwise_distance(Packing([[0.0, 0.0]]))
-
-    def test_matches_brute_force_on_random_points(self, rng):
-        pts = rng.uniform(-5, 5, size=(40, 3))
-        assert min_pairwise_distance(Packing(pts)) == pytest.approx(
-            brute_force_min_distance(pts), abs=1e-12
-        )
 
 
 class TestInteriorBand:
@@ -294,8 +260,6 @@ VALUE_ERROR_CASES = {
     # a value of the wrong kind: each of these built, truncated its value or
     # raised an error of numpy's or Python's before errors read every number
     "Packing-string-centers": lambda: Packing([["0", "0"], ["2", "0"]]),
-    "Packing-string-radius": lambda: Packing(_TWO, radius="1"),
-    "Packing-bool-radius": lambda: Packing(_TWO, radius=True),
     "Packing-int-label": lambda: Packing(_TWO, label=5),
     "Window-string-margin": lambda: Window([0], [1], margin="1"),
     "Window.cube-string-half-width": lambda: Window.cube("3", 2),
@@ -315,6 +279,12 @@ VALUE_ERROR_CASES = {
     # an edge list is (m, 2), and half-widths are a sequence
     "ContactGraph-three-column-edge": lambda: ContactGraph(3, [[0, 1, 2]]),
     "ContactGraph-flat-edge": lambda: ContactGraph(3, [0, 1]),
+    # an edge joins two distinct vertices, and each pair once: a loop or a
+    # repeat was kept, and contains_triangle read it as a triangle
+    "ContactGraph-self-loop": lambda: ContactGraph(3, [[1, 1], [1, 2]]),
+    "ContactGraph-repeated-edge": lambda: ContactGraph(3, [[0, 1], [1, 2], [1, 0]]),
+    # numpy files a timedelta under the signed integers; int() of one failed
+    "c2_formula-timedelta": lambda: c2_formula(np.timedelta64(1, "s")),
     "sep_measure_sequence-one-number": lambda: sep_measure_sequence(
         partial(generate_named, "P1"), 5
     ),
@@ -331,11 +301,11 @@ VALUE_ERROR_CASES = {
 }
 
 WRONG_KIND = {
-    "Packing-string-centers", "Packing-string-radius", "Packing-bool-radius",
-    "Packing-int-label", "Window-string-margin", "Window.cube-string-half-width",
-    "OrbitSpec-string-seed", "signed_permutation_orbit-strings", "generate_named-string-window",
-    "sep_measure_sequence-strings", "ContactGraph-float-edge", "ContactGraph-float-count",
-    "ContactGraph-three-column-edge", "ContactGraph-flat-edge", "sep_measure_sequence-one-number",
+    "Packing-string-centers", "Packing-int-label", "Window-string-margin",
+    "Window.cube-string-half-width", "OrbitSpec-string-seed", "signed_permutation_orbit-strings",
+    "generate_named-string-window", "sep_measure_sequence-strings", "ContactGraph-float-edge",
+    "ContactGraph-float-count", "ContactGraph-three-column-edge", "ContactGraph-flat-edge",
+    "sep_measure_sequence-one-number", "c2_formula-timedelta",
 }
 
 # the public names that read no number of their own, each with the reason
@@ -353,7 +323,6 @@ NO_NUMBER_READ = {
     "contains_triangle": "takes a ContactGraph",
     "encode_packing": "takes a Packing",
     "load_packing": "takes a path; decode_packing reads the file's numbers",
-    "min_pairwise_distance": "takes a Packing",
     "orbit_generate": "takes an OrbitSpec, a Window and a label",
     "product_packing": "takes two Packings and a label",
     "render_svg": "takes a Packing and two flags",
@@ -371,6 +340,21 @@ def test_out_of_range_values_raise_a_typed_value_error(case):
     assert isinstance(info.value, ValueError)
     if case in WRONG_KIND:
         assert isinstance(info.value, MalformedInputError)
+
+
+# a dimension that sets the size of an array, each past the address space:
+# counted against the budget before numpy is asked for the memory
+SIZE_LIMIT_CASES = {
+    "diagonal_spec": lambda: diagonal_spec(10**7),
+    "Window.cube": lambda: Window.cube(3, 10**15),
+}
+
+
+@pytest.mark.parametrize("case", list(SIZE_LIMIT_CASES))
+def test_dimensions_are_counted_before_allocation(case):
+    with traced_peak() as peak, pytest.raises(SizeLimitError):
+        SIZE_LIMIT_CASES[case]()
+    assert peak[0] < 1_000_000
 
 
 def test_every_public_name_is_in_the_table():

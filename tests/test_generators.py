@@ -17,7 +17,6 @@ from sepack import (
     generate_named,
     is_k_regular,
     load_catalog,
-    min_pairwise_distance,
     orbit_generate,
     product_packing,
     signed_permutation_orbit,
@@ -169,7 +168,7 @@ class TestGenerateNamed:
         g = build_contact_graph(p)
         i, j = g.edges[0]
         midpoint = (p.centers[i] + p.centers[j]) / 2.0
-        bad = Packing(np.vstack([p.centers, midpoint]), p.window, 1.0, "K6")
+        bad = Packing(np.vstack([p.centers, midpoint]), p.window, "K6")
         with pytest.raises(InvalidPackingError):
             check_entry_invariants(bad, load_catalog()["K6"])
 
@@ -191,7 +190,6 @@ class TestGenerateNamed:
     def test_triangular_reference_family(self):
         p = generate_named("TRI", 8)
         assert build_contact_graph(p).edge_count > 0  # raises on an overlap
-        assert min_pairwise_distance(p) == pytest.approx(2.0, abs=1e-9)
 
 
 class TestProductPacking:
@@ -223,6 +221,12 @@ class TestProductPacking:
         bad = Packing([[0.0, 0.0], [3.0, 0.0]])
         with pytest.raises(NormalizationRequiredError):
             product_packing(bad, generate_named("A", 4))
+
+    def test_rejects_an_overlapping_factor(self):
+        bad = Packing([[0.0, 0.0], [1.5, 0.0], [4.0, 0.0]])
+        with pytest.raises(InvalidPackingError) as info:
+            product_packing(generate_named("A", 4), bad)
+        assert info.value.pair == (0, 1) and info.value.distance == 1.5
 
     @pytest.mark.parametrize("name", ["J9", "O9", "O45", "O66", "O78"])
     def test_factor_windows_without_a_contact(self, name):
@@ -295,7 +299,7 @@ class TestOrbitGeneration:
         # on one 45-degree-rotated square grid of spacing 2
         spec = OrbitSpec(np.array([1.0, 0.0]), 4.0 * np.eye(2))
         p = orbit_generate(spec, Window.cube(10, 2))
-        assert min_pairwise_distance(p) == pytest.approx(2.0, abs=1e-9)
+        assert build_contact_graph(p).edge_count > 0  # raises on an overlap
         rot = np.array([[1.0, 1.0], [-1.0, 1.0]]) / SQRT2
         uv = p.centers @ rot.T
         assert np.allclose(uv, np.round(uv), atol=1e-9)

@@ -112,6 +112,27 @@ def test_every_import_is_used(name):
     assert unused == [], f"{name}.py imports names it never uses (line, name): {unused}"
 
 
+def _raised_names(tree) -> set:
+    """The names of the exceptions a module's raise statements make."""
+    raised = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    return raised
+
+
+def test_every_error_type_is_raised():
+    # an error class that nothing raises is an unused path: its callers
+    # were deleted and it stayed behind
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(
+        *(_raised_names(ast.parse((PACKAGE / f"{name}.py").read_text())) for name in MODULES)
+    )
+    assert declared - {"SepackError"} - raised == set()
+
+
 def _reads_dtype_kind(tree) -> list:
     """Lines that read ``<expression>.dtype.kind``."""
     return [

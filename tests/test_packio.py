@@ -38,7 +38,7 @@ class TestRoundTrip:
             assert np.array_equal(p.centers, q.centers), name
             assert np.array_equal(p.window.lower, q.window.lower)
             assert q.window.margin == p.window.margin
-            assert q.label == p.label and q.radius == p.radius
+            assert q.label == p.label
 
     def test_file_helpers(self, tmp_path):
         p = generate_named("K6", 6)
@@ -99,7 +99,16 @@ class TestDecodeErrors:
         data = encode_packing(generate_named("P1", 4)).replace(
             b'"radius": 1.0', b'"radius": ' + radius.encode()
         )
-        with pytest.raises(MalformedInputError, match="finite and positive"):
+        with pytest.raises(MalformedInputError, match="radius must be 1.0"):
+            decode_packing(data)
+
+    @pytest.mark.parametrize("radius", ["2.0", "0.5"])
+    def test_radius_other_than_one(self, radius):
+        # the spheres have radius 1; such a file was read with contact distance 4 or 1
+        data = encode_packing(generate_named("P1", 4)).replace(
+            b'"radius": 1.0', b'"radius": ' + radius.encode()
+        )
+        with pytest.raises(PackingParseError, match=f"radius must be 1.0, got {radius}"):
             decode_packing(data)
 
     @pytest.mark.parametrize(
@@ -136,7 +145,7 @@ class TestDecodeErrors:
     def test_true_in_a_label_still_decodes(self):
         # the bool check runs when the bytes spell true or false anywhere
         p = generate_named("A", 4)
-        p = Packing(p.centers, p.window, p.radius, "true or false")
+        p = Packing(p.centers, p.window, "true or false")
         assert encode_packing(decode_packing(encode_packing(p))) == encode_packing(p)
 
     def test_hand_written_fixture(self):
@@ -205,7 +214,7 @@ class TestVerifyReport:
         p = generate_named("P1", 8)
         interior = np.flatnonzero(p.window.interior_mask(p.centers))
         gone = interior[len(interior) // 2]
-        holed = Packing(np.delete(p.centers, gone, axis=0), p.window, p.radius, p.label)
+        holed = Packing(np.delete(p.centers, gone, axis=0), p.window, p.label)
         assert build_verify_report(p)["regularity"] == {"status": "regular", "k": 4}
         assert build_verify_report(holed)["regularity"] == {"status": "irregular", "k": None}
 
@@ -320,7 +329,7 @@ class TestWriterMatchesStandardEncoder:
 
     def test_save_packing_writes_the_encoded_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(packio, "_CHUNK_ROWS", 3)
-        k9 = Packing(generate_named("K9", 6).centers, None, 1.0, "caf\u00e9 \u2200x")
+        k9 = Packing(generate_named("K9", 6).centers, None, "caf\u00e9 \u2200x")
         for p in (k9, Packing(np.zeros((0, 3)), Window.cube(4, 3))):
             save_packing(p, tmp_path / "p.json")
             assert (tmp_path / "p.json").read_bytes() == encode_packing(p)
@@ -332,7 +341,7 @@ class TestWriterMatchesStandardEncoder:
          '"violations": ' + json.dumps(_BULK), "\\"],
     )
     def test_awkward_labels(self, label, tmp_path):
-        p = Packing(generate_named("TRI", 4).centers, None, 1.0, label)
+        p = Packing(generate_named("TRI", 4).centers, None, label)
         assert encode_packing(p) == oracle_encode_packing(p)
         assert decode_packing(encode_packing(p)).label == label
         _assert_report_matches_oracle(build_verify_report(p, full_audit=True), tmp_path)
