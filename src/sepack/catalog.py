@@ -54,6 +54,8 @@ class CatalogEntry:
 
 def _parse_entry(raw: dict) -> CatalogEntry:
     cons = raw["construction"]
+    if cons["kind"] not in ("orbit", "product", CATALOG_ONLY):
+        raise InvalidValueError(f"{raw['id']} has an unknown construction kind {cons['kind']!r}")
     orbit = {}
     if cons["kind"] == "orbit":
         orbit = {

@@ -2,7 +2,8 @@
 
 integer, real, integers and reals read every number that an argument or
 a packing file gives.  A value of the wrong kind or shape raises
-MalformedInputError: a string, a bool, a ragged list, a float for an
+MalformedInputError: a string, a bool, a list that holds a bool among its
+numbers (numpy reads it as numbers), a ragged list, a float for an
 integer, an array that numpy casts to float64 or int64 only with loss
 (objects, uint64 to int64).  A number out of its range raises
 InvalidValueError.  Both are ValueErrors.  A numpy timedelta is not an
@@ -115,11 +116,28 @@ def integers(values, name: str) -> np.ndarray:
 
 def _cast(values, name: str, dtype) -> np.ndarray:
     """values as a dtype array, if numpy reads them as an array that it casts
-    safely to dtype, or an empty one: a string reads as text, a bool as bool."""
+    safely to dtype, or an empty one: a string reads as text, a bool as bool.
+    numpy reads a bool beside numbers as a number, so a list or tuple is
+    walked for bools; an array's dtype speaks for its values, so a caller
+    that has ruled bools out (decode_packing) hands an array."""
     try:
         array = np.asarray(values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"{name} must be a rectangular array: {exc}") from exc
     if array.size and (array.dtype.kind == "b" or not np.can_cast(array.dtype, dtype)):
         raise MalformedInputError(f"{name} must hold {dtype.__name__} numbers, not {array.dtype}")
+    if isinstance(values, (list, tuple)) and holds_bool(values):
+        raise MalformedInputError(f"{name} must hold numbers, not bools")
     return array.astype(dtype, copy=False)
+
+
+def holds_bool(value) -> bool:
+    """Whether value is a bool or holds one in its lists, tuples, dicts or arrays."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (list, tuple, dict)):
+            stack.extend(value.values() if isinstance(value, dict) else value)
+        elif isinstance(value, bool) or getattr(value, "dtype", None) == np.bool_:
+            return True
+    return False

@@ -468,11 +468,10 @@ def generate_named(name: str, window, margin: float = 3.0) -> Packing:
     if entry.kind == "orbit":
         spec = OrbitSpec(entry.seeds, entry.lattice, entry.centering)
         return orbit_generate(spec, window, entry.id)
-    if entry.kind == "product":
-        left_id, right_id = entry.factors
-        left_dim = 1 if left_id == "A" else load_catalog()[left_id].dimension
-        right_dim = entry.dimension - left_dim
-        left = generate_named(left_id, _block_window(window, 0, left_dim))
-        right = generate_named(right_id, _block_window(window, left_dim, right_dim))
-        return _cartesian(left, right, entry.id)
-    raise UnsupportedConstructionError(f"unknown construction kind {entry.kind!r}")
+    # a product, the one kind left: catalog._parse_entry admits no other
+    left_id, right_id = entry.factors
+    left_dim = 1 if left_id == "A" else load_catalog()[left_id].dimension
+    right_dim = entry.dimension - left_dim
+    left = generate_named(left_id, _block_window(window, 0, left_dim))
+    right = generate_named(right_id, _block_window(window, left_dim, right_dim))
+    return _cartesian(left, right, entry.id)

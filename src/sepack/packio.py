@@ -8,23 +8,22 @@ separate documents with stable field names; the timing field is
 informational and excluded from any determinism comparison.
 
 Both documents are the text of ``json.dumps(doc, indent=1,
-sort_keys=True)`` plus a newline, but neither runs its bulk list (a
+sort_keys=True)`` plus a newline, and ``json.dumps`` is the only code here
+that decides that layout.  Neither document runs its bulk list (a
 packing's ``centers``, a report's ``separability.violations``) through
-the encoder, whose indented mode costs one Python call per token.  The
-small rest of the document, with a placeholder in the bulk list's place,
-goes through ``json.dumps`` and is split at the placeholder; the bulk
-rows are written in chunks between the halves, each chunk spelled by
-numpy as one block of fixed template bytes at the indentation
-``json.dumps`` gives that depth, with no Python object per row.  A
-center row's coordinates are spelled by ``repr`` (the encoder's
-``float.__repr__``; coordinates are finite), each distinct value of the
-chunk once, and gathered from that table (see ``_center_rows``); a
-witness row (i, j, sphere) of the certifier's (k, 3) integer array
-becomes the object ``{"edge": [i, j], "sphere": sphere}``, its digits
-looked up in a table of digit groups (see ``_witness_rows``).  An empty
-bulk list is written as ``[]``, as the encoder does.  ``save_packing``
-and ``write_report`` stream the pieces to the file, so neither holds the
-whole text.
+the encoder row by row, whose indented mode costs one Python call per
+token.  ``_json_pieces`` dumps the document once with a single
+placeholder row in the bulk list, cuts out that row's literal text, and
+writes the rows in chunks from it: numpy spells each value of a chunk
+NUL-padded, lays the spellings between the row's literal text as one
+block, and deletes the NULs.  A center row's coordinates are spelled by
+``repr`` (the encoder's ``float.__repr__``; coordinates are finite), each
+distinct value of the chunk once, in bytes; a witness row (i, j, sphere)
+of the certifier's (k, 3) integer array becomes the object ``{"edge":
+[i, j], "sphere": sphere}``, its digits looked up in a table of 4-byte
+digit groups.  Each unit measured the faster for its own data.
+``save_packing`` and ``write_report`` stream the pieces to the file, so
+neither holds the whole text.
 """
 
 from __future__ import annotations
@@ -39,82 +38,74 @@ import numpy as np
 from .catalog import CatalogEntry
 from .contact import build_contact_graph, contains_triangle, is_k_regular
 from .core import Packing, Window
-from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError, real, reals
+from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError
+from .errors import holds_bool, real, reals
 from .separability import VIOLATION_FOUND, WINDOW_CERTIFIED, certify_total_separability
 
 FORMAT_VERSION = 1
 
-# stands in for the bulk list in the json.dumps text of the rest of a document
-_BULK = "<bulk rows>"
+# marks a value in the placeholder row of a bulk list
+_VALUE = "<value>"
 # bulk rows joined per write
 _CHUNK_ROWS = 4096
-# a center row's literal text before its first value, between two values,
-# and after its last value up to the ",\n" that joins it to the next row
-_CENTER_TEXT = [
-    np.frombuffer(text, dtype=np.uint8) for text in (b"  [\n   ", b",\n   ", b"\n  ],\n")
-]
-# a witness row's literal text around its three values "i", "j" and
-# "sphere", up to the ",\n" that joins it to the next row, as uint32
-# words NUL-padded at the end
-_WITNESS_WORDS = [
-    np.frombuffer(text + bytes(-len(text) % 4), dtype=np.uint32)
-    for text in (
-        b'   {\n    "edge": [\n     ',
-        b",\n     ",
-        b'\n    ],\n    "sphere": ',
-        b"\n   },\n",
-    )
-]
 
 
-def _json_pieces(doc: dict, path: tuple, chunk_text):
+def _json_pieces(doc: dict, path: tuple, row, spell):
     """Yield ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"`` in pieces.
 
-    ``path`` is the key path of the bulk list in ``doc``; ``chunk_text``
-    encodes a slice of its rows, joined by ``",\\n"``, at indentation
-    ``len(path) + 1``.  The placeholder is searched for together with its
-    key, which occurs once in the document; a string value cannot spell
-    that pair, since every quote inside an encoded string is escaped.
+    ``path`` is the key path of the bulk list in ``doc``; ``row`` is the
+    JSON shape of one row, with ``_VALUE`` in each value's place.  The
+    document is dumped once with ``[row]`` as that list and split at the
+    list's opening line (its key, ``: [`` and a newline, which no encoded
+    string holds) and at its closing bracket, alone on a line at the
+    list's indentation: the head, the row's literal text, and the tail.
+    An empty list dumps as ``[]``, has no opening line, and passes whole.
+
+    ``spell`` maps a slice of rows to an (n, values per row, width) array
+    of their values' spellings, NUL-padded, in bytes or 4-byte words.  A
+    chunk is one block of the row's literal text, padded to that unit,
+    with the spellings between; its NULs are deleted.
     """
     skeleton = dict(doc)
     parent = skeleton
     for key in path[:-1]:
         parent[key] = dict(parent[key])
         parent = parent[key]
-    rows, parent[path[-1]] = parent[path[-1]], _BULK
-    key = json.dumps(path[-1]) + ": "
+    rows = parent[path[-1]]
+    parent[path[-1]] = [row] if len(rows) else []
     text = json.dumps(skeleton, indent=1, sort_keys=True)
-    head, _, tail = text.partition(key + json.dumps(_BULK))
-    yield head + key
-    if len(rows) == 0:
-        yield "[]"
-    else:
-        separator = "[\n"
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            yield separator + chunk_text(rows[start : start + _CHUNK_ROWS])
-            separator = ",\n"
-        yield "\n" + " " * len(path) + "]"
-    yield tail + "\n"
+    head, opening, rest = text.partition(json.dumps(path[-1]) + ": [\n")
+    row_text, closing, tail = rest.partition("\n" + " " * len(path) + "]")
+    pieces = [piece.encode("ascii") for piece in (row_text + ",\n").split(json.dumps(_VALUE))]
+    yield head + opening
+    separator = ""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        spelled = spell(rows[start : start + _CHUNK_ROWS])
+        if start == 0:
+            # the first chunk is the longest: its literal columns serve every chunk
+            unit = spelled.dtype
+            words = [np.frombuffer(p + bytes(-len(p) % unit.itemsize), unit) for p in pieces]
+            literals = [np.broadcast_to(w, (len(spelled), len(w))) for w in words]
+        parts = [literals[0][: len(spelled)]]
+        for column, literal in zip(spelled.transpose(1, 0, 2), literals[1:]):
+            parts += [column, literal[: len(spelled)]]
+        block = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+        yield separator + block[:-2].decode("ascii")
+        separator = ",\n"
+    yield closing + tail + "\n"
 
 
-def _center_rows(rows: np.ndarray) -> str:
-    """The center rows of an (n, d) float64 array, joined by ``",\\n"``.
+def _float_spellings(rows: np.ndarray) -> np.ndarray:
+    """The spellings of an (n, d) float64 array's values, (n, d, width).
 
     Each distinct value of the chunk, told apart by its bits so that -0.0
     is not 0.0, is spelled once by ``repr`` of a Python float (numpy 2
     reprs a np.float64 as "np.float64(...)") into a NUL-padded byte table
-    as wide as its longest spelling.  The table is gathered into an (n, d,
-    width) block, joined with the template's bytes, and the NULs deleted.
+    as wide as its longest spelling, and gathered from that table.
     """
     bits, index = np.unique(rows.view(np.uint64), return_inverse=True)
     table = np.array([repr(value) for value in bits.view(np.float64).tolist()], dtype="S")
-    spelled = table.view(np.uint8).reshape(len(table), -1)[index.reshape(rows.shape)]
-    head, between, tail = (np.broadcast_to(text, (len(rows), len(text))) for text in _CENTER_TEXT)
-    parts = [head]
-    for column in spelled.transpose(1, 0, 2):
-        parts += [column, between]
-    parts[-1] = tail
-    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")[:-2].decode("ascii")
+    return table.view(np.uint8).reshape(len(table), -1)[index.reshape(rows.shape)]
 
 
 @lru_cache(maxsize=1)
@@ -132,29 +123,22 @@ def _digit_groups() -> np.ndarray:
     return groups
 
 
-def _witness_rows(rows: np.ndarray) -> str:
-    """The witness objects of (i, j, sphere) index rows, joined by ``",\\n"``.
+def _integer_spellings(rows: np.ndarray) -> np.ndarray:
+    """The decimal spellings of an (n, k) array of nonnegative integers,
+    (n, k, 4 * limbs).
 
-    The chunk is built as one block of 4-byte words: per row the
-    template's literal words around three values of ``limbs`` digit groups
-    each, enough for the chunk's largest value.  A value's base-10^4 limb
-    is looked up in ``_digit_groups`` by its prefix, the value without the
-    limbs below: a prefix of 10^4 or more takes the zero-padded group, a
-    smaller one the group without leading zeros, and a prefix of 0 the NUL
-    group, except in the last limb, whose 0 is spelled "0".  Deleting the
-    block's NULs leaves the decimal spellings ``json.dumps`` gives.
+    Each value takes ``limbs`` digit groups, enough for the chunk's largest
+    value.  A value's base-10^4 limb is looked up in ``_digit_groups`` by
+    its prefix, the value without the limbs below: a prefix of 10^4 or
+    more takes the zero-padded group, a smaller one the group without
+    leading zeros, and a prefix of 0 the NUL group, except in the last
+    limb, whose 0 is spelled "0".
     """
-    values = rows.reshape(-1)
-    limbs = (len(str(values.max())) + 3) // 4
-    prefix = values[:, None] // 10_000 ** np.arange(limbs - 1, -1, -1)
+    limbs = (len(str(rows.max())) + 3) // 4
+    prefix = rows[..., None] // 10_000 ** np.arange(limbs - 1, -1, -1)
     index = prefix % 10_000 + 10_000 * (prefix < 10_000)
-    index[:, :-1] += 10_000 * (prefix[:, :-1] == 0)
-    digits = _digit_groups()[index].reshape(len(rows), 3, limbs)
-    text = [np.broadcast_to(words, (len(rows), len(words))) for words in _WITNESS_WORDS]
-    block = np.concatenate(
-        [text[0], digits[:, 0], text[1], digits[:, 1], text[2], digits[:, 2], text[3]], axis=1
-    )
-    return block.tobytes().translate(None, b"\0")[:-2].decode("ascii")
+    index[..., :-1] += 10_000 * (prefix[..., :-1] == 0)
+    return _digit_groups()[index]
 
 
 def _packing_pieces(p: Packing):
@@ -170,25 +154,11 @@ def _packing_pieces(p: Packing):
         },
         "centers": p.centers,
     }
-    return _json_pieces(doc, ("centers",), _center_rows)
+    return _json_pieces(doc, ("centers",), [_VALUE] * p.dimension, _float_spellings)
 
 
 def encode_packing(p: Packing) -> bytes:
     return "".join(_packing_pieces(p)).encode("utf-8")
-
-
-def _holds_bool(value) -> bool:
-    """Whether a JSON value is a bool or holds one at any depth."""
-    stack = [value]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, bool):
-            return True
-        if isinstance(value, dict):
-            value = list(value.values())
-        if isinstance(value, list):
-            stack.extend(value)
-    return False
 
 
 def decode_packing(data: bytes) -> Packing:
@@ -210,14 +180,14 @@ def decode_packing(data: bytes) -> Packing:
         raise PackingVersionError(
             f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}"
         )
-    # no field is a bool, and a list that mixes bools and floats reads as
-    # floats below; without true or false in the bytes there is no bool, so
-    # the common file skips this pass over every value
-    if (b"true" in data or b"false" in data) and _holds_bool(doc):
+    # no field is a bool; without true or false in the bytes there is no
+    # bool, so the common file skips this pass over every value, and the
+    # centers reach reals as an array, which it does not walk again
+    if (b"true" in data or b"false" in data) and holds_bool(doc):
         raise PackingParseError("a packing file holds no JSON booleans")
     try:
         window = Window(doc["window"]["lower"], doc["window"]["upper"], doc["window"]["margin"])
-        centers = reals(doc["centers"], "centers")
+        centers = reals(np.asarray(doc["centers"]), "centers")
         if centers.shape[1:] != (doc["dimension"],) and centers.shape != (0,):
             raise PackingParseError(f"centers must be a list of {doc['dimension']}-long rows")
         centers = centers.reshape(-1, doc["dimension"])
@@ -324,7 +294,9 @@ def check_entry_invariants(p: Packing, entry: CatalogEntry) -> list:
 
 def write_report(report: dict, path) -> None:
     """Stream the report to ``path`` without building its whole text."""
-    _write_pieces(_json_pieces(report, ("separability", "violations"), _witness_rows), path)
+    witness = {"edge": [_VALUE, _VALUE], "sphere": _VALUE}
+    pieces = _json_pieces(report, ("separability", "violations"), witness, _integer_spellings)
+    _write_pieces(pieces, path)
 
 
 def _write_pieces(pieces, path) -> None:

@@ -181,8 +181,9 @@ def oracle_orbit_generate(spec, window, label=""):
 def bad_packing_files() -> dict:
     """Packing files, by case, that decode_packing must turn away with a
     PackingParseError: a scalar of the wrong JSON type, centers nested
-    past the parser's recursion limit, a coordinate no float holds, and a
-    string where a number belongs (it would re-encode as other bytes)."""
+    past the parser's recursion limit, a coordinate no float holds, a
+    string where a number belongs (it would re-encode as other bytes),
+    bytes that are not UTF-8, and a JSON array."""
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": 2,
@@ -201,10 +202,13 @@ def bad_packing_files() -> dict:
         "center-string": {"centers": [["-6.0", 0.0], [2.0, 0.0]]},
     }
     deep = ("[" * 100_000 + "]" * 100_000).encode()
-    return {
+    files = {
         case: json.dumps({**doc, **change}).encode().replace(b'"DEEP"', deep)
         for case, change in cases.items()
     }
+    files["not-utf-8"] = json.dumps(doc).encode().replace(b"two", b"tw\xff")
+    files["json-array"] = json.dumps([doc]).encode()
+    return files
 
 
 def oracle_encode_packing(p: Packing) -> bytes:

@@ -273,6 +273,19 @@ VALUE_ERROR_CASES = {
     "ContactGraph-float-count": lambda: ContactGraph(2.5, [[0, 1]]),
     "diagonal_spec-float-d": lambda: diagonal_spec(2.5),
     "decode_packing-string-radius": lambda: decode_packing(bad_packing_files()["radius-string"]),
+    # numpy reads a bool beside floats as a float: these built with True as 1.0
+    "Packing-bool-centers": lambda: Packing([[True, 0.5], [3.0, 0.0]]),
+    "Window-bool-bound": lambda: Window([True, 0.0], [2.0, 2.0]),
+    "OrbitSpec-bool-seed": lambda: OrbitSpec([[True, 0.5]], [[2.0, 0.0], [0.0, 2.0]]),
+    # shapes that do not fit together
+    "Window-unequal-bounds": lambda: Window([0.0, 0.0], [1.0]),
+    "Window-list-margin": lambda: Window([0.0], [1.0], margin=[1.0]),
+    "Packing-3d-centers": lambda: Packing(np.zeros((2, 2, 2))),
+    "Packing-window-dimension": lambda: Packing(_TWO, Window.cube(4, 3)),
+    "OrbitSpec-centering-arity": lambda: OrbitSpec(
+        [[1.0, 0.0]], [[2.0, 0.0], [0.0, 2.0]], centering=[[0.0, 0.0, 0.0]]
+    ),
+    "generate_named-window-dimension": lambda: generate_named("K6", Window.cube(4, 3)),
     # a graph must have one vertex per sphere, and its edges join its vertices
     "ContactGraph-edge-range": lambda: ContactGraph(3, [[0, 5]]),
     "ContactGraph-negative-edge": lambda: ContactGraph(3, [[-1, 2]]),
@@ -305,7 +318,10 @@ WRONG_KIND = {
     "Window.cube-string-half-width", "OrbitSpec-string-seed", "signed_permutation_orbit-strings",
     "generate_named-string-window", "sep_measure_sequence-strings", "ContactGraph-float-edge",
     "ContactGraph-float-count", "ContactGraph-three-column-edge", "ContactGraph-flat-edge",
-    "sep_measure_sequence-one-number", "c2_formula-timedelta",
+    "sep_measure_sequence-one-number", "c2_formula-timedelta", "Packing-bool-centers",
+    "Window-bool-bound", "OrbitSpec-bool-seed", "Window-unequal-bounds", "Window-list-margin",
+    "Packing-3d-centers", "Packing-window-dimension", "OrbitSpec-centering-arity",
+    "generate_named-window-dimension",
 }
 
 # the public names that read no number of their own, each with the reason

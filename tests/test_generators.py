@@ -30,7 +30,7 @@ from sepack.errors import (
     UnknownCatalogIdError,
     UnsupportedConstructionError,
 )
-from sepack import core
+from sepack import catalog, core
 from sepack.cli import build_parser
 from sepack.core import POINT_BUDGET, TOL
 from sepack.diagonal import diagonal_construction, diagonal_spec
@@ -74,6 +74,12 @@ class TestCatalog:
     def test_unknown_id_lists_valid_names(self):
         with pytest.raises(UnknownCatalogIdError, match="P1.*K6"):
             generate_named("Q7", 6)
+
+    def test_unknown_construction_kind_is_turned_away(self):
+        # generate_named builds the three kinds the catalog admits, and no other
+        raw = {"id": "X1", "dimension": 2, "regularity": 4, "construction": {"kind": "spiral"}}
+        with pytest.raises(InvalidValueError, match="X1.*spiral"):
+            catalog._parse_entry(raw)
 
 
 class TestApeirogon:
@@ -155,12 +161,21 @@ class TestGenerateNamed:
         assert check_entry_invariants(p, load_catalog()["K6"]) == []
         assert sorted(calls) == ["certify", "tree"]
 
-    def test_invariant_suite_without_contact(self):
-        # both spheres are interior with degree 0, not the catalog's 3
-        p = Packing([[0.0, 0.0], [3.0, 0.0]])
-        assert check_entry_invariants(p, load_catalog()["K6"]) == [
-            "regularity regular (k=0), expected regular (k=3)"
-        ]
+    @pytest.mark.parametrize(
+        "build, broken",
+        [
+            # both spheres are interior with degree 0, not the catalog's 3
+            (lambda: Packing([[0.0, 0.0], [3.0, 0.0]]),
+             ["regularity regular (k=0), expected regular (k=3)"]),
+            # the triangular lattice breaks all three invariants
+            (lambda: generate_named("TRI", 8),
+             ["regularity regular (k=6), expected regular (k=3)", "triangle [0, 5, 9]",
+              "separability ViolationFound (sep=0)"]),
+        ],
+        ids=["without-contact", "triangular-lattice"],
+    )
+    def test_invariant_suite_lists_what_breaks(self, build, broken):
+        assert check_entry_invariants(build(), load_catalog()["K6"]) == broken
 
     def test_invariant_suite_rejects_overlap(self):
         # a sphere centred on a contact point of the K6 window overlaps two

@@ -5,7 +5,8 @@ A ``sepack`` import inside a function hides a dependency from the module
 graph, and is how an import cycle gets dodged rather than removed.  Imports
 of other packages may be deferred: ``_kdtree`` loads ``scipy.spatial`` on
 the first tree build.  A name imported and never used is a dependency
-that is not one, left behind when its use was deleted.
+that is not one, left behind when its use was deleted, as is a private
+name that no module of the package reads.
 """
 
 import ast
@@ -110,6 +111,43 @@ def test_every_import_is_used(name):
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
     unused = [(line, n) for line, n in _unused_imports(tree) if (name, n) not in UNUSED_ALLOWED]
     assert unused == [], f"{name}.py imports names it never uses (line, name): {unused}"
+
+
+def _private_definitions(tree) -> dict:
+    """The private functions, classes and constants a module defines at
+    module level, with their lines; dunder names are not private."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {
+        name: line
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+
+
+def _read_names(tree) -> set:
+    """The names a module reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_private_name_is_read():
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text()) for name in MODULES}
+    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    unread = {
+        name: sorted((line, n) for n, line in _private_definitions(tree).items() if n not in read)
+        for name, tree in trees.items()
+    }
+    assert {name: found for name, found in unread.items() if found} == {}
 
 
 def _raised_names(tree) -> set:

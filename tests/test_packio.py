@@ -25,7 +25,7 @@ from sepack.errors import (
     SepackError,
 )
 from sepack import packio
-from sepack.packio import _BULK, write_report
+from sepack.packio import _VALUE, write_report
 
 from conftest import bad_packing_files, oracle_encode_packing, oracle_write_report, traced_peak
 
@@ -336,9 +336,10 @@ class TestWriterMatchesStandardEncoder:
 
     @pytest.mark.parametrize(
         "label",
-        ['say "hi"', "nul\x00byte", "caf\u00e9 \u2200x \U0001f600", _BULK,
-         json.dumps(_BULK), '"centers": ' + json.dumps(_BULK),
-         '"violations": ' + json.dumps(_BULK), "\\"],
+        ['say "hi"', "nul\x00byte", "caf\u00e9 \u2200x \U0001f600", "<bulk rows>",
+         '"<bulk rows>"', '"centers": "<bulk rows>"', '"violations": "<bulk rows>"', "\\",
+         _VALUE, json.dumps(_VALUE), '"centers": [\n', '"violations": [\n',
+         ' ]\n}', '  ]\n'],
     )
     def test_awkward_labels(self, label, tmp_path):
         p = Packing(generate_named("TRI", 4).centers, None, label)

@@ -130,6 +130,8 @@ class TestCertifyTotalSeparability:
         assert brief != full
         assert full == replace(full, violations=full.violations.copy())
         assert full != replace(full, violations=full.violations[::-1])
+        # a tuple of the same fields is not a report
+        assert full != (full.clean_edges, full.total_edges, full.sep, full.violations, full.status)
 
 
 class TestSepMeasureSequence:
