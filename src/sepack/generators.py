@@ -20,11 +20,19 @@ lattice cells, widened until no type left out can come closer, which
 never builds the grid's points.  It runs twice: on the probe, the 3^d
 cells around the origin, whose contact distance sizes a window padded
 by lattice periods all round, and on that padded window, whose closest
-pair gives the scale.  One kernel, _live_pairs, walks the (cell, pair
-type) pairs with both ends in a mask for both rules; each pair type is
-listed one way.  Then only the cells whose bounding ball meets the
+pair gives the scale.  Then only the cells whose bounding ball meets the
 window are tiled, and their surviving points are scaled so the closest
 pair sits at distance exactly 2, and cropped.
+
+The sweep has two kernels, chosen from the input.  The general one,
+_live_pairs, walks the (cell, pair type) pairs with both ends in a mask,
+for the survivor rule and for the sweep alike; each pair type is listed
+one way.  On a separable grid (translate coordinate k varies along grid
+axis k alone, as on a diagonal lattice) with no near-duplicate types,
+the survivors are the box's points and every coordinate depends on one
+axis position: _axis_sweep takes each type's least square as the sum,
+in axis order, of its least square per axis, the same bits in far fewer
+operations, and the survivor mask is built only for the cells tiled.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,10 +63,11 @@ SQRT3 = math.sqrt(3.0)
 # inseparable packing (every contact's tangent line meets a third circle)
 TRIANGULAR_ID = "TRI"
 
-# most values one step of the box test or of the pair kernel holds in one
+# most values one step of the box test or of a pair kernel holds in one
 # array: the box test takes the raw points of the padded window (at most
-# POINT_BUDGET) a coordinate at a time, and _live_pairs the (cell, pair
-# type) pairs of one offset; only the cells that meet the window are tiled
+# POINT_BUDGET) a coordinate at a time, _live_pairs the (cell, pair type)
+# pairs of one offset, and _axis_sweep the (axis position, pair type) pairs
+# of one step along one axis; only the cells that meet the window are tiled
 _SWEEP_CHUNK = 1 << 17
 
 
@@ -135,8 +145,11 @@ class OrbitSpec:
         lattice = reals(self.lattice, "lattice")
         centering = np.zeros((1, d)) if self.centering is None else self.centering
         centering = np.atleast_2d(reals(centering, "centering"))
-        if seeds.ndim != 2 or seeds.size == 0 or centering.ndim != 2 or centering.shape[1] != d:
-            raise MalformedInputError("orbit seeds and centering must be lists of d-vectors")
+        fit = seeds.ndim == 2 and centering.ndim == 2 and centering.shape[1] == d
+        if not fit or seeds.size == 0 or centering.size == 0:
+            raise MalformedInputError(
+                "orbit seeds and centering must be non-empty lists of d-vectors"
+            )
         if not all(np.isfinite(x).all() for x in (seeds, lattice, centering)):
             raise MalformedInputError("orbit seeds, lattice and centering must be finite")
         if lattice.shape != (d, d) or abs(np.linalg.det(lattice)) < 1e-12:
@@ -294,23 +307,75 @@ def _contact_sweep(grid: np.ndarray, tables: tuple, alive: np.ndarray, types) ->
     return float(np.sqrt(least))  # sqrt is monotone: the root of the least square
 
 
+def _axis_lines(grid: np.ndarray):
+    """Coordinate k of the translates along grid axis k, for each k, when
+    coordinate k varies along axis k alone (a diagonal lattice); else None."""
+    lines = []
+    for k, coordinate in enumerate(grid):
+        along = np.moveaxis(coordinate, k, 0).reshape(coordinate.shape[k], -1)
+        if not (along == along[:, :1]).all():
+            return None
+        lines.append(along[:, 0])
+    return lines
+
+
+def _axis_sweep(coords: list, inside: list, types: np.ndarray) -> float:
+    """_contact_sweep's least distance, bit for bit, on a separable grid
+    whose survivors are the box's points.  coords[k] and inside[k] hold
+    coordinate k of each cell point and its box test, over (position on
+    axis k, cell point).  A pair type's live cells are then a product of
+    positions, one set per axis, and its square a float sum of one term per
+    axis; round-to-nearest addition is monotone, so the least sum is the
+    sum, in axis order, of each axis's least term (inf for no position)."""
+    squares, a, b = np.zeros(len(types)), types[:, 0], types[:, 1]
+    for x, ok, steps in zip(coords, inside, types[:, 2:].T):
+        least, width = np.empty(len(types)), max(1, _SWEEP_CHUNK // len(x))
+        for step in np.unique(steps):
+            here = slice(max(0, -step), len(x) - max(0, step))
+            there = slice(max(0, step), len(x) - max(0, -step))
+            group = np.nonzero(steps == step)[0]
+            for start in range(0, len(group), width):
+                sel = group[start : start + width]
+                diff = x[here][:, a[sel]] - x[there][:, b[sel]]
+                live = ok[here][:, a[sel]] & ok[there][:, b[sel]]
+                least[sel] = np.where(live, diff * diff, np.inf).min(axis=0, initial=np.inf)
+        squares += least
+    return float(np.sqrt(squares.min(initial=np.inf)))
+
+
 def _closest(grid, tables: tuple, lattice: np.ndarray, radius: float, low, high, reach) -> tuple:
     """The closest pair of the grid's surviving raw points inside the box
-    [low, high], to the last bit (inf for fewer than two), and the survivor
-    mask.  The pair types within reach (> 0) are swept over every grid cell
-    where both ends survive; while the closest lies further out, the types
-    out to it (out to twice the reach while none is found, up to the grid's
-    span) are swept too, so no type left out can come closer."""
+    [low, high], to the last bit (inf for fewer than two), and a function
+    from a mask of grid cells to those cells' survivor mask, shape (cells,
+    cell points).  The pair types within reach (> 0) are swept over every
+    grid cell where both ends survive; while the closest lies further out,
+    the types out to it (out to twice the reach while none is found, up to
+    the grid's span) are swept too, so no type left out can come closer.
+
+    A separable grid without near types sweeps axis by axis (_axis_sweep)
+    and keeps its box test per axis; any other takes _survivors' mask over
+    every (cell, cell point) and _contact_sweep."""
     near, types = _pair_types(tables, lattice, radius, grid.shape[1:], reach)
-    alive = _survivors(grid, tables, low, high, near)
-    closest = _contact_sweep(grid, tables, alive, types)
+    lines = None if len(near) else _axis_lines(grid)
+    if lines is None:
+        alive = _survivors(grid, tables, low, high, near)
+        sweep, survivors = partial(_contact_sweep, grid, tables, alive), alive.__getitem__
+    else:
+        coords = [_coordinate(tables, k, t[:, None]) for k, t in enumerate(lines)]
+        inside = [(x >= low[k]) & (x <= high[k]) for k, x in enumerate(coords)]
+        sweep = partial(_axis_sweep, coords, inside)
+
+        def survivors(cells):
+            return np.logical_and.reduce([m[i] for m, i in zip(inside, np.nonzero(cells))])
+
+    closest = sweep(types)
     # no pair is further apart than the span of the translates plus a cell's diameter
     span = np.linalg.norm(np.ptp(grid.reshape(len(grid), -1), axis=1)) + 2 * radius
     while closest > reach * (1 + TOL / 2) + TOL / 2 and reach <= span:
         reach = closest if closest < np.inf else 2 * reach
         types = _pair_types(tables, lattice, radius, grid.shape[1:], reach)[1]
-        closest = _contact_sweep(grid, tables, alive, types)
-    return closest, alive
+        closest = sweep(types)
+    return closest, survivors
 
 
 def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
@@ -322,16 +387,21 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     cells, inside the box padded once more, gives the scale, to the last
     bit.  The padded box holds the window, so its survivors are the
     window's points: only the cells whose bounding ball meets the window
-    are tiled, and their surviving points are scaled and cropped.
+    are tiled, and their surviving points are scaled and cropped.  A
+    diagonal lattice without near duplicates is swept axis by axis
+    (_axis_sweep), any other spec by (cell, pair type) pair (_live_pairs);
+    both give the same bits.
 
     The caller is responsible for validating regularity/separability of
-    the result.  Raises SizeLimitError, before building it, when the probe
+    the result.  Raises MalformedInputError for a window whose dimension
+    is not the spec's; SizeLimitError, before building it, when the probe
     or the padded window's cells hold more than POINT_BUDGET raw points,
     and when the n raw points of the probe all lie within n * TOL / 2 of
     its first, too close to scale; InvalidValueError when they lie so far
     apart that a squared distance overflows.
     """
     lattice, d, motif = spec.lattice, spec.dimension, spec.motif()
+    window = _fitting(window, d)
     count = 3.0**d * len(spec.centering) * len(motif)
     if count > POINT_BUDGET:
         raise SizeLimitError(
@@ -360,7 +430,7 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     lo = window.lower / probe_scale - pad
     hi = window.upper / probe_scale + pad
     grid = _lattice_translates(lattice, lo, hi, tables[0].shape[1])
-    closest, alive = _closest(grid, tables, lattice, radius, lo - pad, hi + pad, contact)
+    closest, survivors = _closest(grid, tables, lattice, radius, lo - pad, hi + pad, contact)
     scale = 2.0 / closest
 
     low, high = (window.lower - TOL) / scale, (window.upper + TOL) / scale
@@ -370,7 +440,7 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     # the slack covers the rounding of a point's coordinates and of the crop
     ball = radius + TOL * (1 + np.abs([low, high]).max())
     cells = gap <= ball**2
-    centers = _at(tables, grid[:, cells])[alive[cells]] * scale
+    centers = _at(tables, grid[:, cells])[survivors(cells)] * scale
     return Packing(centers[window.contains(centers)], window, label)
 
 
@@ -425,13 +495,17 @@ def _cartesian(p: Packing, q: Packing, label: str) -> Packing:
 # ---------------------------------------------------------------------------
 # named generation
 
+def _fitting(window: Window, dimension: int) -> Window:
+    if window.dimension != dimension:
+        raise MalformedInputError(
+            f"window dimension {window.dimension} != packing dimension {dimension}"
+        )
+    return window
+
+
 def _as_window(window, dimension: int, margin: float) -> Window:
     if isinstance(window, Window):
-        if window.dimension != dimension:
-            raise MalformedInputError(
-                f"window dimension {window.dimension} != packing dimension {dimension}"
-            )
-        return window
+        return _fitting(window, dimension)
     return Window.cube(window, dimension, margin)
 
 

@@ -35,7 +35,12 @@ from sepack.errors import (
     SepackError,
     SizeLimitError,
 )
-from sepack.generators import generate_named, signed_permutation_orbit
+from sepack.generators import (
+    TRIANGULAR,
+    generate_named,
+    orbit_generate,
+    signed_permutation_orbit,
+)
 from sepack.separability import sep_measure_sequence
 
 from conftest import (
@@ -286,6 +291,9 @@ VALUE_ERROR_CASES = {
         [[1.0, 0.0]], [[2.0, 0.0], [0.0, 2.0]], centering=[[0.0, 0.0, 0.0]]
     ),
     "generate_named-window-dimension": lambda: generate_named("K6", Window.cube(4, 3)),
+    # numpy's bare ValueError: a matmul's mismatch, and a reduction of no values
+    "orbit_generate-window-dimension": lambda: orbit_generate(TRIANGULAR, Window.cube(3, 3)),
+    "OrbitSpec-empty-centering": lambda: OrbitSpec([1.0, 0.0], 3 * np.eye(2), np.zeros((0, 2))),
     # a graph must have one vertex per sphere, and its edges join its vertices
     "ContactGraph-edge-range": lambda: ContactGraph(3, [[0, 5]]),
     "ContactGraph-negative-edge": lambda: ContactGraph(3, [[-1, 2]]),
@@ -321,7 +329,8 @@ WRONG_KIND = {
     "sep_measure_sequence-one-number", "c2_formula-timedelta", "Packing-bool-centers",
     "Window-bool-bound", "OrbitSpec-bool-seed", "Window-unequal-bounds", "Window-list-margin",
     "Packing-3d-centers", "Packing-window-dimension", "OrbitSpec-centering-arity",
-    "generate_named-window-dimension",
+    "generate_named-window-dimension", "orbit_generate-window-dimension",
+    "OrbitSpec-empty-centering",
 }
 
 # the public names that read no number of their own, each with the reason
@@ -339,7 +348,6 @@ NO_NUMBER_READ = {
     "contains_triangle": "takes a ContactGraph",
     "encode_packing": "takes a Packing",
     "load_packing": "takes a path; decode_packing reads the file's numbers",
-    "orbit_generate": "takes an OrbitSpec, a Window and a label",
     "product_packing": "takes two Packings and a label",
     "render_svg": "takes a Packing and two flags",
     "save_packing": "takes a Packing and a path",

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepack import (
     OrbitSpec,
@@ -26,6 +28,7 @@ from sepack.errors import (
     InvalidValueError,
     MalformedInputError,
     NormalizationRequiredError,
+    SepackError,
     SizeLimitError,
     UnknownCatalogIdError,
     UnsupportedConstructionError,
@@ -378,7 +381,10 @@ NEAR = 1.0 + 0.2 * TOL  # a seed coordinate whose orbit copies sit 0.4 TOL apart
 # near duplicates 0.3 TOL apart whose ends are 1.2 TOL apart, which keeps
 # only its lowest point, and chains of eleven centering offsets 0.4 TOL
 # apart whose survivors sit 4 TOL below the probe's raw point 0 and below
-# the raw point nearest it, so the probe's first sweep finds no pair and widens
+# the raw point nearest it, so the probe's first sweep finds no pair and widens;
+# a 4-D window off the origin, and a motif 11.5 wide on 2Z^4 whose padded
+# box leaves 44 pair types no live position on some axis but live ones on
+# the others (counting those on the others alone moves the scale)
 ORBIT_CASES = {
     **{
         f"{name}-L{l}": (lambda name=name: _catalog_spec(name), l, None)
@@ -417,6 +423,14 @@ ORBIT_CASES = {
     "J20-off-origin": (
         lambda: _catalog_spec("J20"), Window([37.5, -12.25, 3.0], [45.0, -4.0, 9.5], 3.0), None
     ),
+    "O103-off-origin": (
+        lambda: _catalog_spec("O103"),
+        Window([13.5, -6.25, 2.0, -20.0], [19.0, 1.5, 6.5, -14.0], 3.0), None,
+    ),
+    "dead-axis-2Z4": (
+        lambda: OrbitSpec([[11.5, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5]], 2.0 * np.eye(4)),
+        Window([-3.0, 2.5, 1.0, 3.0], [0.0, 6.0, 6.5, 7.5]), 12,
+    ),
 }
 
 
@@ -453,11 +467,13 @@ def test_probe_too_far_apart_is_a_value_error(spec):
 
 
 @pytest.mark.parametrize(
-    "case", ["J16-L8", "near-chain-30Z2", "wide-motif-sparse-box", "J20-off-origin"]
+    "case",
+    ["J16-L8", "near-chain-30Z2", "wide-motif-sparse-box", "J20-off-origin", "O103-off-origin"],
 )
 def test_small_sweep_chunks_keep_the_bytes(case, monkeypatch):
     # 64 values a step splits the survivor mask and the contact sweep into
-    # many steps, some of which hold no pair with both ends alive
+    # many steps, some of which hold no pair with both ends alive; the axis
+    # sweep of O103 (960 pair types) takes 9 types a step
     monkeypatch.setattr(generators, "_SWEEP_CHUNK", 64)
     test_orbit_window_matches_padded_oracle(case)
 
@@ -485,6 +501,122 @@ def test_live_pairs_yields_each_live_pair_once(dims, chunk, monkeypatch, rng):
     got = np.concatenate([np.column_stack(c) for c in generators._live_pairs(on, types)])
     assert sorted(map(tuple, got.tolist())) == sorted(expected)
     assert len(expected) > 100
+
+
+def _both_kernels(spec, window, monkeypatch) -> list:
+    """orbit_generate through the kernel the input picks, then through the
+    general one: each run's file (or error), its axis sweeps, and each
+    _closest call's contact distance and survivor mask over every cell."""
+    runs, closest, axis_sweep = [], generators._closest, generators._axis_sweep
+    for general in (False, True):
+        calls, axis_sweeps = [], []
+
+        def recording(grid, *args):
+            found, survivors = closest(grid, *args)
+            calls.append((found, survivors(np.ones(grid.shape[1:], dtype=bool))))
+            return found, survivors
+
+        def counting(*args):
+            axis_sweeps.append(1)
+            return axis_sweep(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(generators, "_closest", recording)
+            patch.setattr(generators, "_axis_sweep", counting)
+            if general:
+                patch.setattr(generators, "_axis_lines", lambda grid: None)
+            try:
+                made = encode_packing(orbit_generate(spec, window))
+            except SepackError as error:
+                made = repr(error)
+        runs.append((made, len(axis_sweeps), calls))
+    return runs
+
+
+def _assert_same_bits(picked, general):
+    assert picked[0] == general[0]
+    assert general[1] == 0
+    assert len(picked[2]) == len(general[2])
+    for (found, mask), (expected, expected_mask) in zip(picked[2], general[2]):
+        assert found.hex() == expected.hex()
+        assert np.array_equal(mask, expected_mask)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [3, 6.5, Window([37.5, -12.25, 3.0, -1.0], [45.0, -4.0, 9.5, 4.0], 2.0)],
+    ids=["L3", "L6.5", "off-origin"],
+)
+@pytest.mark.parametrize("name", ["P1", "K6", "J1", "J20", "O1", "O103", "A"])
+def test_axis_sweep_matches_the_general_sweep(name, window, monkeypatch):
+    # the same contact distance, to the bit, and the same survivors and file
+    spec = APEIROGON if name == "A" else _catalog_spec(name)
+    d = spec.dimension
+    if isinstance(window, Window):
+        window = Window(window.lower[:d], window.upper[:d], window.margin)
+    else:
+        window = Window.cube(window, d)
+    picked, general = _both_kernels(spec, window, monkeypatch)
+    assert picked[1] == 2  # the probe and the padded window
+    _assert_same_bits(picked, general)
+
+
+_TENTHS = st.integers(0, 25).map(lambda n: n / 10)
+
+
+@st.composite
+def _diagonal_specs(draw):
+    """A spec on a diagonal lattice, seeds and offsets in tenths (few of
+    them exact in binary), and a window off the origin."""
+    d = draw(st.integers(1, 3))
+    point = st.lists(_TENTHS, min_size=d, max_size=d)
+    seeds = draw(st.lists(point, min_size=1, max_size=2))
+    offsets = draw(st.lists(point, max_size=1))
+    sides = draw(st.lists(st.integers(15, 50).map(lambda n: n / 10), min_size=d, max_size=d))
+    lower = np.array(draw(st.lists(st.integers(-40, 40), min_size=d, max_size=d))) / 4
+    widths = np.array(draw(st.lists(st.integers(2, 24), min_size=d, max_size=d))) / 4
+    spec = OrbitSpec(seeds, np.diag(sides), [[0.0] * d] + offsets)
+    return spec, Window(lower, lower + widths, 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=_diagonal_specs())
+def test_axis_sweep_matches_the_general_sweep_on_drawn_specs(case):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_same_bits(*_both_kernels(*case, monkeypatch))
+
+
+# the sweeps each name's generation at L = 4 makes, as (general, axis by
+# axis): one for the probe and one for the padded window of each orbit
+# window, a product's for each orbit factor.  J16 and J18 have near-
+# duplicate pair types, P3, K9 and TRI lattices that are not diagonal.
+SWEEP_KERNELS = {
+    "P1": (0, 2), "P3": (2, 0), "K6": (0, 2), "K9": (2, 0),
+    "J1": (0, 2), "J3": (2, 2), "J6": (0, 4), "J9": (2, 2),
+    "J16": (2, 0), "J18": (2, 0), "J20": (0, 2),
+    "O1": (0, 2), "O3": (2, 2), "O6": (0, 4), "O9": (2, 2),
+    "O16": (2, 2), "O18": (2, 2), "O20": (0, 4), "O39": (4, 0), "O42": (2, 2),
+    "O45": (4, 0), "O63": (0, 4), "O66": (2, 2), "O78": (4, 0), "O103": (0, 2),
+    "TRI": (2, 0), "A": (0, 2),
+}
+
+
+def test_each_name_takes_its_sweep_kernel(monkeypatch):
+    sweeps = []
+    for kernel in ("_contact_sweep", "_axis_sweep"):
+        original = getattr(generators, kernel)
+
+        def counting(*args, kernel=kernel, original=original):
+            sweeps.append(kernel)
+            return original(*args)
+
+        monkeypatch.setattr(generators, kernel, counting)
+    taken = {}
+    for name in [*constructible_ids(), "TRI", "A"]:
+        sweeps.clear()
+        generate_named(name, 4)
+        taken[name] = (sweeps.count("_contact_sweep"), sweeps.count("_axis_sweep"))
+    assert taken == SWEEP_KERNELS
 
 
 def test_probe_is_counted_before_it_is_built():
