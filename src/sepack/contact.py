@@ -108,6 +108,8 @@ def is_k_regular(g: ContactGraph, p: Packing, k: int | None = None, indices=None
     if indices is None:
         indices = np.flatnonzero(p.window.interior_mask(p.centers))
     judged = integers(indices, "indices")
+    if judged.ndim != 1:
+        raise MalformedInputError(f"indices must be one list of vertices, not {judged.shape}")
     if np.any((judged < 0) | (judged >= g.vertex_count)):
         raise InvalidValueError(f"the judged vertices must be g's, 0 .. {g.vertex_count - 1}")
     if len(judged) == 0:

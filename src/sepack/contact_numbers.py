@@ -18,6 +18,7 @@ of c2_formula.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,6 +127,8 @@ class Polyomino:
 
     def __post_init__(self):
         dimension = integer(self.dimension, "dimension", least=1)
+        if not isinstance(self.cells, Iterable):
+            raise MalformedInputError(f"cells must be a list of d-tuples, got {self.cells!r}")
         cells = self.cells if isinstance(self.cells, np.ndarray) else list(self.cells)
         cells = integers(cells, "cells")
         if cells.size == 0:

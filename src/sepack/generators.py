@@ -24,15 +24,15 @@ pair gives the scale.  Then only the cells whose bounding ball meets the
 window are tiled, and their surviving points are scaled so the closest
 pair sits at distance exactly 2, and cropped.
 
-The sweep has two kernels, chosen from the input.  The general one,
+The sweep has two kernels, chosen from the spec.  The general one,
 _live_pairs, walks the (cell, pair type) pairs with both ends in a mask,
 for the survivor rule and for the sweep alike; each pair type is listed
-one way.  On a separable grid (translate coordinate k varies along grid
-axis k alone, as on a diagonal lattice) with no near-duplicate types,
-the survivors are the box's points and every coordinate depends on one
-axis position: _axis_sweep takes each type's least square as the sum,
-in axis order, of its least square per axis, the same bits in far fewer
-operations, and the survivor mask is built only for the cells tiled.
+one way.  On a diagonal lattice without near-duplicate types, the
+survivors are the box's points and coordinate k depends on the position
+along grid axis k alone: _axis_sweep takes each type's least square as
+the sum, in axis order, of its least square per axis, the same bits in
+far fewer operations, and the survivor mask is the AND of the per-axis
+box tests.
 """
 
 from __future__ import annotations
@@ -64,34 +64,29 @@ SQRT3 = math.sqrt(3.0)
 TRIANGULAR_ID = "TRI"
 
 # most values one step of the box test or of a pair kernel holds in one
-# array: the box test takes the raw points of the padded window (at most
+# array: _survivors' box test takes the raw points of the grid (at most
 # POINT_BUDGET) a coordinate at a time, _live_pairs the (cell, pair type)
 # pairs of one offset, and _axis_sweep the (axis position, pair type) pairs
 # of one step along one axis; only the cells that meet the window are tiled
 _SWEEP_CHUNK = 1 << 17
 
 
-def _lattice_translates(
-    basis: np.ndarray, lo: np.ndarray, hi: np.ndarray, points_per_translate: int
-) -> np.ndarray:
-    """Integer lattice combinations covering the box [lo, hi], as a
+def _lattice_translates(basis: np.ndarray, n0, n1, points_per_translate: int, what: str):
+    """The lattice combinations of coefficients n0 .. n1 on each axis, as a
     coordinate-major grid: entry [k, i_1, ..., i_d] is coordinate k of the
     translate of the i_j-th coefficient on each axis j, so a fixed
     coefficient offset is a fixed index shift.
 
     The number of raw points, points_per_translate per translate, is
-    counted in floats first and raises SizeLimitError over POINT_BUDGET.
+    counted in floats first and raises SizeLimitError, naming ``what``,
+    over POINT_BUDGET.
     """
-    corners = np.array(list(itertools.product(*zip(lo, hi))))
-    frac = corners @ np.linalg.inv(basis)
-    n0 = np.floor(frac.min(axis=0)) - 1
-    n1 = np.ceil(frac.max(axis=0)) + 1
-    count = math.prod(float(n) for n in n1 - n0 + 1) * points_per_translate
+    count = math.prod(float(b - a + 1) for a, b in zip(n0, n1)) * points_per_translate
     if not count <= POINT_BUDGET:
         raise SizeLimitError(
-            f"the window needs {count:.3g} raw points, over the budget of {POINT_BUDGET}"
+            f"the {what} needs {count:.3g} raw points, over the budget of {POINT_BUDGET}"
         )
-    ranges = [np.arange(a, b + 1) for a, b in zip(n0.astype(int), n1.astype(int))]
+    ranges = [np.arange(int(a), int(b) + 1) for a, b in zip(n0, n1)]
     coeffs = np.stack([g.ravel() for g in np.meshgrid(*ranges, indexing="ij")], axis=1)
     return (coeffs @ basis).T.reshape((len(basis),) + tuple(map(len, ranges)))
 
@@ -108,6 +103,8 @@ def signed_permutation_orbit(seed: np.ndarray) -> np.ndarray:
     over POINT_BUDGET images raises SizeLimitError before any is built.
     """
     seed = reals(seed, "seed")
+    if seed.ndim != 1:
+        raise MalformedInputError(f"seed must be one d-vector, not {seed.shape}")
     values, counts = np.unique(np.abs(seed), return_counts=True)
     nonzero = np.count_nonzero(seed)
     count = math.factorial(len(seed)) // math.prod(map(math.factorial, counts)) * 2**nonzero
@@ -307,16 +304,10 @@ def _contact_sweep(grid: np.ndarray, tables: tuple, alive: np.ndarray, types) ->
     return float(np.sqrt(least))  # sqrt is monotone: the root of the least square
 
 
-def _axis_lines(grid: np.ndarray):
-    """Coordinate k of the translates along grid axis k, for each k, when
-    coordinate k varies along axis k alone (a diagonal lattice); else None."""
-    lines = []
-    for k, coordinate in enumerate(grid):
-        along = np.moveaxis(coordinate, k, 0).reshape(coordinate.shape[k], -1)
-        if not (along == along[:, :1]).all():
-            return None
-        lines.append(along[:, 0])
-    return lines
+def _diagonal(lattice: np.ndarray) -> bool:
+    """Whether the basis is diagonal, so translate coordinate k varies
+    along grid axis k alone: the other rows add exact zeros to it."""
+    return not (lattice - np.diag(np.diag(lattice))).any()
 
 
 def _axis_sweep(coords: list, inside: list, types: np.ndarray) -> float:
@@ -345,29 +336,29 @@ def _axis_sweep(coords: list, inside: list, types: np.ndarray) -> float:
 
 def _closest(grid, tables: tuple, lattice: np.ndarray, radius: float, low, high, reach) -> tuple:
     """The closest pair of the grid's surviving raw points inside the box
-    [low, high], to the last bit (inf for fewer than two), and a function
-    from a mask of grid cells to those cells' survivor mask, shape (cells,
-    cell points).  The pair types within reach (> 0) are swept over every
-    grid cell where both ends survive; while the closest lies further out,
-    the types out to it (out to twice the reach while none is found, up to
-    the grid's span) are swept too, so no type left out can come closer.
+    [low, high], to the last bit (inf for fewer than two), and the survivor
+    mask over (grid cell, cell point).  The pair types within reach (> 0)
+    are swept over every grid cell where both ends survive; while the
+    closest lies further out, the types out to it (out to twice the reach
+    while none is found, up to the grid's span) are swept too, so no type
+    left out can come closer.
 
-    A separable grid without near types sweeps axis by axis (_axis_sweep)
-    and keeps its box test per axis; any other takes _survivors' mask over
-    every (cell, cell point) and _contact_sweep."""
+    A diagonal lattice without near types sweeps axis by axis (_axis_sweep)
+    over the translates along each axis, and its mask is the AND of the
+    per-axis box tests; any other takes _survivors' mask and _contact_sweep."""
     near, types = _pair_types(tables, lattice, radius, grid.shape[1:], reach)
-    lines = None if len(near) else _axis_lines(grid)
-    if lines is None:
+    if len(near) or not _diagonal(lattice):
         alive = _survivors(grid, tables, low, high, near)
-        sweep, survivors = partial(_contact_sweep, grid, tables, alive), alive.__getitem__
+        sweep = partial(_contact_sweep, grid, tables, alive)
     else:
+        d = len(grid)
+        lines = [grid[(k,) + (0,) * k + (slice(None),) + (0,) * (d - 1 - k)] for k in range(d)]
         coords = [_coordinate(tables, k, t[:, None]) for k, t in enumerate(lines)]
         inside = [(x >= low[k]) & (x <= high[k]) for k, x in enumerate(coords)]
         sweep = partial(_axis_sweep, coords, inside)
-
-        def survivors(cells):
-            return np.logical_and.reduce([m[i] for m, i in zip(inside, np.nonzero(cells))])
-
+        alive = np.ones(grid.shape[1:] + (tables[0].shape[1],), dtype=bool)
+        for k, ok in enumerate(inside):
+            alive &= ok[(slice(None),) + (None,) * (d - 1 - k)]
     closest = sweep(types)
     # no pair is further apart than the span of the translates plus a cell's diameter
     span = np.linalg.norm(np.ptp(grid.reshape(len(grid), -1), axis=1)) + 2 * radius
@@ -375,41 +366,36 @@ def _closest(grid, tables: tuple, lattice: np.ndarray, radius: float, low, high,
         reach = closest if closest < np.inf else 2 * reach
         types = _pair_types(tables, lattice, radius, grid.shape[1:], reach)[1]
         closest = sweep(types)
-    return closest, survivors
+    return closest, alive
 
 
 def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     """Generate {g . seed + c + t} over the window, normalized to contact 2.
 
-    The probe (the 3^d cells within one lattice step of the origin, none
-    cropped) gives a contact distance by _closest, which sizes a window
-    padded by one lattice period all round; _closest over that window's
-    cells, inside the box padded once more, gives the scale, to the last
-    bit.  The padded box holds the window, so its survivors are the
-    window's points: only the cells whose bounding ball meets the window
-    are tiled, and their surviving points are scaled and cropped.  A
-    diagonal lattice without near duplicates is swept axis by axis
+    Both grids come from _lattice_translates.  The probe (coefficients
+    -1 .. 1, the 3^d cells around the origin, none cropped) gives a
+    contact distance by _closest, which sizes a window padded by one
+    lattice period all round; _closest over the cells that cover it, inside
+    the box padded once more, gives the scale, to the last bit, and the
+    survivor mask.  The padded box holds the window, so its survivors are
+    the window's points: only the cells whose bounding ball meets the
+    window are tiled, and their surviving points are scaled and cropped.
+    A diagonal lattice without near duplicates is swept axis by axis
     (_axis_sweep), any other spec by (cell, pair type) pair (_live_pairs);
     both give the same bits.
 
     The caller is responsible for validating regularity/separability of
-    the result.  Raises MalformedInputError for a window whose dimension
-    is not the spec's; SizeLimitError, before building it, when the probe
-    or the padded window's cells hold more than POINT_BUDGET raw points,
-    and when the n raw points of the probe all lie within n * TOL / 2 of
-    its first, too close to scale; InvalidValueError when they lie so far
-    apart that a squared distance overflows.
+    the result.  Raises MalformedInputError for a window that is not a
+    Window of the spec's dimension; SizeLimitError, before building it,
+    when the probe or the padded window's cells hold more than POINT_BUDGET
+    raw points, and when the n raw points of the probe all lie within
+    n * TOL / 2 of its first, too close to scale; InvalidValueError when
+    they lie so far apart that a squared distance overflows.
     """
     lattice, d, motif = spec.lattice, spec.dimension, spec.motif()
-    window = _fitting(window, d)
-    count = 3.0**d * len(spec.centering) * len(motif)
-    if count > POINT_BUDGET:
-        raise SizeLimitError(
-            f"the probe needs {count:.3g} raw points, over the budget of {POINT_BUDGET}"
-        )
+    window, kinds = _fitting(window, d), len(spec.centering) * len(motif)
+    probe = _lattice_translates(lattice, [-1] * d, [1] * d, kinds, "probe")
     tables = _cell_points(spec.centering, motif)
-    probe = np.array(list(itertools.product((-1, 0, 1), repeat=d))) @ lattice
-    probe = probe.T.reshape((d,) + (3,) * d)
     raw = _at(tables, probe.reshape(d, -1)).reshape(-1, d)
     extent = float(np.ptp(raw, axis=0).max())
     if not extent <= math.sqrt(np.finfo(float).max / d):
@@ -429,8 +415,10 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     probe_scale, pad = 2.0 / contact, float(np.linalg.norm(lattice, axis=1).max())
     lo = window.lower / probe_scale - pad
     hi = window.upper / probe_scale + pad
-    grid = _lattice_translates(lattice, lo, hi, tables[0].shape[1])
-    closest, survivors = _closest(grid, tables, lattice, radius, lo - pad, hi + pad, contact)
+    frac = np.array(list(itertools.product(*zip(lo, hi)))) @ np.linalg.inv(lattice)
+    n0, n1 = np.floor(frac.min(axis=0)) - 1, np.ceil(frac.max(axis=0)) + 1
+    grid = _lattice_translates(lattice, n0, n1, kinds, "window")
+    closest, alive = _closest(grid, tables, lattice, radius, lo - pad, hi + pad, contact)
     scale = 2.0 / closest
 
     low, high = (window.lower - TOL) / scale, (window.upper + TOL) / scale
@@ -440,7 +428,7 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     # the slack covers the rounding of a point's coordinates and of the crop
     ball = radius + TOL * (1 + np.abs([low, high]).max())
     cells = gap <= ball**2
-    centers = _at(tables, grid[:, cells])[survivors(cells)] * scale
+    centers = _at(tables, grid[:, cells])[alive[cells]] * scale
     return Packing(centers[window.contains(centers)], window, label)
 
 
@@ -496,6 +484,8 @@ def _cartesian(p: Packing, q: Packing, label: str) -> Packing:
 # named generation
 
 def _fitting(window: Window, dimension: int) -> Window:
+    if not isinstance(window, Window):
+        raise MalformedInputError(f"window must be a Window, got {window!r}")
     if window.dimension != dimension:
         raise MalformedInputError(
             f"window dimension {window.dimension} != packing dimension {dimension}"

@@ -294,6 +294,17 @@ VALUE_ERROR_CASES = {
     # numpy's bare ValueError: a matmul's mismatch, and a reduction of no values
     "orbit_generate-window-dimension": lambda: orbit_generate(TRIANGULAR, Window.cube(3, 3)),
     "OrbitSpec-empty-centering": lambda: OrbitSpec([1.0, 0.0], 3 * np.eye(2), np.zeros((0, 2))),
+    # a number or None where a Window, a d-vector or a list belongs, or a
+    # nested list for a flat one: each raised a bare TypeError,
+    # AttributeError or IndexError
+    "orbit_generate-number-window": lambda: orbit_generate(TRIANGULAR, 3),
+    "orbit_generate-none-window": lambda: orbit_generate(TRIANGULAR, None),
+    "signed_permutation_orbit-number": lambda: signed_permutation_orbit(5.0),
+    "signed_permutation_orbit-nested": lambda: signed_permutation_orbit([[1.0, 2.0]]),
+    "is_k_regular-number-indices": lambda: is_k_regular(*_p1_graph_and_packing(), indices=3),
+    "is_k_regular-nested-indices": lambda: is_k_regular(*_p1_graph_and_packing(), indices=[[0]]),
+    "Polyomino-number-cells": lambda: Polyomino(2, 5),
+    "Polyomino-none-cells": lambda: Polyomino(2, None),
     # a graph must have one vertex per sphere, and its edges join its vertices
     "ContactGraph-edge-range": lambda: ContactGraph(3, [[0, 5]]),
     "ContactGraph-negative-edge": lambda: ContactGraph(3, [[-1, 2]]),
@@ -330,7 +341,10 @@ WRONG_KIND = {
     "Window-bool-bound", "OrbitSpec-bool-seed", "Window-unequal-bounds", "Window-list-margin",
     "Packing-3d-centers", "Packing-window-dimension", "OrbitSpec-centering-arity",
     "generate_named-window-dimension", "orbit_generate-window-dimension",
-    "OrbitSpec-empty-centering",
+    "OrbitSpec-empty-centering", "orbit_generate-number-window", "orbit_generate-none-window",
+    "signed_permutation_orbit-number", "signed_permutation_orbit-nested",
+    "is_k_regular-number-indices", "is_k_regular-nested-indices", "Polyomino-number-cells",
+    "Polyomino-none-cells",
 }
 
 # the public names that read no number of their own, each with the reason

@@ -503,18 +503,34 @@ def test_live_pairs_yields_each_live_pair_once(dims, chunk, monkeypatch, rng):
     assert len(expected) > 100
 
 
+def _separable(grid) -> bool:
+    """Whether translate coordinate k varies along grid axis k alone, for
+    every k: a scan of every grid coordinate, the oracle for _diagonal."""
+    for k, coordinate in enumerate(grid):
+        along = np.moveaxis(coordinate, k, 0).reshape(coordinate.shape[k], -1)
+        if not (along == along[:, :1]).all():
+            return False
+    return True
+
+
 def _both_kernels(spec, window, monkeypatch) -> list:
     """orbit_generate through the kernel the input picks, then through the
     general one: each run's file (or error), its axis sweeps, and each
-    _closest call's contact distance and survivor mask over every cell."""
+    _closest call's contact distance and survivor mask over every cell.
+
+    Each grid swept is checked against the kernel rule's premise: the axis
+    kernel reads grid[k] along axis k at index 0 of the other axes, which
+    is every value of coordinate k exactly when the lattice is diagonal."""
     runs, closest, axis_sweep = [], generators._closest, generators._axis_sweep
+    diagonal = generators._diagonal
     for general in (False, True):
         calls, axis_sweeps = [], []
 
-        def recording(grid, *args):
-            found, survivors = closest(grid, *args)
-            calls.append((found, survivors(np.ones(grid.shape[1:], dtype=bool))))
-            return found, survivors
+        def recording(grid, tables, lattice, *args):
+            assert min(grid.shape[1:]) >= 3
+            assert _separable(grid) == diagonal(lattice)
+            calls.append(closest(grid, tables, lattice, *args))
+            return calls[-1]
 
         def counting(*args):
             axis_sweeps.append(1)
@@ -524,7 +540,7 @@ def _both_kernels(spec, window, monkeypatch) -> list:
             patch.setattr(generators, "_closest", recording)
             patch.setattr(generators, "_axis_sweep", counting)
             if general:
-                patch.setattr(generators, "_axis_lines", lambda grid: None)
+                patch.setattr(generators, "_diagonal", lambda lattice: False)
             try:
                 made = encode_packing(orbit_generate(spec, window))
             except SepackError as error:
@@ -542,22 +558,42 @@ def _assert_same_bits(picked, general):
         assert np.array_equal(mask, expected_mask)
 
 
-@pytest.mark.parametrize(
-    "window",
-    [3, 6.5, Window([37.5, -12.25, 3.0, -1.0], [45.0, -4.0, 9.5, 4.0], 2.0)],
-    ids=["L3", "L6.5", "off-origin"],
-)
+def _in_dimension(window, d: int) -> Window:
+    """A half-width's cube, or a Window's first d axes."""
+    if isinstance(window, Window):
+        return Window(window.lower[:d], window.upper[:d], window.margin)
+    return Window.cube(window, d)
+
+
+_OFF_ORIGIN = Window([37.5, -12.25, 3.0, -1.0], [45.0, -4.0, 9.5, 4.0], 2.0)
+
+
+@pytest.mark.parametrize("window", [3, 6.5, _OFF_ORIGIN], ids=["L3", "L6.5", "off-origin"])
 @pytest.mark.parametrize("name", ["P1", "K6", "J1", "J20", "O1", "O103", "A"])
 def test_axis_sweep_matches_the_general_sweep(name, window, monkeypatch):
     # the same contact distance, to the bit, and the same survivors and file
     spec = APEIROGON if name == "A" else _catalog_spec(name)
-    d = spec.dimension
-    if isinstance(window, Window):
-        window = Window(window.lower[:d], window.upper[:d], window.margin)
-    else:
-        window = Window.cube(window, d)
-    picked, general = _both_kernels(spec, window, monkeypatch)
+    picked, general = _both_kernels(spec, _in_dimension(window, spec.dimension), monkeypatch)
     assert picked[1] == 2  # the probe and the padded window
+    _assert_same_bits(picked, general)
+
+
+# every orbit spec of the library, diagonal or not, with or without near types
+PREMISE_SPECS = {
+    **{e.id: lambda e=e: _catalog_spec(e.id) for e in load_catalog().values() if e.kind == "orbit"},
+    "TRI": lambda: TRIANGULAR,
+    "A": lambda: APEIROGON,
+    **{f"diagonal_spec({d})": lambda d=d: diagonal_spec(d) for d in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("window", [4, _OFF_ORIGIN], ids=["L4", "off-origin"])
+@pytest.mark.parametrize("name", sorted(PREMISE_SPECS))
+def test_the_lattice_picks_the_kernel_of_the_grid(name, window, monkeypatch):
+    # _both_kernels checks each grid: separable exactly on a diagonal lattice
+    spec = PREMISE_SPECS[name]()
+    picked, general = _both_kernels(spec, _in_dimension(window, spec.dimension), monkeypatch)
+    assert len(picked[2]) == 2  # the probe and the padded window
     _assert_same_bits(picked, general)
 
 
