@@ -14,7 +14,7 @@ import numpy as np
 
 from ._kdtree import cKDTree  # noqa: F401  (perfbench/tracer.py counts tree builds through this name)
 from .core import TOL, Packing, valid_pairs_within
-from .errors import InvalidValueError, MalformedInputError, integer, integers
+from .errors import InvalidValueError, MalformedInputError, instance, integer, integers
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +59,8 @@ def build_contact_graph(p: Packing) -> ContactGraph:
 def checked_graph(g: ContactGraph, p: Packing) -> ContactGraph:
     """g, checked to have one vertex per sphere of p, else InvalidValueError;
     a graph of another packing of p's size passes, and speaks of that one."""
+    instance(g, ContactGraph, "graph")
+    instance(p, Packing, "packing")
     if g.vertex_count != p.n_spheres:
         raise InvalidValueError(f"{g.vertex_count} graph vertices for {p.n_spheres} spheres")
     return g
@@ -138,7 +140,7 @@ def contains_triangle(g: ContactGraph) -> tuple | None:
     triangle, so this is the complete obstruction test for total
     separability.
     """
-    n, edges = g.vertex_count, g.edges
+    n, edges = instance(g, ContactGraph, "graph").vertex_count, g.edges
     low, high, rows = edges[:, 0], edges[:, 1], np.arange(len(edges))
     keys = low * n + high
     later = np.cumsum(np.bincount(low, minlength=n))[low] - rows - 1  # rows after it in its run

@@ -115,11 +115,12 @@ class Polyomino:
 
     ``cells`` may be an (n, d) array or any iterable of d-tuples, such as
     a frozenset; it is held as a sorted (n, d) int64 array of distinct
-    cells.  Shared faces and perimeter are counted independently from one
-    lookup of every cell +- e_i; the facet identity 2d*n = perimeter +
-    2*shared_faces ties them together.  The lookup codes each cell as one
-    int64 over the cells' bounding box padded by one cell, so a set whose
-    padded box holds 2^63 or more cells raises InvalidValueError.
+    cells.  Shared faces are counted once, by one lookup of every cell +
+    e_i; a shared face covers a facet of each of its two cells, so the
+    perimeter is the rest of the 2d*n facets: 2d*n - 2*shared_faces.  The
+    lookup codes each cell as one int64 over the cells' bounding box
+    padded by one cell, so a set whose padded box holds 2^63 or more cells
+    raises InvalidValueError.
     """
 
     dimension: int
@@ -149,28 +150,22 @@ class Polyomino:
         return len(self.cells)
 
     @cached_property
-    def _facet_counts(self) -> tuple[int, int]:
-        """(shared faces, free facets): cells whose cell + e_i is a cell,
-        summed over the axes, and cells whose cell +- e_i is not one,
-        summed over the 2d directions."""
+    def shared_faces(self) -> int:
+        """Cells whose cell + e_i is a cell, summed over the d axes."""
         if not self.area:
-            return 0, 0
+            return 0
         codes, steps = _padded_codes(self.cells)
-        found = []
-        for step in steps + [-s for s in steps]:
+        shared = 0
+        for step in steps:
             neighbour = codes + step
             at = np.minimum(np.searchsorted(codes, neighbour), len(codes) - 1)
-            found.append(int(np.count_nonzero(codes[at] == neighbour)))
-        return sum(found[: self.dimension]), 2 * self.dimension * self.area - sum(found)
-
-    @property
-    def shared_faces(self) -> int:
-        return self._facet_counts[0]
+            shared += int(np.count_nonzero(codes[at] == neighbour))
+        return shared
 
     @property
     def perimeter(self) -> int:
         """Number of free facets (facets not shared with another cell)."""
-        return self._facet_counts[1]
+        return 2 * self.dimension * self.area - 2 * self.shared_faces
 
     def lift(self, label: str = "") -> Packing:
         """Inscribe a unit sphere in every 2x...x2 cell.
@@ -211,21 +206,18 @@ def _check_size(n: int) -> None:
 def quasi_square_packing(n: int) -> tuple[Polyomino, Packing]:
     """Quasi-square polyomino of n cells and its inscribed circle packing.
 
-    For a in {floor(sqrt n), ceil(sqrt n)} build a columns of full rows
-    plus one contiguous remainder row, and keep the variant with more
-    shared faces; its contact count is exactly c2_formula(n).
+    a columns of full rows plus one contiguous remainder row share
+    2n - a - ceil(n/a) faces; the width is the first a in {floor(sqrt n),
+    ceil(sqrt n)} that minimizes a + ceil(n/a), and the contact count is
+    exactly c2_formula(n).
     """
     n = integer(n, "n", least=1)
     _check_size(n)
     k = math.isqrt(n)
-    widths = [k] if k * k == n else [k, k + 1]
-    best = None
-    for a in widths:
-        y, x = divmod(np.arange(n), a)
-        omino = Polyomino(2, np.column_stack((x, y)))
-        if best is None or omino.shared_faces > best.shared_faces:
-            best = omino
-    return best, best.lift(f"quasi-square n={n}")
+    a = min([k] if k * k == n else [k, k + 1], key=lambda a: a - (-n // a))
+    y, x = divmod(np.arange(n), a)
+    omino = Polyomino(2, np.column_stack((x, y)))
+    return omino, omino.lift(f"quasi-square n={n}")
 
 
 def box_packing(n: int, d: int) -> tuple[Polyomino, Packing]:

@@ -25,6 +25,7 @@ from .errors import (
     InvalidPackingError,
     MalformedInputError,
     SizeLimitError,
+    instance,
     integer,
     real,
     reals,
@@ -178,7 +179,7 @@ def valid_pairs_within(p: Packing, reach: float):
     pair; the lexicographically first of them raises InvalidPackingError
     with its pair and distance.
     """
-    if p.n_spheres < 2:
+    if instance(p, Packing, "packing").n_spheres < 2:
         return np.zeros((0, 2), dtype=np.intp), np.zeros(0)
     pairs = cKDTree(p.centers).query_pairs(r=reach, output_type="ndarray")
     dists = np.linalg.norm(p.centers[pairs[:, 0]] - p.centers[pairs[:, 1]], axis=1)

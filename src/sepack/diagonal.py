@@ -49,7 +49,7 @@ import numpy as np
 
 from .contact import ContactGraph, RegularityVerdict, build_contact_graph, is_k_regular
 from .core import POINT_BUDGET, TOL, Packing, Window
-from .errors import SizeLimitError, UnsupportedDimensionError, integer
+from .errors import SizeLimitError, UnsupportedDimensionError, instance, integer
 from .generators import OrbitSpec
 
 # most spheres a construction may hold; checked before any allocation
@@ -148,6 +148,7 @@ def interior_regularity_check(
     ragged frontier rather than a box-shaped boundary.  ``graph``, when
     given, must be ``result.packing``'s (see contact.checked_graph).
     """
+    instance(result, DiagonalConstruction, "result")
     graph = build_contact_graph(result.packing) if graph is None else graph
     saturated = np.flatnonzero(result.saturated)
     return is_k_regular(graph, result.packing, result.dimension + 1, saturated)

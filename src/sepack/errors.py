@@ -1,15 +1,16 @@
 """Exception types shared across the package, and the one rule for numbers.
 
 integer, real, integers and reals read every number that an argument or
-a packing file gives.  A value of the wrong kind or shape raises
-MalformedInputError: a string, a bool, a list that holds a bool among its
-numbers (numpy reads it as numbers), a ragged list, a float for an
-integer, an array that numpy casts to float64 or int64 only with loss
-(objects, uint64 to int64).  A number out of its range raises
-InvalidValueError.  Both are ValueErrors.  A numpy timedelta is not an
-integer, although numpy files it under the signed integers.  Geometry
-that bounds no packing (a coordinate that is not finite, an inverted
-window) is malformed data.
+a packing file gives, and instance every argument that must be one of
+the package's types.  A value of the wrong kind or shape raises
+MalformedInputError: a number where a Packing belongs, a string, a bool,
+a list that holds a bool among its numbers (numpy reads it as numbers),
+a ragged list, a float for an integer, an array that numpy casts to
+float64 or int64 only with loss (objects, uint64 to int64).  A number
+out of its range raises InvalidValueError.  Both are ValueErrors.  A
+numpy timedelta is not an integer, although numpy files it under the
+signed integers.  Geometry that bounds no packing (a coordinate that is
+not finite, an inverted window) is malformed data.
 
 Every size that an argument sets is counted against its budget before
 the work starts, and one over it raises SizeLimitError: the images of an
@@ -85,6 +86,13 @@ class PackingVersionError(SepackError):
 class InconsistentVerdictError(SepackError):
     """Two checks of one packing contradict each other (a triangle in the
     contact graph, yet no separability violation)."""
+
+
+def instance(value, kind: type, name: str):
+    """value, if it is a kind, else MalformedInputError naming the argument."""
+    if not isinstance(value, kind):
+        raise MalformedInputError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def integer(value, name: str, least: int | None = None) -> int:

@@ -54,6 +54,7 @@ from .errors import (
     SizeLimitError,
     UnknownCatalogIdError,
     UnsupportedConstructionError,
+    instance,
     reals,
 )
 
@@ -385,13 +386,15 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     both give the same bits.
 
     The caller is responsible for validating regularity/separability of
-    the result.  Raises MalformedInputError for a window that is not a
-    Window of the spec's dimension; SizeLimitError, before building it,
-    when the probe or the padded window's cells hold more than POINT_BUDGET
-    raw points, and when the n raw points of the probe all lie within
-    n * TOL / 2 of its first, too close to scale; InvalidValueError when
-    they lie so far apart that a squared distance overflows.
+    the result.  Raises MalformedInputError for a spec that is not an
+    OrbitSpec or a window that is not a Window of its dimension;
+    SizeLimitError, before building it, when the probe or the padded
+    window's cells hold more than POINT_BUDGET raw points, and when the n
+    raw points of the probe all lie within n * TOL / 2 of its first, too
+    close to scale; InvalidValueError when they lie so far apart that a
+    squared distance overflows.
     """
+    instance(spec, OrbitSpec, "spec")
     lattice, d, motif = spec.lattice, spec.dimension, spec.motif()
     window, kinds = _fitting(window, d), len(spec.centering) * len(motif)
     probe = _lattice_translates(lattice, [-1] * d, [1] * d, kinds, "probe")
@@ -452,7 +455,7 @@ def product_packing(p: Packing, q: Packing, label: str = "") -> Packing:
     raises NormalizationRequiredError.
     """
     for factor in (p, q):
-        if factor.n_spheres >= 2 and not len(valid_pairs_within(factor, 2.0 + TOL)[0]):
+        if not len(valid_pairs_within(factor, 2.0 + TOL)[0]) and factor.n_spheres >= 2:
             raise NormalizationRequiredError("product factor has no pair at contact distance 2")
     return _cartesian(p, q, label or f"{p.label or 'P'}x{q.label or 'Q'}")
 
@@ -484,9 +487,7 @@ def _cartesian(p: Packing, q: Packing, label: str) -> Packing:
 # named generation
 
 def _fitting(window: Window, dimension: int) -> Window:
-    if not isinstance(window, Window):
-        raise MalformedInputError(f"window must be a Window, got {window!r}")
-    if window.dimension != dimension:
+    if instance(window, Window, "window").dimension != dimension:
         raise MalformedInputError(
             f"window dimension {window.dimension} != packing dimension {dimension}"
         )

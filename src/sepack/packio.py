@@ -39,7 +39,7 @@ from .catalog import CatalogEntry
 from .contact import build_contact_graph, contains_triangle, is_k_regular
 from .core import Packing, Window
 from .errors import InconsistentVerdictError, PackingParseError, PackingVersionError
-from .errors import holds_bool, real, reals
+from .errors import holds_bool, instance, real, reals
 from .separability import VIOLATION_FOUND, WINDOW_CERTIFIED, certify_total_separability
 
 FORMAT_VERSION = 1
@@ -142,6 +142,7 @@ def _integer_spellings(rows: np.ndarray) -> np.ndarray:
 
 
 def _packing_pieces(p: Packing):
+    instance(p, Packing, "packing")
     doc = {
         "format_version": FORMAT_VERSION,
         "dimension": p.dimension,
@@ -277,6 +278,7 @@ def check_entry_invariants(p: Packing, entry: CatalogEntry) -> list:
     length within TOL of 2 and an overlap raises InvalidPackingError, so a
     window that is regular with k >= 1 has it.
     """
+    instance(entry, CatalogEntry, "entry")
     report = build_verify_report(p)
     regularity, sep = report["regularity"], report["separability"]
     broken = []

@@ -10,12 +10,19 @@ from sepack import (
     Packing,
     Window,
     build_contact_graph,
+    build_verify_report,
     certify_total_separability,
+    check_entry_invariants,
+    contains_triangle,
     decode_packing,
     diagonal_spec,
+    encode_packing,
     interior_regularity_check,
     is_k_regular,
     min_contact_distance,
+    product_packing,
+    render_svg,
+    save_packing,
 )
 from sepack import catalog
 from sepack.contact_numbers import (
@@ -378,6 +385,40 @@ def test_out_of_range_values_raise_a_typed_value_error(case):
     assert isinstance(info.value, ValueError)
     if case in WRONG_KIND:
         assert isinstance(info.value, MalformedInputError)
+
+
+# a number where a Packing, a ContactGraph, a CatalogEntry, an OrbitSpec or
+# a DiagonalConstruction belongs: each raised a bare AttributeError
+WRONG_KIND_OF_VALUE = {
+    "build_contact_graph": lambda: build_contact_graph(5),
+    "build_verify_report": lambda: build_verify_report(5),
+    "certify_total_separability": lambda: certify_total_separability(5),
+    "product_packing": lambda: product_packing(_p1_graph_and_packing()[1], 5),
+    "encode_packing": lambda: encode_packing(5),
+    "save_packing": lambda: save_packing(5, "never-written.json"),
+    "render_svg": lambda: render_svg(5),
+    "certify_total_separability-graph": lambda: certify_total_separability(
+        _p1_graph_and_packing()[1], graph=5
+    ),
+    "is_k_regular-graph": lambda: is_k_regular(5, _p1_graph_and_packing()[1]),
+    "is_k_regular-packing": lambda: is_k_regular(_p1_graph_and_packing()[0], 5),
+    "min_contact_distance": lambda: min_contact_distance(5, _p1_graph_and_packing()[1]),
+    "contains_triangle": lambda: contains_triangle(5),
+    "check_entry_invariants": lambda: check_entry_invariants(
+        _p1_graph_and_packing()[1], 5
+    ),
+    "orbit_generate": lambda: orbit_generate(5, Window.cube(3, 2)),
+    "interior_regularity_check": lambda: interior_regularity_check(5),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_KIND_OF_VALUE))
+def test_values_of_the_wrong_kind_raise_malformed_input(case, tmp_path, monkeypatch):
+    # save_packing names a file in the empty working directory: none is opened
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(MalformedInputError, match="must be a"):
+        WRONG_KIND_OF_VALUE[case]()
+    assert not list(tmp_path.iterdir())
 
 
 # a dimension that sets the size of an array, each past the address space:
