@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kdtree import cKDTree  # noqa: F401  (perfbench/tracer.py counts tree builds through this name)
-from .core import TOL, Packing, valid_pairs_within
+from .core import TOL, Packing, lex_less, valid_pairs_within
 from .errors import InvalidValueError, MalformedInputError, instance, integer, integers
 
 
@@ -32,10 +32,13 @@ class ContactGraph:
         edges = edges.reshape(-1, 2)
         if len(edges) and (edges.min() < 0 or edges.max() >= vertex_count):
             raise InvalidValueError(f"edges must join vertices 0 .. {vertex_count - 1}")
-        edges = np.sort(edges, axis=1)
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        if np.any(edges[:, 0] == edges[:, 1]) or np.any(np.all(edges[1:] == edges[:-1], axis=1)):
-            raise InvalidValueError("edges must join two distinct vertices, each pair once")
+        # rows i < j in strictly increasing order pass in O(m), without a sort
+        if not (np.all(edges[:, 0] < edges[:, 1]) and np.all(lex_less(edges[:-1], edges[1:]))):
+            edges = np.sort(edges, axis=1)
+            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+            if (edges[:, 0] == edges[:, 1]).any() or (np.diff(edges, axis=0) == 0).all(1).any():
+                raise InvalidValueError("edges must join two distinct vertices, each pair once")
+        edges = edges.copy()
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 
@@ -50,7 +53,7 @@ class ContactGraph:
 
 
 def build_contact_graph(p: Packing) -> ContactGraph:
-    """Find all touching pairs of a valid packing; one KD-tree query both
+    """Find all touching pairs of a valid packing; one pair query both
     validates the packing and finds the contacts."""
     pairs, dists = valid_pairs_within(p, 2.0 + TOL)
     return ContactGraph(p.n_spheres, pairs[dists >= 2.0 - TOL])

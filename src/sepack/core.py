@@ -9,9 +9,7 @@ construction and safe to share.
 
 The overlap check has one route: valid_pairs_within, the pair query of
 contact.build_contact_graph, raises InvalidPackingError on the first
-overlapping pair.  The pair queries use scipy's KD-tree, and scipy loads
-on the first tree build (``sepack._kdtree``), so a command that builds no
-tree never imports it.
+overlapping pair.  Every pair query runs on the grid index of ``_kdtree``.
 """
 
 from __future__ import annotations
@@ -171,33 +169,18 @@ class Packing:
 
 
 def valid_pairs_within(p: Packing, reach: float):
-    """Pairs (i, j) of centres at distance <= reach, with their distances,
-    from the one KD-tree query that also validates the packing.
+    """Pairs (i, j), i < j, of centres at distance <= reach, in lexicographic
+    order, with their distances: the one pair query, which also validates.
 
-    The spheres have radius 1, so a pair closer than 2 - TOL overlaps.
-    reach must be at least 2 - TOL, so the query holds every overlapping
-    pair; the lexicographically first of them raises InvalidPackingError
-    with its pair and distance.
+    reach must be at least 2 - TOL, so the pairs hold every overlapping one
+    (closer than 2 - TOL); the first raises InvalidPackingError with its
+    pair and distance.
     """
-    if instance(p, Packing, "packing").n_spheres < 2:
-        return np.zeros((0, 2), dtype=np.intp), np.zeros(0)
-    pairs = cKDTree(p.centers).query_pairs(r=reach, output_type="ndarray")
-    dists = np.linalg.norm(p.centers[pairs[:, 0]] - p.centers[pairs[:, 1]], axis=1)
-    overlap = _first_overlap(pairs, dists, 2.0 - TOL)
-    if overlap is not None:
-        pair, distance = overlap
-        raise InvalidPackingError(
-            f"packing is invalid: pair {pair} at distance {distance}", pair, distance
-        )
+    pairs, squares = cKDTree(instance(p, Packing, "packing").centers, reach)
+    dists = np.sqrt(squares)
+    bad = np.flatnonzero(dists < 2.0 - TOL)
+    if len(bad):
+        pair, distance = tuple(pairs[bad[0]].tolist()), float(dists[bad[0]])
+        message = f"packing is invalid: pair {pair} at distance {distance}"
+        raise InvalidPackingError(message, pair, distance)
     return pairs, dists
-
-
-def _first_overlap(pairs: np.ndarray, dists: np.ndarray, threshold: float):
-    """The lexicographically first pair (i, j), i < j, closer than
-    threshold, with its distance; None when there is none."""
-    bad = dists < threshold
-    if not np.any(bad):
-        return None
-    pairs = np.sort(pairs[bad], axis=1)
-    first = np.lexsort((pairs[:, 1], pairs[:, 0]))[0]
-    return (int(pairs[first, 0]), int(pairs[first, 1])), float(dists[bad][first])

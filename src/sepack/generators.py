@@ -17,12 +17,13 @@ merges near duplicates (points within TOL / 2): a survivor mask over
 near pairs inside the box.  One rule finds the closest pair of the
 survivors, to the last bit: a sweep of the pair types over a grid of
 lattice cells, widened until no type left out can come closer, which
-never builds the grid's points.  It runs twice: on the probe, the 3^d
-cells around the origin, whose contact distance sizes a window padded
-by lattice periods all round, and on that padded window, whose closest
-pair gives the scale.  Then only the cells whose bounding ball meets the
-window are tiled, and their surviving points are scaled so the closest
-pair sits at distance exactly 2, and cropped.
+never builds the grid's points.  It runs twice, on the types of the
+window's one pair-type search: on the probe, the 3^d cells around the
+origin, whose contact distance sizes a window padded by lattice periods
+all round, and on that padded window, whose closest pair gives the
+scale.  Then only the cells whose bounding ball meets the window are
+tiled, and their surviving points are scaled so the closest pair sits at
+distance exactly 2, and cropped.
 
 The sweep has two kernels, chosen from the spec.  The general one,
 _live_pairs, walks the (cell, pair type) pairs with both ends in a mask,
@@ -46,7 +47,7 @@ import numpy as np
 
 from ._kdtree import cKDTree
 from .catalog import CATALOG_ONLY, load_catalog
-from .core import POINT_BUDGET, TOL, Packing, Window, lex_less, valid_pairs_within
+from .core import POINT_BUDGET, TOL, Packing, Window, valid_pairs_within
 from .errors import (
     InvalidValueError,
     MalformedInputError,
@@ -213,41 +214,41 @@ def _live_pairs(on: np.ndarray, types: np.ndarray):
                 yield i[cell], i[cell] + shift, a[end], b[end]
 
 
-def _pair_types(tables: tuple, lattice: np.ndarray, radius: float, dims: tuple, reach) -> tuple:
-    """The near-duplicate pair types (within TOL / 2) and every pair type
-    within reach, widened to reach * (1 + TOL) + TOL, beyond the rounding of
-    any coordinate.  The near types are among the latter, but _survivors
-    never leaves both ends of one alive, so the contact sweep never
-    measures one.
+def _pair_types(tables: tuple, lattice: np.ndarray, radius: float):
+    """The pair types of a spec for a grid's shape dims and a reach: the
+    near-duplicate types (within TOL / 2) and every type within reach,
+    widened to reach * (1 + TOL) + TOL, beyond the rounding of any
+    coordinate; _survivors never leaves both ends of a near type alive.
+    A type is a row (a, b, delta): cell point a of one cell and cell point b
+    of the cell delta coefficients away, listed as it sorts before the same
+    type read the other way, (b, a, -delta).  One search, at the first reach
+    asked, finds them as int64 keys in row order (mixed radix over a, b and
+    delta + limit); a call keeps those within its reach whose offset fits
+    the grid, and only a wider reach searches again."""
+    d, kinds = len(lattice), tables[0].shape[1]
+    own, built = _at(tables, np.zeros((d, 1)))[0], [-np.inf]
 
-    A pair type is a row (a, b, delta): cell point a of one cell and cell
-    point b of the cell delta coefficients away.  Each is listed one way,
-    as it sorts before (b, a, -delta), the same type read the other way.
-    Every offset that a grid of shape dims holds and that can bring two
-    cell points within reach is looked at.
-    """
-    d = len(lattice)
-    own = _at(tables, np.zeros((d, 1)))[0]
-    kinds = np.arange(len(own))
-    radii = (TOL / 2, reach * (1 + TOL) + TOL)
-    span = 2 * radius + radii[1]
-    limit = np.minimum(span * np.linalg.norm(np.linalg.inv(lattice), axis=0), np.subtract(dims, 1))
-    axes = np.meshgrid(*[np.arange(-n, n + 1) for n in limit.astype(int)], indexing="ij")
-    offsets = np.stack([g.ravel() for g in axes], axis=1)
-    offsets = offsets[np.linalg.norm(offsets @ lattice, axis=1) <= span]
-    tree = cKDTree(_at(tables, (offsets @ lattice).T).reshape(-1, d))
-    found = []
-    for r in radii:
-        hits = tree.query_ball_point(own, r)
-        j = np.concatenate(hits).astype(int)
-        rows = np.column_stack(
-            [np.repeat(kinds, [len(h) for h in hits]), j % len(kinds), offsets[j // len(kinds)]]
-        )
-        flipped = np.column_stack([rows[:, 1], rows[:, 0], -rows[:, 2:]])
-        # a point paired with itself reads the same both ways, and drops out
-        rows = np.concatenate([rows[lex_less(rows, flipped)], flipped[lex_less(flipped, rows)]])
-        found.append(np.unique(rows, axis=0))
-    return tuple(found)
+    def types(dims, reach):
+        if reach > built[0]:  # the search, at the first reach asked or a wider one
+            r = reach * (1 + TOL) + TOL
+            limit = ((2 * radius + r) * np.linalg.norm(np.linalg.inv(lattice), axis=0)).astype(int)
+            offsets = np.indices(2 * limit + 1).reshape(d, -1).T - limit
+            offsets = offsets[np.linalg.norm(offsets @ lattice, axis=1) <= 2 * radius + r]
+            pairs, squares = cKDTree(own, r, _at(tables, (offsets @ lattice).T).reshape(-1, d))
+            a, b, delta = pairs[:, 1], pairs[:, 0] % kinds, offsets[pairs[:, 0] // kinds]
+            radix = (kinds, kinds, *(2 * limit + 1))
+            key = np.ravel_multi_index((a, b, *(delta + limit).T), radix)
+            flipped = np.ravel_multi_index((b, a, *(limit - delta).T), radix)
+            keep = key != flipped  # a point paired with itself reads the same both ways
+            keys, spread = np.minimum(key, flipped)[keep], np.abs(delta[keep])
+            built[:] = reach, keys, squares[keep], spread, radix, np.r_[0, 0, limit]
+        _, keys, squares, spread, radix, shift = built
+        fits = np.all(spread < dims, axis=1)
+        within = (fits & (squares <= r * r) for r in (TOL / 2, reach * (1 + TOL) + TOL))
+        return tuple(np.column_stack(np.unravel_index(np.unique(keys[ok]), radix)) - shift
+                     for ok in within)
+
+    return types
 
 
 def _survivors(grid: np.ndarray, tables: tuple, low, high, near: np.ndarray) -> np.ndarray:
@@ -292,8 +293,8 @@ def _survivors(grid: np.ndarray, tables: tuple, low, high, near: np.ndarray) -> 
 
 def _contact_sweep(grid: np.ndarray, tables: tuple, alive: np.ndarray, types) -> float:
     """Least distance of the pair types over every grid cell where both
-    ends are alive, in the float arithmetic of cKDTree's Euclidean kernel:
-    squared differences summed coordinate by coordinate, then sqrt."""
+    ends are alive, in the arithmetic of the grid index (_kdtree): squared
+    differences summed coordinate by coordinate, then sqrt."""
     least, columns = np.inf, grid.reshape(len(grid), -1)
     for i, j, a, b in _live_pairs(alive, types):
         squares = np.zeros(len(i))
@@ -335,19 +336,19 @@ def _axis_sweep(coords: list, inside: list, types: np.ndarray) -> float:
     return float(np.sqrt(squares.min(initial=np.inf)))
 
 
-def _closest(grid, tables: tuple, lattice: np.ndarray, radius: float, low, high, reach) -> tuple:
+def _closest(grid, tables, lattice, radius, pair_types, low, high, reach) -> tuple:
     """The closest pair of the grid's surviving raw points inside the box
     [low, high], to the last bit (inf for fewer than two), and the survivor
-    mask over (grid cell, cell point).  The pair types within reach (> 0)
-    are swept over every grid cell where both ends survive; while the
-    closest lies further out, the types out to it (out to twice the reach
-    while none is found, up to the grid's span) are swept too, so no type
-    left out can come closer.
+    mask over (grid cell, cell point).  The pair types within reach (> 0),
+    from pair_types (see _pair_types), are swept over every grid cell where
+    both ends survive; while the closest lies further out, the types out to
+    it (out to twice the reach while none is found, up to the grid's span)
+    are swept too, so no type left out can come closer.
 
     A diagonal lattice without near types sweeps axis by axis (_axis_sweep)
     over the translates along each axis, and its mask is the AND of the
     per-axis box tests; any other takes _survivors' mask and _contact_sweep."""
-    near, types = _pair_types(tables, lattice, radius, grid.shape[1:], reach)
+    near, types = pair_types(grid.shape[1:], reach)
     if len(near) or not _diagonal(lattice):
         alive = _survivors(grid, tables, low, high, near)
         sweep = partial(_contact_sweep, grid, tables, alive)
@@ -365,7 +366,7 @@ def _closest(grid, tables: tuple, lattice: np.ndarray, radius: float, low, high,
     span = np.linalg.norm(np.ptp(grid.reshape(len(grid), -1), axis=1)) + 2 * radius
     while closest > reach * (1 + TOL / 2) + TOL / 2 and reach <= span:
         reach = closest if closest < np.inf else 2 * reach
-        types = _pair_types(tables, lattice, radius, grid.shape[1:], reach)[1]
+        types = pair_types(grid.shape[1:], reach)[1]
         closest = sweep(types)
     return closest, alive
 
@@ -413,7 +414,8 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     if not len(gaps):
         raise SizeLimitError(f"the probe's {len(raw)} raw points lie too close together to scale")
     everywhere, reach = np.full(d, np.inf), float(gaps.min())
-    contact = _closest(probe, tables, lattice, radius, -everywhere, everywhere, reach)[0]
+    types = _pair_types(tables, lattice, radius)  # one search for both grids
+    contact = _closest(probe, tables, lattice, radius, types, -everywhere, everywhere, reach)[0]
 
     probe_scale, pad = 2.0 / contact, float(np.linalg.norm(lattice, axis=1).max())
     lo = window.lower / probe_scale - pad
@@ -421,7 +423,7 @@ def orbit_generate(spec: OrbitSpec, window: Window, label: str = "") -> Packing:
     frac = np.array(list(itertools.product(*zip(lo, hi)))) @ np.linalg.inv(lattice)
     n0, n1 = np.floor(frac.min(axis=0)) - 1, np.ceil(frac.max(axis=0)) + 1
     grid = _lattice_translates(lattice, n0, n1, kinds, "window")
-    closest, alive = _closest(grid, tables, lattice, radius, lo - pad, hi + pad, contact)
+    closest, alive = _closest(grid, tables, lattice, radius, types, lo - pad, hi + pad, contact)
     scale = 2.0 / closest
 
     low, high = (window.lower - TOL) / scale, (window.upper + TOL) / scale

@@ -26,8 +26,9 @@ from sepack import (
     load_catalog,
     orbit_generate,
 )
-from sepack.core import POINT_BUDGET, TOL
+from sepack.core import POINT_BUDGET, TOL, lex_less
 from sepack.errors import SizeLimitError
+from sepack.generators import _at
 from sepack.packio import FORMAT_VERSION
 
 
@@ -41,6 +42,27 @@ def brute_force_edges(centers, radius=1.0, tol=1e-9):
             if abs(dist - 2.0 * radius) <= tol:
                 edges.add((i, j))
     return edges
+
+
+def brute_force_pairs_within(points, r, queries=None):
+    """The pairs within r, row by row: (i, j), i < j, of points, or, given
+    queries, (query, point), in lexicographic order, with their squared
+    sums.  A pair is within r when its squared differences, summed in axis
+    order, are at most r * r."""
+    points = np.asarray(points, dtype=float)
+    rows = [(i, j) for i in range(len(points)) for j in range(i + 1, len(points))]
+    if queries is not None:
+        queries = np.asarray(queries, dtype=float)
+        rows = list(itertools.product(range(len(queries)), range(len(points))))
+    found, sums = [], []
+    for i, j in rows:
+        square = 0.0
+        for x, y in zip(points[i] if queries is None else queries[i], points[j]):
+            square += (x - y) * (x - y)
+        if square <= r * r:
+            found.append((i, j))
+            sums.append(square)
+    return np.array(found, dtype=np.intp).reshape(-1, 2), np.array(sums)
 
 
 def brute_force_first_overlap(centers, radius=1.0, tol=1e-9):
@@ -133,6 +155,36 @@ def oracle_dedup(points: np.ndarray) -> tuple[np.ndarray, float]:
     _, labels = connected_components(near, directed=False)
     _, lowest = np.unique(labels, return_index=True)
     return oracle_dedup(points[np.sort(lowest)])
+
+
+def oracle_pair_types(tables, lattice, radius, dims, reach):
+    """The near-duplicate pair types (within TOL / 2) and every pair type
+    within reach * (1 + TOL) + TOL, as rows (a, b, delta), from scipy's
+    KD-tree over the cell points of every offset that a grid of shape dims
+    holds and that can bring two cell points within reach: the per-call
+    search that orbit windows made before one search served a window."""
+    d = len(lattice)
+    own = _at(tables, np.zeros((d, 1)))[0]
+    kinds = np.arange(len(own))
+    radii = (TOL / 2, reach * (1 + TOL) + TOL)
+    span = 2 * radius + radii[1]
+    limit = np.minimum(span * np.linalg.norm(np.linalg.inv(lattice), axis=0), np.subtract(dims, 1))
+    axes = np.meshgrid(*[np.arange(-n, n + 1) for n in limit.astype(int)], indexing="ij")
+    offsets = np.stack([g.ravel() for g in axes], axis=1)
+    offsets = offsets[np.linalg.norm(offsets @ lattice, axis=1) <= span]
+    tree = cKDTree(_at(tables, (offsets @ lattice).T).reshape(-1, d))
+    found = []
+    for r in radii:
+        hits = tree.query_ball_point(own, r)
+        j = np.concatenate(hits).astype(int)
+        rows = np.column_stack(
+            [np.repeat(kinds, [len(h) for h in hits]), j % len(kinds), offsets[j // len(kinds)]]
+        )
+        flipped = np.column_stack([rows[:, 1], rows[:, 0], -rows[:, 2:]])
+        # a point paired with itself reads the same both ways, and drops out
+        rows = np.concatenate([rows[lex_less(rows, flipped)], flipped[lex_less(flipped, rows)]])
+        found.append(np.unique(rows, axis=0))
+    return tuple(found)
 
 
 def oracle_lattice_translates(basis, lo, hi, points_per_translate):

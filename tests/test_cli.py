@@ -310,14 +310,21 @@ print(json.dumps(loaded))
 P1_L12_SHA256 = "156ac3000d4fb419e11b8ae28e69640e5426deaa676b6b29f2a76f37cdfdccb2"
 
 
-def test_scipy_loads_on_the_first_kdtree_build(tmp_path):
-    oracle, diag, fig, p1 = (tmp_path / f for f in ("o.json", "d.json", "o.svg", "p1.json"))
+def test_no_command_loads_scipy(tmp_path):
+    # the pair query is the package's own grid index: scipy is a test
+    # dependency only, and no command, pair query included, imports it
+    oracle, diag, fig, p1, rep = (
+        str(tmp_path / f) for f in ("o.json", "d.json", "o.svg", "p1.json", "p1-report.json")
+    )
     commands = [
         ["formulas", "--n", "8", "--d", "3"],
-        ["contact-opt", "--n", "9", "--d", "2", "--oracle", "--out", str(oracle)],
-        ["construct-diagonal", "--d", "2", "--depth", "1", "--out", str(diag)],
-        ["render", str(oracle), "--out", str(fig)],
-        ["gen", "--name", "P1", "--window", "12", "--out", str(p1)],
+        ["contact-opt", "--n", "9", "--d", "2", "--oracle", "--out", oracle],
+        ["construct-diagonal", "--d", "2", "--depth", "1", "--out", diag],
+        ["render", oracle, "--out", fig, "--edges", "--tangents"],
+        ["gen", "--name", "P1", "--window", "12", "--out", p1],
+        ["verify", p1, "--full-audit", "--report", rep],
+        ["measure", diag],
+        ["sep-sequence", "--name", "K6", "--windows", "6,10"],
     ]
     out = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
@@ -325,9 +332,8 @@ def test_scipy_loads_on_the_first_kdtree_build(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     loaded = json.loads(out.stdout.splitlines()[-1])
-    assert loaded[:-1] == [[]] * len(commands)
-    assert "scipy.spatial" in loaded[-1]
-    assert hashlib.sha256(p1.read_bytes()).hexdigest() == P1_L12_SHA256
+    assert loaded == [[]] * (len(commands) + 1)
+    assert hashlib.sha256(Path(p1).read_bytes()).hexdigest() == P1_L12_SHA256
 
 
 def test_module_entry_point(tmp_path):

@@ -60,6 +60,20 @@ class TestBuildContactGraph:
         assert g.edges.shape == (0, 2)
         assert g.degrees.tolist() == [0, 0, 0]
 
+    def test_edge_order_and_direction_do_not_change_the_graph(self, rng):
+        # rows in strictly increasing order with i < j are checked without a
+        # sort; a shuffled list with some rows flipped is sorted to the same
+        # graph, and neither aliases the caller's array
+        p = generate_named("K6", 6)
+        edges = build_contact_graph(p).edges
+        shuffled = edges[rng.permutation(len(edges))]
+        flip = rng.random(len(edges)) < 0.5
+        shuffled[flip] = shuffled[flip, ::-1]
+        for rows in (np.array(edges), shuffled):
+            g = ContactGraph(p.n_spheres, rows)
+            rows[:] = 0
+            assert np.array_equal(g.edges, edges) and not g.edges.flags.writeable
+
     def test_min_contact_distance_without_contact_is_nan(self):
         p = Packing([[0.0, 0.0], [3.0, 0.0]])
         assert math.isnan(min_contact_distance(build_contact_graph(p), p))

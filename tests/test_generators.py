@@ -45,6 +45,7 @@ from conftest import (
     brute_force_edges,
     brute_force_signed_permutation_orbit,
     oracle_orbit_generate,
+    oracle_pair_types,
     traced_peak,
     within_seconds,
 )
@@ -622,6 +623,48 @@ def test_axis_sweep_matches_the_general_sweep_on_drawn_specs(case):
         _assert_same_bits(*_both_kernels(*case, monkeypatch))
 
 
+def _assert_one_search_gives_the_per_call_types(spec, window, monkeypatch):
+    """Every pair-type call of orbit_generate (the probe's, the padded
+    window's and any widening) returns, array for array, the types of a
+    search of its own (oracle_pair_types)."""
+    calls, make = [], generators._pair_types
+
+    def recording(tables, lattice, radius):
+        types = make(tables, lattice, radius)
+
+        def call(dims, reach):
+            calls.append(((tables, lattice, radius, dims, reach), types(dims, reach)))
+            return calls[-1][1]
+
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generators, "_pair_types", recording)
+        try:
+            orbit_generate(spec, window)
+            assert len(calls) >= 2  # the probe's and the padded window's
+        except SepackError:
+            pass
+    for args, found in calls:
+        for got, expected in zip(found, oracle_pair_types(*args), strict=True):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("window", [4, _OFF_ORIGIN], ids=["L4", "off-origin"])
+@pytest.mark.parametrize("name", sorted(PREMISE_SPECS))
+def test_one_pair_type_search_serves_each_call(name, window, monkeypatch):
+    spec = PREMISE_SPECS[name]()
+    window = _in_dimension(window, spec.dimension)
+    _assert_one_search_gives_the_per_call_types(spec, window, monkeypatch)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=_diagonal_specs())
+def test_one_pair_type_search_serves_each_call_on_drawn_specs(case):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_one_search_gives_the_per_call_types(*case, monkeypatch)
+
+
 # the sweeps each name's generation at L = 4 makes, as (general, axis by
 # axis): one for the probe and one for the padded window of each orbit
 # window, a product's for each orbit factor.  J16 and J18 have near-
@@ -667,8 +710,9 @@ def test_probe_is_counted_before_it_is_built():
 
 
 def test_generation_kdtree_builds(monkeypatch):
-    # an orbit window builds two, for the pair types of the probe and of the
-    # padded window (none widens at these windows); a product builds its factors'
+    # an orbit window builds one index, for the one pair-type search that
+    # the probe and the padded window share (none widens past its reach at
+    # these windows); a product builds its factors'
     builds = []
     tree_class = generators.cKDTree
 
@@ -682,7 +726,7 @@ def test_generation_kdtree_builds(monkeypatch):
         builds.clear()
         generate_named(name, 4)
         product = name in catalog and catalog[name].kind == "product"
-        assert len(builds) == (4 if product else 2), name
+        assert len(builds) == (2 if product else 1), name
 
 
 def test_orbit_generation_is_window_local():

@@ -2,11 +2,12 @@
 each one used.
 
 A ``sepack`` import inside a function hides a dependency from the module
-graph, and is how an import cycle gets dodged rather than removed.  Imports
-of other packages may be deferred: ``_kdtree`` loads ``scipy.spatial`` on
-the first tree build.  A name imported and never used is a dependency
-that is not one, left behind when its use was deleted, as is a private
-name that no module of the package reads.
+graph, and is how an import cycle gets dodged rather than removed.  numpy
+is the one runtime dependency: the pair query is the package's own grid
+index (``_kdtree``), and no module imports scipy, at module level or
+deferred.  A name imported and never used is a dependency that is not
+one, left behind when its use was deleted, as is a private name that no
+module of the package reads.
 """
 
 import ast
@@ -68,6 +69,22 @@ def test_module_level_imports_form_no_cycle():
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
+
+
+def _imported_packages(tree) -> set:
+    """The top-level packages of every import statement, nested or not."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_scipy(name):
+    assert "scipy" not in _imported_packages(ast.parse((PACKAGE / f"{name}.py").read_text()))
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,9 @@
 
 The tracer wraps every public function of the layer modules as a span and
 replaces the name ``cKDTree`` in ``core``, ``contact`` and ``generators``
-with a counter.  The KD-tree constructor lives outside those layers, so a
-tree build is counted in the module that makes it and is never a span.
+with a counter.  The grid index bound under that name lives outside those
+layers, so an index build is counted in the module that makes it and is
+never a span.
 """
 
 from perfbench.tracer import Tracer
@@ -19,9 +20,9 @@ def test_tree_builds_are_counted_not_traced(tmp_path):
     names = {span.name for span in tracer.spans}
     assert {"generators.generate_named", "contact.build_contact_graph"} <= names
     assert not [name for name in names if name.endswith("cKDTree")]
-    # an orbit window builds two trees (the pair types of the probe and of
-    # the padded window), a verify one
-    assert [module for _, module in tracer.kdtree_builds] == ["generators"] * 2 + ["core"]
+    # an orbit window builds one index (its one pair-type search, shared by
+    # the probe and the padded window), a verify one
+    assert [module for _, module in tracer.kdtree_builds] == ["generators", "core"]
 
 
 def test_measure_runs_under_the_certifier_span(tmp_path):
